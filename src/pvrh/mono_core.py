@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import AmbiguousSign, WrongFamily
 
@@ -226,6 +226,48 @@ def _gauge_apply(m: Mat2C, c2: complex) -> Mat2C:
     return Mat2C(m.m11, m.m12 * c2, m.m21 / c2, m.m22)
 
 
+def _gauge_cascade(pair: MonodromyPair) -> Tuple[Tuple[complex, str], ...]:
+    return (
+        (pair.m0.m21, "21"),
+        (pair.m0.m12, "12"),
+        (pair.m1.m21, "21"),
+        (pair.m1.m12, "12"),
+    )
+
+
+def gauge_cascade_index(pair: MonodromyPair,
+                        zero_tol: float = 0.0) -> Optional[int]:
+    """Position in (m0_21, m0_12, m1_21, m1_12) that gauge_normalize scales.
+
+    The first entry above zero_tol * (1 + norm); None when all four are
+    below it and the pair is a fixed point of the gauge action.
+    """
+    thresh = zero_tol * (1.0 + pair.norm_inf())
+    for index, (entry, _) in enumerate(_gauge_cascade(pair)):
+        if abs(entry) > thresh:
+            return index
+    return None
+
+
+def gauge_normalize_at(pair: MonodromyPair,
+                       index: Optional[int]) -> GaugeNormalForm:
+    """Scale by diag(c, 1/c) so cascade entry index becomes exactly 1.
+
+    index None leaves the pair as it is.  Pairs normalised at the same
+    index are comparable entry by entry even where a zero threshold would
+    pick different entries for them.
+    """
+    if index is None:
+        return GaugeNormalForm(pair, 1.0 + 0.0j)
+    entry, slot = _gauge_cascade(pair)[index]
+    # slot "21" scales by 1/c^2, slot "12" by c^2
+    c2 = entry if slot == "21" else 1.0 / entry
+    m0 = _gauge_apply(pair.m0, c2)
+    m1 = _gauge_apply(pair.m1, c2)
+    return GaugeNormalForm(MonodromyPair(m0, m1, pair.theta, pair.tol),
+                           cmath.sqrt(c2))
+
+
 def gauge_normalize(pair: MonodromyPair, zero_tol: float = 0.0) -> GaugeNormalForm:
     """Canonical representative of the diagonal-conjugation orbit.
 
@@ -235,24 +277,7 @@ def gauge_normalize(pair: MonodromyPair, zero_tol: float = 0.0) -> GaugeNormalFo
     Gauge-invariant quantities (diagonals, cross products, same-slot
     ratios) are untouched; idempotent by construction.
     """
-    thresh = zero_tol * (1.0 + pair.norm_inf())
-    cascade = (
-        (pair.m0.m21, "21"),
-        (pair.m0.m12, "12"),
-        (pair.m1.m21, "21"),
-        (pair.m1.m12, "12"),
-    )
-    for entry, slot in cascade:
-        if abs(entry) > thresh:
-            # slot "21" scales by 1/c^2, slot "12" by c^2
-            c2 = entry if slot == "21" else 1.0 / entry
-            scale = cmath.sqrt(c2)
-            m0 = _gauge_apply(pair.m0, c2)
-            m1 = _gauge_apply(pair.m1, c2)
-            return GaugeNormalForm(
-                MonodromyPair(m0, m1, pair.theta, pair.tol), scale
-            )
-    return GaugeNormalForm(pair, 1.0 + 0.0j)
+    return gauge_normalize_at(pair, gauge_cascade_index(pair, zero_tol))
 
 
 def classify_region(pair: MonodromyPair, zero_tol: float = 0.0) -> Region:

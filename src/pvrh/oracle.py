@@ -23,7 +23,13 @@ from .errors import (
     SeedDefectTooLarge,
     ToleranceFailure,
 )
-from .mono_core import Mat2C, MonodromyPair, ThetaTriple, gauge_normalize
+from .mono_core import (
+    Mat2C,
+    MonodromyPair,
+    ThetaTriple,
+    gauge_cascade_index,
+    gauge_normalize_at,
+)
 
 _I2 = np.eye(2, dtype=complex)
 _SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -263,48 +269,40 @@ def _series_coefficients(state: LinearSystemState, N: int) -> List[np.ndarray]:
     Matching powers after substituting (I + sum Y_m L^-m) e^{g sigma3} into
     the system; the off-diagonal of Y_m comes from the commutator at order
     m, the diagonal of Y_{m-1} from requiring the diagonal at order m to
-    vanish (its coefficient is m-1, never zero).
+    vanish.  That diagonal is linear in diag(Y_{m-1}) with slope exactly
+    m-1 (never zero): the +-thetaInf/2 of the sigma3 term cancels against
+    diag(b0 + b1) = (-thetaInf/2, +thetaInf/2).
     """
     t = state.t
     ti = state.theta.thetaInf
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
     e = cmath.exp(1j * state.phi)
-
-    def c_mat(m: int) -> np.ndarray:
-        return (-e) ** (m - 1) * b0 + e ** (m - 1) * b1
+    c_mats = [None] + [(-e) ** (m - 1) * b0 + e ** (m - 1) * b1
+                       for m in range(1, N + 2)]
 
     ys = [np.array(_I2)]  # Y_0 = I
 
     def k_of(m: int) -> np.ndarray:
         prev = ys[m - 1]
-        out = (m - 1) * prev + (ti / 2.0) * prev @ _SIGMA3 + c_mat(m)
+        out = (m - 1) * prev + (ti / 2.0) * prev @ _SIGMA3 + c_mats[m]
         for j in range(1, m):
-            out = out + c_mat(j) @ ys[m - j]
+            out = out + c_mats[j] @ ys[m - j]
         return out
 
     for m in range(1, N + 2):
         if m >= 2:
-            # solve diag(Y_{m-1}) from diag(K_m) = 0 by linear probing
-            base = ys[m - 1].copy()
-            for slot in (0, 1):
-                probe0 = base.copy()
-                probe0[slot, slot] = 0.0
-                ys[m - 1] = probe0
-                k0 = k_of(m)[slot, slot]
-                probe1 = probe0.copy()
-                probe1[slot, slot] = 1.0
-                ys[m - 1] = probe1
-                k1 = k_of(m)[slot, slot]
-                slope = k1 - k0
-                probe1[slot, slot] = -k0 / slope
-                ys[m - 1] = probe1
-                base = probe1
-            resid = k_of(m)
-            if max(abs(resid[0, 0]), abs(resid[1, 1])) > 1e-8 * (1 + np.abs(resid).max()):
+            prev = ys[m - 1]
+            prev[0, 0] = prev[1, 1] = 0.0
+            k0 = k_of(m)
+            prev[0, 0] = -k0[0, 0] / (m - 1)
+            prev[1, 1] = -k0[1, 1] / (m - 1)
+            k = k_of(m)
+            if max(abs(k[0, 0]), abs(k[1, 1])) > 1e-8 * (1 + np.abs(k).max()):
                 raise ToleranceFailure(
                     f"diagonal matching failed at order {m}")
-        if m <= N:
+        else:
             k = k_of(m)
+        if m <= N:
             ym = np.zeros((2, 2), dtype=complex)
             ym[0, 1] = -2.0 * k[0, 1] / t
             ym[1, 0] = 2.0 * k[1, 0] / t
@@ -342,17 +340,22 @@ def canonical_frame(state: LinearSystemState, lam: complex,
 
 def _transport_columns(state: LinearSystemState, start: complex,
                        waypoints: Sequence[complex], v0: np.ndarray,
-                       signs: Tuple[int, int] = (1, -1),
                        rtol: float = 1e-12, atol: float = 1e-13) -> np.ndarray:
-    """Transport column-gauged frames along a polyline.
+    """Transport the column-gauged canonical frame along a polyline.
 
-    Column j of the actual frame equals (column j of v) * exp(sign_j * g),
-    with g the canonical exponent; transporting v instead keeps entries
-    of moderate size along paths where Re(lambda) stays small.
+    Column 0 of the actual frame equals (column 0 of v) * exp(g) and
+    column 1 equals (column 1 of v) * exp(-g), with g the canonical
+    exponent; transporting v instead keeps entries of moderate size along
+    paths where Re(lambda) stays small.  Both columns are integrated as one
+    complex system per segment, with the residues hoisted out of the
+    right-hand side.
     """
-    t = state.t
-    ti = state.theta.thetaInf
+    q = state.t / 4.0
+    half_ti = state.theta.thetaInf / 2.0
     e = cmath.exp(1j * state.phi)
+    b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
+    b0_11, b0_12, b0_21, b0_22 = (complex(c) for c in b0.reshape(4))
+    b1_11, b1_12, b1_21, b1_22 = (complex(c) for c in b1.reshape(4))
     v = np.array(v0, dtype=complex)
     pos = complex(start)
     for target in waypoints:
@@ -364,25 +367,30 @@ def _transport_columns(state: LinearSystemState, start: complex,
             if d < 0.3:
                 raise LoopHitsSingularity(
                     f"path segment passes within {d:.3f} of {sing}")
-        for col, sgn in enumerate(signs):
 
-            def rhs(s, w):
-                lam = pos + seg * s
-                bmat = state.coefficient_matrix(lam)
-                gp = t / 4.0 - ti / (2.0 * lam)
-                vec = np.array([complex(w[0], w[1]), complex(w[2], w[3])])
-                dv = seg * ((bmat @ vec) - sgn * gp * vec)
-                return [dv[0].real, dv[0].imag, dv[1].real, dv[1].imag]
+        def rhs(s, w):
+            lam = pos + seg * s
+            d0 = 1.0 / (lam + e)
+            d1 = 1.0 / (lam - e)
+            a11 = q + b0_11 * d0 + b1_11 * d1
+            a12 = b0_12 * d0 + b1_12 * d1
+            a21 = b0_21 * d0 + b1_21 * d1
+            a22 = -q + b0_22 * d0 + b1_22 * d1
+            gp = q - half_ti / lam
+            u0, u1, x0, x1 = w.tolist()
+            return [seg * (a11 * u0 + a12 * u1 - gp * u0),
+                    seg * (a21 * u0 + a22 * u1 - gp * u1),
+                    seg * (a11 * x0 + a12 * x1 + gp * x0),
+                    seg * (a21 * x0 + a22 * x1 + gp * x1)]
 
-            w0 = [v[0, col].real, v[0, col].imag, v[1, col].real, v[1, col].imag]
-            sol = solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853",
-                            rtol=rtol, atol=atol)
-            if not sol.success:
-                raise ToleranceFailure(
-                    f"linear transport failed on segment to {target}: {sol.message}")
-            wf = sol.y[:, -1]
-            v[0, col] = complex(wf[0], wf[1])
-            v[1, col] = complex(wf[2], wf[3])
+        w0 = np.array([v[0, 0], v[1, 0], v[0, 1], v[1, 1]])
+        sol = solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853",
+                        rtol=rtol, atol=atol)
+        if not sol.success:
+            raise ToleranceFailure(
+                f"linear transport failed on segment to {target}: {sol.message}")
+        wf = sol.y[:, -1]
+        v = np.array([[wf[0], wf[2]], [wf[1], wf[3]]])
         pos = target
     return v
 
@@ -441,32 +449,29 @@ def _local_frame(state: LinearSystemState, which: int, lam_match: complex,
 
     d_diag = np.array([th / 2.0, -th / 2.0], dtype=complex)
     dist = s_self - s_other
-
-    def h_mat(j: int) -> np.ndarray:
-        out = r_other * ((-1.0) ** j) / dist ** (j + 1)
-        if j == 0:
-            out = out + (state.t / 4.0) * _SIGMA3
-        return out
+    q_sigma3 = np.array([[state.t / 4.0], [-state.t / 4.0]])
+    # operator G -> k G + G D - R G, acting entrywise as k I + op_const
+    op_const = np.kron(_I2, np.diag(d_diag)) - np.kron(r_self, _I2)
+    eye4 = np.eye(4, dtype=complex)
 
     w = lam_match - s_self
-    gs = [g0]
+    g_prev = g0
+    # u = sum_{j<k} (-1)^j dist^-(j+1) G_{k-1-j}: the expansion of
+    # r_other / (lam - s_other) in w, convolved with G, as a recurrence
+    u = np.zeros((2, 2), dtype=complex)
     acc = g0.astype(complex).copy()
     wk = 1.0 + 0.0j
     recent = [math.inf] * 3
-    d_mat = np.diag(d_diag)
     for k in range(1, terms + 1):
-        rhs = np.zeros((2, 2), dtype=complex)
-        for j in range(0, k):
-            rhs = rhs + h_mat(j) @ gs[k - 1 - j]
-        # operator G -> k G + G D - R G, acting entrywise via a 4x4 solve
-        op = k * np.eye(4, dtype=complex) \
-            + np.kron(_I2, d_mat.T) - np.kron(r_self, _I2)
+        u = (g_prev - u) / dist
+        rhs = q_sigma3 * g_prev + r_other @ u
         try:
-            gk = np.linalg.solve(op, rhs.reshape(4)).reshape(2, 2)
+            gk = np.linalg.solve(k * eye4 + op_const,
+                                 rhs.reshape(4)).reshape(2, 2)
         except np.linalg.LinAlgError as exc:
             raise ToleranceFailure(
                 f"resonant local exponents at order {k} (integer theta?)") from exc
-        gs.append(gk)
+        g_prev = gk
         wk *= w
         term = gk * wk
         acc = acc + term
@@ -511,8 +516,12 @@ def _seed_frame(state: LinearSystemState, N: int, defect_cap: float = 1e-8,
                 lam: Optional[complex] = None) -> Tuple[complex, np.ndarray, float]:
     """Base point on the upper imaginary axis with an acceptable defect.
 
-    With lam fixed (a caller-chosen base point) no adaptation happens and
-    an excessive defect is an error right away.
+    The ladder starts close to the singular points, at |lambda| = 10, and
+    climbs by factors of 1.5 until the order-N frame meets defect_cap; at
+    the default order N = 16 of direct_monodromy the first rung already
+    passes for t up to 60, so the transport down to the matching point
+    stays short.  With lam fixed (a caller-chosen base point) no adaptation
+    happens and an excessive defect is an error right away.
     """
     if lam is not None:
         cf = canonical_frame(state, lam, N)
@@ -520,7 +529,7 @@ def _seed_frame(state: LinearSystemState, N: int, defect_cap: float = 1e-8,
             raise SeedDefectTooLarge(
                 f"seed defect {cf.defect:.2e} above {defect_cap:.0e} at {lam}")
         return lam, _poly_part(cf, lam), cf.defect
-    rho = max(120.0, 2.0 * state.t)
+    rho = 10.0
     while True:
         lam = 1j * rho
         cf = canonical_frame(state, lam, N)
@@ -533,9 +542,35 @@ def _seed_frame(state: LinearSystemState, N: int, defect_cap: float = 1e-8,
                 f"even at |base| = {rho / 1.5:.0f}")
 
 
+def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
+                         p_seed: np.ndarray, rtol: float, atol: float,
+                         match_height: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(M0, M1) from the canonical frame seeded at lam0 with part p_seed.
+
+    Transports the frame down the imaginary axis to i*match_height and
+    connects it there to the local Frobenius frames of both singular points.
+    """
+    lam_m = 1j * match_height
+    v = _transport_columns(state, lam0, (lam_m,), p_seed,
+                           rtol=rtol, atol=atol)
+    det_drift = abs(np.linalg.det(v) - np.linalg.det(p_seed))
+    if det_drift > 1e-9:
+        raise ToleranceFailure(
+            f"transport det drift {det_drift:.2e} exceeds 1e-9")
+    e_m = _exp_sigma3_np(_canonical_g(state, lam_m))
+    y_m = v @ e_m
+    out = []
+    for which in (0, 1):
+        phi_loc, th = _local_frame(state, which, lam_m)
+        c = np.linalg.solve(phi_loc, y_m)
+        e_loop = _exp_sigma3_np(1j * cmath.pi * th)
+        out.append(np.linalg.solve(c, e_loop @ c))
+    return out[0], out[1]
+
+
 def direct_monodromy(state: LinearSystemState,
                      loops: Optional[Tuple[LoopSpec, LoopSpec]] = None,
-                     N: int = 3, method: str = "frobenius",
+                     N: int = 16, method: str = "frobenius",
                      rtol: float = 1e-12, atol: float = 1e-13,
                      match_height: float = 0.3,
                      dps: Optional[int] = None) -> MonodromyPair:
@@ -547,6 +582,10 @@ def direct_monodromy(state: LinearSystemState,
     loop transport at large t. transport: literal polyline transport
     around the loops (accurate at moderate t, kept as an independent
     cross-check and for loop-homotopy experiments).
+
+    N is the order of the large-lambda series of the seed frame.  The
+    default 16 lets the seed sit at |lambda| = 10 (see _seed_frame); a
+    smaller N still works, with the seed pushed further out.
     """
     if method not in ("frobenius", "transport"):
         raise ValueError(f"unknown method {method!r}")
@@ -577,22 +616,8 @@ def direct_monodromy(state: LinearSystemState,
             out.append(y_base_inv @ y_loop)
         m0_np, m1_np = out
     else:
-        lam_m = 1j * match_height
-        v = _transport_columns(state, lam0, (lam_m,), p_seed,
-                               rtol=rtol, atol=atol)
-        det_drift = abs(np.linalg.det(v) - np.linalg.det(p_seed))
-        if det_drift > 1e-9:
-            raise ToleranceFailure(
-                f"transport det drift {det_drift:.2e} exceeds 1e-9")
-        e_m = _exp_sigma3_np(_canonical_g(state, lam_m))
-        y_m = v @ e_m
-        out = []
-        for which in (0, 1):
-            phi_loc, th = _local_frame(state, which, lam_m)
-            c = np.linalg.solve(phi_loc, y_m)
-            e_loop = _exp_sigma3_np(1j * cmath.pi * th)
-            out.append(np.linalg.solve(c, e_loop @ c))
-        m0_np, m1_np = out
+        m0_np, m1_np = _frobenius_monodromy(state, lam0, p_seed, rtol, atol,
+                                            match_height)
 
     def to_mat(a: np.ndarray) -> Mat2C:
         return Mat2C(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
@@ -627,17 +652,41 @@ def _pair_distance(a: MonodromyPair, b: MonodromyPair) -> float:
     return worst
 
 
+def _normalized_drift(raw_pairs: Sequence[MonodromyPair], zero_tol: float
+                      ) -> Tuple[float, List[MonodromyPair]]:
+    """Largest pairwise distance after one common gauge normal form.
+
+    The cascade entry is chosen on the last pair (the reference, largest
+    t) and every pair is normalised at that entry: the zero threshold is
+    relative to the pair norm, which grows along the ray, so choosing per
+    pair can scale different entries at different bases.
+    """
+    index = gauge_cascade_index(raw_pairs[-1], zero_tol)
+    pairs = [gauge_normalize_at(p, index).pair for p in raw_pairs]
+    worst = 0.0
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            worst = max(worst, _pair_distance(pairs[i], pairs[j]))
+    return worst, pairs
+
+
 def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
-                       t_list: Sequence[float], N: int = 3,
+                       t_list: Sequence[float], N: int = 16,
                        zero_tol: float = 1e-6,
                        perturb: Optional[Tuple[float, complex]] = None,
                        dps: Optional[int] = None) -> DriftReport:
     """Spread of the gauge-normalized monodromy along one trajectory.
 
+    The ray is integrated once: bases at or below the seed's |x| are
+    reached leg by leg going down from the seed, bases above it leg by leg
+    going up.  All pairs are normalised at the cascade entry the pair at
+    the largest t selects (see _normalized_drift).
+
     perturb, when given, is (t_value, dy): after integrating to the matching
     |x| the solution value y is shifted by dy before the monodromy solve.
-    The shifted data leaves the original trajectory, so the reported drift
-    blows up; this is the negative control for the metric.
+    The shift never enters the state the next leg starts from.  The shifted
+    data leaves the original trajectory, so the reported drift blows up;
+    this is the negative control for the metric.
 
     dps switches the whole chain (ray integration included) to the
     arbitrary-precision path.  Seeds of the truncated families need this:
@@ -651,25 +700,25 @@ def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
         from . import _highprec
         t_sorted, raw_pairs = _highprec.drift_pairs_mp(theta, seed, t_list,
                                                        dps=dps)
-        pairs = [gauge_normalize(p, zero_tol=zero_tol).pair
-                 for p in raw_pairs]
-        worst = 0.0
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                worst = max(worst, _pair_distance(pairs[i], pairs[j]))
+        worst, pairs = _normalized_drift(raw_pairs, zero_tol)
         return DriftReport(worst, tuple(t_sorted), tuple(pairs))
     t_sorted = sorted(float(t) for t in t_list)
-    pairs = []
+    t_seed = abs(complex(seed["x"]))
+    states: Dict[float, LinearSystemState] = {}
+    for leg in ([t for t in reversed(t_sorted) if t <= t_seed],
+                [t for t in t_sorted if t > t_seed]):
+        start = seed
+        for t in leg:
+            traj = integrate_pv(theta, start, t, n_samples=2)
+            states[t] = traj.final_state(theta)
+            x, y, z, lu = traj.samples[-1]
+            start = {"x": x, "y": y, "zfrak": z, "log_u": lu}
+    raw = []
     for t in t_sorted:
-        traj = integrate_pv(theta, seed, t, n_samples=2)
-        st = traj.final_state(theta)
+        st = states[t]
         if perturb is not None and abs(t - perturb[0]) < 1e-12 * max(1.0, t):
             st = LinearSystemState(st.t, st.phi, st.y + perturb[1],
                                    st.zfrak, st.log_u, st.theta)
-        raw = direct_monodromy(st, N=N)
-        pairs.append(gauge_normalize(raw, zero_tol=zero_tol).pair)
-    worst = 0.0
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            worst = max(worst, _pair_distance(pairs[i], pairs[j]))
+        raw.append(direct_monodromy(st, N=N))
+    worst, pairs = _normalized_drift(raw, zero_tol)
     return DriftReport(worst, tuple(t_sorted), tuple(pairs))
