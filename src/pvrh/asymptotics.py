@@ -18,7 +18,7 @@ import numpy as np
 import scipy.special as sp
 
 from ._laurent import Laurent
-from .boutroux_elliptic import BoutrouxSolution, jacobi_sn, sn_derivative
+from .boutroux_elliptic import BoutrouxSolution, reduce_mod_lattice, sn_cn_dn
 from .errors import (
     CaseGap,
     ConditionMismatch,
@@ -131,18 +131,6 @@ def in_sector(x: complex, d: AsymptoticDescriptor) -> bool:
         if above and below:
             return True
     return False
-
-
-def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
-    """Representative of v modulo Z p1 + Z p2 with coefficients in [-1/2, 1/2)."""
-    det = p1.real * p2.imag - p1.imag * p2.real
-    if abs(det) < 1e-14 * max(1.0, abs(p1) * abs(p2)):
-        raise DomainViolation("lattice generators are numerically parallel")
-    a = (v.real * p2.imag - v.imag * p2.real) / det
-    b = (p1.real * v.imag - p1.imag * v.real) / det
-    a -= math.floor(a + 0.5)
-    b -= math.floor(b + 0.5)
-    return a * p1 + b * p2
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +786,14 @@ def eval_elliptic(x: complex, d: AsymptoticDescriptor,
         k = -k
     u = 0.5 * (x - x0)
     try:
-        w = k * jacobi_sn(u, k)
-        snp = sn_derivative(u, k)
+        sn, cn, dn = sn_cn_dn(u, k)
     except NearPole as exc:
         raise InsidePoleDisk(str(exc)) from exc
+    w = k * sn
     if abs(w - 1.0) < 1e-10:
         raise InsidePoleDisk("Moebius image pole (w near 1)")
     y = (w + 1.0) / (w - 1.0)
-    yp = -k * snp / (w - 1.0) ** 2
+    yp = -k * cn * dn / (w - 1.0) ** 2
     th = d.theta
     zfrak = -x * (yp - y) / (2.0 * (y - 1.0) ** 2) \
         + (th.theta0 + th.theta1) / (2.0 * (y - 1.0)) \

@@ -2,29 +2,40 @@
 
 Everything here lives on the genus-one curve w^2 = (1-z^2)(A-z^2) with
 branch cuts [-1, -A^(1/2)] and [A^(1/2), 1]. The upper-sheet branch is
-the one with z^{-2} w -> -1 at infinity. Cycle a is realized as the
-doubled segment between the inner branch points (both sheets), cycle b
-as a confocal ellipse around the left cut; with those choices the
-periods for real A in (0,1) come out as 4K and 2iK', which is exactly
-the sn period lattice used downstream.
+the one with z^{-2} w -> -1 at infinity. Cycle a is the doubled segment
+between the inner branch points (both sheets), cycle b a counterclockwise
+loop around the left cut. With those orientations every cycle integral is
+a complete elliptic integral in closed form,
+
+    omega_a = 4 K(A),                 omega_b = 2i K(1-A),
+    I_a = 4 [(A-1) K(A) + E(A)],      I_b = -2i [E(1-A) - A K(1-A)],
+
+for dz/w and for the Boutroux integrand sqrt((A-z^2)/(1-z^2)) dz, so
+the periods are exactly the sn period lattice used downstream. K and E
+come from Carlson's symmetric integrals R_F and R_D (B. C. Carlson,
+Numer. Algorithms 10, 1995), principal branch, valid for complex A in
+the strip 0 <= Re A <= 1. Each balance integral has half its period as
+derivative in A, which gives the Newton solve of the Boutroux conditions
+its exact Jacobian. The test suite checks the closed forms against a
+plain quadrature over both cycles.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-import numpy as np
+from scipy.special import elliprd, elliprf
 
-from .errors import DegenerateCurve, DegenerateLattice, NearPole, NoConvergence
-
-_GL20 = np.polynomial.legendre.leggauss(20)
-_GL40 = np.polynomial.legendre.leggauss(40)
+from .errors import (DegenerateCurve, DegenerateLattice, DomainViolation,
+                     NearPole, NoConvergence)
 
 _A_DEGENERATE_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 def _sqrt_a(A: complex) -> complex:
@@ -79,105 +90,34 @@ class PoleLattice:
     points: Tuple[complex, ...] = field(default_factory=tuple)
 
 
-def _gl_panel(f, a: float, b: float, nodes_weights) -> complex:
-    x, w = nodes_weights
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+def _complete_ke(m: complex) -> Tuple[complex, complex]:
+    """Complete elliptic integrals K(m), E(m) from Carlson's R_F and R_D.
 
-
-def _adaptive_gl(f, a: float, b: float, tol: float) -> Tuple[complex, float]:
-    """Adaptive Gauss-Legendre by interval bisection, open nodes."""
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    stack = [(a, b)]
-    panels = 0
-    while stack:
-        lo, hi = stack.pop()
-        panels += 1
-        if panels > 4096:
-            raise NoConvergence("adaptive quadrature exceeded panel budget")
-        coarse = _gl_panel(f, lo, hi, _GL20)
-        fine = _gl_panel(f, lo, hi, _GL40)
-        err = abs(fine - coarse)
-        if err < tol * max(1.0, abs(fine)) or (hi - lo) < 1e-13:
-            total += fine
-            err_total += err
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total, err_total
-
-
-def _a_cycle(A: complex, integrand_tag: str, tol: float = 1e-12) -> Tuple[complex, float]:
-    """Doubled inner segment, parametrized z = sqrt(A) sin(psi).
-
-    On the open segment w_plus equals sqrt(A) cos(psi) sqrt(1 - A sin^2 psi)
-    with the principal branch (both sides are continuous, nonvanishing, and
-    agree at psi = 0 where w_plus(0) = sqrt(A)). Cancelling the cos(psi)
-    zeros against dz analytically keeps the integrand finite at the ends
-    even when the second cut sits close by (|A| near 1, where the naive
-    quotient loses all digits and can divide by a rounded-to-zero curve
-    value).
+    K(m) = R_F(0, 1-m, 1) and E(m) = K(m) - (m/3) R_D(0, 1-m, 1), principal
+    branch; complex arguments keep scipy on its complex kernels.
     """
-    if integrand_tag == "period":
-        def f(psi):
-            return 1.0 / cmath.sqrt(1.0 - A * math.sin(psi) ** 2)
-    else:
-        def f(psi):
-            c = math.cos(psi)
-            return A * c * c / cmath.sqrt(1.0 - A * math.sin(psi) ** 2)
-
-    val, err = _adaptive_gl(f, -0.5 * math.pi, 0.5 * math.pi, tol)
-    return 2.0 * complex(val), 2.0 * float(err)
+    y = complex(1.0 - m)
+    big_k = complex(elliprf(0.0, y, 1.0))
+    return big_k, big_k - m * complex(elliprd(0.0, y, 1.0)) / 3.0
 
 
-def _b_contour_params(A: complex) -> Tuple[complex, complex, float]:
-    """Confocal ellipse around the left cut, clear of the right-hand branch points."""
-    sA = _sqrt_a(A)
-    m = 0.5 * (1.0 + sA)
-    d = 0.5 * (1.0 - sA)
-    if abs(d) < 1e-15:
-        raise DegenerateCurve("left cut collapsed (A at 1)")
-    delta = 0.15 * min(abs(1.0 - sA), abs(sA))
-    hardcap = (abs(m + sA) - delta) / abs(d)
-    aim = 1.0 + delta / abs(d)
-    cosh_rho = min(max(aim, 1.02), 0.98 * hardcap)
-    if cosh_rho <= 1.0 + 1e-9:
-        raise DegenerateCurve("no room for the b contour (A too close to 0)")
-    rho = math.acosh(cosh_rho)
-    return m, d, rho
+def _legendre_defect(ke: Tuple[complex, complex],
+                     ke_p: Tuple[complex, complex]) -> float:
+    """|E K' + E' K - K K' - pi/2|, zero in exact arithmetic."""
+    (big_k, big_e), (big_kp, big_ep) = ke, ke_p
+    return abs(big_e * big_kp + big_ep * big_k - big_k * big_kp - 0.5 * math.pi)
 
 
-def _b_cycle(A: complex, integrand_tag: str, tol: float = 1e-12) -> Tuple[complex, float]:
-    """Counterclockwise confocal ellipse z(t) = -m + d cos(t - i rho)."""
-    m, d, rho = _b_contour_params(A)
+def _a_cycle(A: complex, ke: Tuple[complex, complex]) -> Tuple[complex, complex]:
+    """(period, Boutroux integral) over cycle a, from K, E at A."""
+    big_k, big_e = ke
+    return 4.0 * big_k, 4.0 * ((A - 1.0) * big_k + big_e)
 
-    def point(t):
-        w_arg = complex(t, -rho)
-        z = -m + d * cmath.cos(w_arg)
-        dz = -d * cmath.sin(w_arg)
-        return z, dz
 
-    def g(t):
-        z, dz = point(t)
-        if integrand_tag == "period":
-            return dz / curve_w_plus(A, z)
-        return (A - z * z) * dz / curve_w_plus(A, z)
-
-    n = 64
-    prev = None
-    while n <= (1 << 16):
-        h = 2.0 * math.pi / n
-        total = complex(h * sum(g(i * h) for i in range(n)))
-        if prev is not None:
-            err = abs(total - prev)
-            if err < tol * max(1.0, abs(total)):
-                return total, err
-        prev = total
-        n *= 2
-    raise NoConvergence("trapezoid doubling on the b cycle did not settle")
+def _b_cycle(A: complex, ke_p: Tuple[complex, complex]) -> Tuple[complex, complex]:
+    """(period, Boutroux integral) over cycle b, from K, E at 1 - A."""
+    big_kp, big_ep = ke_p
+    return 2j * big_kp, -2j * (big_ep - A * big_kp)
 
 
 def cycle_integral(A: complex, integrand_tag: str, cycle: str) -> complex:
@@ -185,6 +125,8 @@ def cycle_integral(A: complex, integrand_tag: str, cycle: str) -> complex:
 
     integrand_tag "period" integrates dz/w; "boutroux" integrates
     sqrt((A-z^2)/(1-z^2)) dz, realized as (A-z^2)/w dz on the upper sheet.
+    Where a closed form diverges (the b cycle at A = 0, the a cycle at
+    A = 1) the curve is degenerate and DegenerateCurve is raised.
     """
     if integrand_tag not in ("boutroux", "period"):
         raise ValueError(f"unknown integrand_tag {integrand_tag!r}")
@@ -195,113 +137,73 @@ def cycle_integral(A: complex, integrand_tag: str, cycle: str) -> complex:
     ):
         raise DegenerateCurve("period integral at a trigonometric limit point")
     if cycle == "a":
-        val, _ = _a_cycle(A, integrand_tag)
+        period, balance = _a_cycle(A, _complete_ke(A))
     else:
-        val, _ = _b_cycle(A, integrand_tag)
+        period, balance = _b_cycle(A, _complete_ke(1.0 - A))
+    val = period if integrand_tag == "period" else balance
+    if not cmath.isfinite(val):
+        raise DegenerateCurve(f"cycle {cycle} diverges at A={A}")
     return val
 
 
-def _boutroux_residuals(A: complex, phi: float) -> Tuple[float, float, float]:
+_NEWTON_BUDGET = 12
+
+
+def _solve_strip(phi: float) -> BoutrouxSolution:
+    """Zero Re(e^{i phi} I_a) and Re(e^{i phi} I_b) for 0 < phi < pi/2.
+
+    Newton from A = sin^2 phi + 0.43i sin 2phi. Both integrals are
+    holomorphic in A with dI/dA = omega/2, so with g = e^{i phi} omega/2 the
+    real Jacobian in (Re A, Im A) is [[Re g_a, -Im g_a], [Re g_b, -Im g_b]].
+    Iteration stops once a step is below 1e-8 of the distance to the nearer
+    degenerate end (A = 0 or 1), after which quadratic convergence leaves
+    only roundoff, or below a few ulps, the floor that the cancellations in
+    I_a near A = 0 and in I_b near A = 1 allow. Periods, residuals and the
+    Legendre defect are those at the final A.
+    """
     rot = cmath.exp(1j * phi)
-    ia, ea = _a_cycle(A, "boutroux")
-    ib, eb = _b_cycle(A, "boutroux")
-    return float((rot * ia).real), float((rot * ib).real), ea + eb
-
-
-def _residuals_checked(A: complex, phi: float) -> Tuple[float, float, float]:
-    """Residuals with numeric blowups mapped to DegenerateCurve.
-
-    Near A = 0 the two branch cuts almost touch and an underflowed curve
-    value can divide the integrand by exact zero; a probe landing there is
-    a degenerate point, not a fatal error.
-    """
-    try:
-        return _boutroux_residuals(A, phi)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise DegenerateCurve(f"curve numerically degenerate at A={A}") from exc
-
-
-def _newton_boutroux(phi: float, seed: complex) -> complex:
-    A = seed
-    try:
-        fa, fb, _ = _residuals_checked(A, phi)
-    except DegenerateCurve as exc:
-        raise NoConvergence(f"modulus seed {seed} is degenerate") from exc
-    fnorm = math.hypot(fa, fb)
-    for _ in range(30):
-        if fnorm < 1e-11:
-            return A
-        h = 1e-7 * (1.0 + abs(A))
-        try:
-            fa_r, fb_r, _ = _residuals_checked(A + h, phi)
-        except DegenerateCurve:
-            fa_r, fb_r, _ = _residuals_checked(A - h, phi)
-            fa_r, fb_r = 2.0 * fa - fa_r, 2.0 * fb - fb_r
-        try:
-            fa_i, fb_i, _ = _residuals_checked(A + 1j * h, phi)
-        except DegenerateCurve:
-            fa_i, fb_i, _ = _residuals_checked(A - 1j * h, phi)
-            fa_i, fb_i = 2.0 * fa - fa_i, 2.0 * fb - fb_i
-        j11 = (fa_r - fa) / h
-        j21 = (fb_r - fb) / h
-        j12 = (fa_i - fa) / h
-        j22 = (fb_i - fb) / h
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-30:
-            raise NoConvergence("singular Jacobian in the modulus solve")
-        dre = -(j22 * fa - j12 * fb) / det
-        dim = -(-j21 * fa + j11 * fb) / det
-        step = complex(dre, dim)
-        for _ in range(7):
-            cand = A + step
-            try:
-                ga, gb, _ = _residuals_checked(cand, phi)
-            except DegenerateCurve:
-                step *= 0.5
-                continue
-            gnorm = math.hypot(ga, gb)
-            if gnorm < fnorm or gnorm < 1e-11:
-                A, fa, fb, fnorm = cand, ga, gb, gnorm
-                break
-            step *= 0.5
-        else:
-            raise NoConvergence("damped step failed to reduce the residual")
-    if fnorm < 1e-11:
-        return A
-    raise NoConvergence(f"modulus solve stalled at residual {fnorm:.3e}")
-
-
-_MARCH_STEP = 0.05
-_march_cache = {}
-_solution_cache = {}
-_cache_lock = threading.Lock()
-
-
-def _march_to(target: float) -> complex:
-    """Continuation in phi from the A=1 anchor at phi = pi/2 down to target.
-
-    Newton steps reuse the previous grid solution as seed; grid values are
-    memoized so nearby requests march only the missing tail.
-    """
-    half_pi = 0.5 * math.pi
-    ngrid = int(math.ceil((half_pi - target) / _MARCH_STEP))
-    # the anchor itself sits on a degenerate curve; start just inside
-    A = complex(0.98, 0.01)
-    start = 1
-    with _cache_lock:
-        for k in range(ngrid - 1, 0, -1):
-            if k in _march_cache:
-                A = _march_cache[k]
-                start = k + 1
-                break
-    for k in range(start, ngrid):
-        phi_k = half_pi - k * _MARCH_STEP
-        if phi_k <= target:
+    A = complex(math.sin(phi) ** 2, 0.43 * math.sin(2.0 * phi))
+    settled = False
+    for _ in range(_NEWTON_BUDGET):
+        ke, ke_p = _complete_ke(A), _complete_ke(1.0 - A)
+        oa, ia = _a_cycle(A, ke)
+        ob, ib = _b_cycle(A, ke_p)
+        fa, fb = (rot * ia).real, (rot * ib).real
+        if settled:
             break
-        A = _newton_boutroux(phi_k, A)
-        with _cache_lock:
-            _march_cache[k] = A
-    return _newton_boutroux(target, A)
+        ga, gb = 0.5 * rot * oa, 0.5 * rot * ob
+        det = (ga.conjugate() * gb).imag
+        if not math.isfinite(det) or det == 0.0:
+            raise NoConvergence(f"singular modulus Jacobian at A={A}")
+        step = complex(ga.imag * fb - gb.imag * fa,
+                       ga.real * fb - gb.real * fa) / det
+        A += step
+        settled = abs(step) <= max(1e-8 * min(abs(A), abs(1.0 - A)), 4.0 * _EPS)
+    else:
+        raise NoConvergence(f"modulus Newton did not settle at phi={phi}")
+    if not (-1e-8 <= A.real <= 1.0 + 1e-8):
+        raise NoConvergence(f"modulus left the physical strip: {A}")
+    return BoutrouxSolution(phi=phi, A=A, omegaA=oa, omegaB=ob,
+                            quadrature_error=_legendre_defect(ke, ke_p),
+                            residuals=(fa, fb))
+
+
+@functools.lru_cache(maxsize=1024)
+def _solve_rounded(phi: float) -> BoutrouxSolution:
+    half_pi = 0.5 * math.pi
+    phi_mod = phi - math.pi * math.floor(phi / math.pi)
+    if phi_mod < 1e-12 or math.pi - phi_mod < 1e-12:
+        return BoutrouxSolution(phi=phi, A=0.0 + 0.0j, omegaA=2.0 * math.pi + 0.0j,
+                                omegaB=None, quadrature_error=0.0)
+    if abs(phi_mod - half_pi) < 1e-12:
+        return BoutrouxSolution(phi=phi, A=1.0 + 0.0j, omegaA=None,
+                                omegaB=1j * math.pi, quadrature_error=0.0)
+    if phi_mod < half_pi:
+        return replace(_solve_strip(phi_mod), phi=phi)
+    conj_of = _solve_strip(math.pi - phi_mod)
+    return replace(conj_of, phi=phi, A=conj_of.A.conjugate(),
+                   omegaA=conj_of.omegaA.conjugate(),
+                   omegaB=conj_of.omegaB.conjugate())
 
 
 def solve_boutroux(phi: float) -> BoutrouxSolution:
@@ -310,54 +212,25 @@ def solve_boutroux(phi: float) -> BoutrouxSolution:
     The solution is periodic in phi with period pi and conjugates under
     phi -> -phi, so everything reduces to the fundamental strip [0, pi/2].
     At the two strip ends the curve degenerates and the divergent period
-    is reported as None.
+    is reported as None. phi is rounded to 12 decimals and the modulus is
+    solved at the rounded angle, so the points of a ray share one solution
+    whatever the call order; solutions are kept in a bounded LRU cache.
+    quadrature_error is the defect of the Legendre relation
+    E K' + E' K - K K' = pi/2 at the solved modulus (0 at the strip ends):
+    the accuracy of the complete integrals behind the periods and the
+    residuals.
     """
-    key = round(phi, 12)
-    with _cache_lock:
-        if key in _solution_cache:
-            return _solution_cache[key]
-
-    half_pi = 0.5 * math.pi
-    phi_mod = phi - math.pi * math.floor(phi / math.pi)
-    if phi_mod > half_pi:
-        conj_of = solve_boutroux(math.pi - phi_mod)
-        sol = BoutrouxSolution(
-            phi=phi,
-            A=conj_of.A.conjugate(),
-            omegaA=None if conj_of.omegaA is None else conj_of.omegaA.conjugate(),
-            omegaB=None if conj_of.omegaB is None else conj_of.omegaB.conjugate(),
-            quadrature_error=conj_of.quadrature_error,
-            residuals=conj_of.residuals,
-        )
-        with _cache_lock:
-            _solution_cache[key] = sol
-        return sol
-
-    if phi_mod < 1e-12:
-        sol = BoutrouxSolution(phi=phi, A=0.0 + 0.0j, omegaA=2.0 * math.pi + 0.0j,
-                               omegaB=None, quadrature_error=0.0)
-    elif abs(phi_mod - half_pi) < 1e-12:
-        sol = BoutrouxSolution(phi=phi, A=1.0 + 0.0j, omegaA=None,
-                               omegaB=1j * math.pi, quadrature_error=0.0)
-    else:
-        A = _march_to(phi_mod)
-        if not (-1e-8 <= A.real <= 1.0 + 1e-8):
-            raise NoConvergence(f"modulus left the physical strip: {A}")
-        ra, rb, qerr = _boutroux_residuals(A, phi_mod)
-        oa, ea = _a_cycle(A, "period")
-        ob, eb = _b_cycle(A, "period")
-        sol = BoutrouxSolution(phi=phi, A=A, omegaA=oa, omegaB=ob,
-                               quadrature_error=max(qerr, ea, eb),
-                               residuals=(ra, rb))
-    with _cache_lock:
-        _solution_cache[key] = sol
-    return sol
+    return _solve_rounded(round(phi, 12))
 
 
 def _agm(a: complex, b: complex) -> complex:
-    """Arithmetic-geometric mean with the standard branch choice."""
+    """Arithmetic-geometric mean with the standard branch choice.
+
+    Stops once a and b agree to a few ulps; the mean converges
+    quadratically, so that takes at most a handful of square roots.
+    """
     for _ in range(64):
-        if abs(a - b) < 1e-16 * max(1.0, abs(a)):
+        if abs(a - b) <= 4.0 * _EPS * abs(a):
             return 0.5 * (a + b)
         a1 = 0.5 * (a + b)
         b1 = cmath.sqrt(a * b)
@@ -400,17 +273,18 @@ def _theta_quads(v: complex, q: complex):
     return 2.0 * t1, 2.0 * t2, t3, t4
 
 
-def _reduce_lattice(u: complex, p1: complex, p2: complex) -> complex:
-    """Shift u by integer multiples of p1, p2 into the fundamental cell."""
+def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
+    """Representative of v modulo Z p1 + Z p2 with coefficients in [-1/2, 1/2)."""
     det = p1.real * p2.imag - p1.imag * p2.real
     if abs(det) < 1e-14 * max(1.0, abs(p1) * abs(p2)):
-        return u
-    alpha = (u.real * p2.imag - u.imag * p2.real) / det
-    beta = (p1.real * u.imag - p1.imag * u.real) / det
-    return u - round(alpha) * p1 - round(beta) * p2
+        raise DomainViolation("lattice generators are numerically parallel")
+    a = (v.real * p2.imag - v.imag * p2.real) / det
+    b = (p1.real * v.imag - p1.imag * v.real) / det
+    return v - math.floor(a + 0.5) * p1 - math.floor(b + 0.5) * p2
 
 
-def _sn_cn_dn(u: complex, k: complex):
+def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
+    """Jacobi sn, cn, dn for complex argument and complex modulus k."""
     ksq = k * k
     if abs(ksq) < 1e-8:
         return cmath.sin(u), cmath.cos(u), 1.0 + 0.0j
@@ -422,7 +296,7 @@ def _sn_cn_dn(u: complex, k: complex):
     q = cmath.exp(-math.pi * Kp / K)
     if abs(q) >= 0.999:
         raise NoConvergence("nome too close to the unit circle")
-    u_red = _reduce_lattice(u, 4.0 * K, 2j * Kp)
+    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * Kp)
     v = 0.5 * math.pi * u_red / K
     t1, t2, t3, t4 = _theta_quads(v, q)
     z1, z2, z3, z4 = _theta_quads(0.0, q)
@@ -438,12 +312,12 @@ def _sn_cn_dn(u: complex, k: complex):
 
 def jacobi_sn(u: complex, k: complex) -> complex:
     """Jacobi sn for complex argument and complex modulus k."""
-    return _sn_cn_dn(u, k)[0]
+    return sn_cn_dn(u, k)[0]
 
 
 def sn_derivative(u: complex, k: complex) -> complex:
     """d(sn)/du = cn * dn (insensitive to the half-lattice reduction signs)."""
-    _, cn, dn = _sn_cn_dn(u, k)
+    _, cn, dn = sn_cn_dn(u, k)
     return cn * dn
 
 

@@ -9,6 +9,8 @@ import cmath
 import math
 import random
 
+import mpmath
+
 from pvrh.asymptotics import formal_series_pv
 from pvrh.mono_core import (
     Mat2C,
@@ -118,3 +120,45 @@ def max_entry_diff(a: Mat2C, b: Mat2C) -> float:
 
 def pair_diff(p: MonodromyPair, q: MonodromyPair) -> float:
     return max(max_entry_diff(p.m0, q.m0), max_entry_diff(p.m1, q.m1))
+
+
+def cycle_integral_reference(A: complex, integrand_tag: str, cycle: str,
+                             dps: int = 20) -> complex:
+    """Plain mpmath quadrature of `cycle_integral`, the check on its closed forms.
+
+    Cycle a is the doubled inner segment, z = sqrt(A) sin(psi), where
+    w = sqrt(A) cos(psi) sqrt(1 - A sin^2 psi) and the cos(psi) zeros cancel
+    against dz. Cycle b is the counterclockwise confocal ellipse
+    z = -m + d cos(t - i rho) around the left cut [-1, -sqrt(A)], kept clear
+    of the right cut, with w on the upper sheet built from one factor per
+    cut (w ~ -z^2 at infinity).
+    """
+    with mpmath.workdps(dps):
+        A = mpmath.mpc(A)
+        if cycle == "a":
+            def f(psi):
+                num = 1 if integrand_tag == "period" else A * mpmath.cos(psi) ** 2
+                return num / mpmath.sqrt(1 - A * mpmath.sin(psi) ** 2)
+            half = mpmath.pi / 2
+            return complex(2 * mpmath.quad(f, mpmath.linspace(-half, half, 5)))
+        s_a = mpmath.sqrt(A)
+        if s_a.real < 0:
+            s_a = -s_a
+        m = (1 + s_a) / 2
+        d = (1 - s_a) / 2
+        delta = 0.15 * min(abs(1 - s_a), abs(s_a))
+        cosh_rho = min(max(1 + delta / abs(d), 1.02),
+                       0.98 * (abs(m + s_a) - delta) / abs(d))
+        rho = mpmath.acosh(cosh_rho)
+
+        def w_plus(z):
+            zr, zl = z - m, z + m
+            return -(zr * mpmath.sqrt(1 - (d / zr) ** 2)
+                     * zl * mpmath.sqrt(1 - (d / zl) ** 2))
+
+        def g(t):
+            arg = mpmath.mpc(t, -rho)
+            z = -m + d * mpmath.cos(arg)
+            num = 1 if integrand_tag == "period" else A - z * z
+            return -num * d * mpmath.sin(arg) / w_plus(z)
+        return complex(mpmath.quad(g, mpmath.linspace(0, 2 * mpmath.pi, 9)))

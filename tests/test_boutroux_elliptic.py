@@ -1,20 +1,28 @@
 import cmath
 import math
+import random
+import sys
+import types
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvrh import boutroux_elliptic
 from pvrh.boutroux_elliptic import (
     curve_w_plus,
     cycle_integral,
     jacobi_sn,
     pole_lattice,
+    reduce_mod_lattice,
+    sn_cn_dn,
     sn_derivative,
     solve_boutroux,
 )
-from pvrh.errors import DegenerateCurve, DegenerateLattice, NearPole
+from pvrh.errors import DegenerateCurve, DegenerateLattice, DomainViolation, NearPole
+
+from support import cycle_integral_reference
 
 # frozen regression value for the modulus at phi = 0.7 (quadrature path
 # dependent in the last two digits, hence the 1e-13 pin)
@@ -30,6 +38,20 @@ def test_solution_reports_small_residuals():
         sol = solve_boutroux(phi)
         assert max(sol.residuals) < 1e-10
         assert sol.quadrature_error < 1e-9
+
+
+def test_modulus_sweep_residuals_and_legendre_defect():
+    for i in range(1, 401):
+        phi = 0.5 * math.pi * i / 401.0
+        sol = solve_boutroux(phi)
+        assert max(abs(r) for r in sol.residuals) < 1e-12, phi
+        assert sol.quadrature_error < 1e-13, phi
+        assert 0.0 <= sol.A.real <= 1.0, phi
+
+
+def test_solution_cache_is_bounded():
+    maxsize = boutroux_elliptic._solve_rounded.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_periods_match_complete_elliptic_integrals():
@@ -73,6 +95,27 @@ def test_cycle_integral_matches_legendre_form():
     assert abs(got - 4.0 * complex(mpmath.ellipk(a))) < 1e-12
 
 
+# spread over the strip, with |A| and |1 - A| near 0.02 at its two ends
+STRIP_MODULI = (0.015 + 0.013j, 0.1 + 0.2j, 0.3 - 0.25j, 0.41 + 0.42j,
+                0.5 + 0.05j, 0.7 - 0.4j, 0.9 + 0.2j, 0.985 + 0.013j)
+
+
+@pytest.mark.parametrize("tag", ["period", "boutroux"])
+@pytest.mark.parametrize("cycle", ["a", "b"])
+def test_cycle_integral_matches_quadrature_reference(tag, cycle):
+    for a in STRIP_MODULI:
+        got = cycle_integral(a, tag, cycle)
+        ref = cycle_integral_reference(a, tag, cycle)
+        assert abs(got - ref) < 1e-12 * abs(ref), a
+
+
+def test_cycle_integral_degenerate_closed_forms():
+    with pytest.raises(DegenerateCurve):
+        cycle_integral(0.0, "boutroux", "b")
+    with pytest.raises(DegenerateCurve):
+        cycle_integral(1.0, "boutroux", "a")
+
+
 def test_curve_branch_values():
     a = 0.4 + 0.3j
     w0 = curve_w_plus(a, 0.0)
@@ -104,6 +147,57 @@ def test_sn_quarter_and_full_periods():
     base = jacobi_sn(u, k)
     assert abs(jacobi_sn(u + 4.0 * big_k, k) - base) < 1e-10
     assert abs(jacobi_sn(u + 2j * big_kp, k) - base) < 1e-10
+
+
+def test_agm_matches_mpmath():
+    rng = random.Random(7)
+    with mpmath.workdps(30):
+        for _ in range(200):
+            a = complex(rng.uniform(0.01, 2.0), rng.uniform(-1.0, 1.0))
+            b = complex(rng.uniform(0.01, 2.0), rng.uniform(-1.0, 1.0))
+            ref = complex(mpmath.agm(a, b))
+            got = boutroux_elliptic._agm(a, b)
+            assert abs(got - ref) <= 8.0 * sys.float_info.epsilon * abs(ref)
+
+
+def test_agm_square_roots_on_ray_table_moduli(monkeypatch):
+    # the fixed elliptic directions of the ray_table benchmark workload,
+    # four of whose AGMs used to run the whole 64-step budget
+    phis = tuple((-1) ** j * (0.05 + 1.45 * (j + 0.5) / 6.0) for j in range(6))
+    roots = []
+
+    def counted_sqrt(z):
+        roots.append(z)
+        return cmath.sqrt(z)
+
+    counting = types.SimpleNamespace(sqrt=counted_sqrt)
+    for phi in phis:
+        k = cmath.sqrt(solve_boutroux(phi).A)
+        if k.real < 0:
+            k = -k
+        for b in (cmath.sqrt(1.0 - k * k), k):
+            roots.clear()
+            with monkeypatch.context() as m:
+                m.setattr(boutroux_elliptic, "cmath", counting)
+                boutroux_elliptic._agm(1.0, b)
+            assert len(roots) <= 8, (phi, b)
+
+
+def test_sn_cn_dn_match_mpmath():
+    for u, k in ((0.31 - 0.12j, 0.6 + 0.1j), (1.7 + 0.4j, 0.3 - 0.5j),
+                 (-0.9 + 0.8j, 0.85 + 0.05j)):
+        got = sn_cn_dn(u, k)
+        m = k * k
+        for name, val in zip(("sn", "cn", "dn"), got):
+            ref = complex(mpmath.ellipfun(name, u, m=m))
+            assert abs(val - ref) < 1e-12 * max(1.0, abs(ref)), (name, u, k)
+        assert jacobi_sn(u, k) == got[0]
+        assert sn_derivative(u, k) == got[1] * got[2]
+
+
+def test_reduce_mod_lattice_rejects_parallel_generators():
+    with pytest.raises(DomainViolation):
+        reduce_mod_lattice(0.3 + 0.1j, 2.0 + 1.0j, 4.0 + 2.0j)
 
 
 def test_sn_pole_raises():
