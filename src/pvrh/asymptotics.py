@@ -12,7 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from fractions import Fraction
+from numbers import Integral
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.special as sp
@@ -218,9 +220,6 @@ def eval_trig(x: complex, d: AsymptoticDescriptor, mode: Optional[str] = None) -
 # ---------------------------------------------------------------------------
 # formal series
 
-_SERIES_TAGS = ("minus_one", "small0", "small1", "large0", "large1")
-
-
 def _pv_residual_series(y: Laurent, th: ThetaTriple, cap: int) -> Laurent:
     """Polynomial-cleared residual of the fifth Painleve equation.
 
@@ -312,333 +311,339 @@ def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeri
 
 
 # ---------------------------------------------------------------------------
-# number-theoretic guards on theta
+# integer membership of theta combinations
 
-def _near_int(z: complex, tol: float = 1e-9) -> Optional[int]:
-    if abs(z.imag) > tol:
+def _as_int(value) -> Optional[int]:
+    """Integer content of a scalar.
+
+    Exact for int and Fraction; a float or complex value counts when both
+    its imaginary part and its distance to the nearest integer are at most
+    1e-9.
+    """
+    if not isinstance(value, (float, complex)):
+        if isinstance(value, Integral):
+            return int(value)
+        if isinstance(value, Fraction):
+            return int(value) if value.denominator == 1 else None
+    z = complex(value)
+    if abs(z.imag) > 1e-9:
         return None
     n = round(z.real)
-    if abs(z.real - n) > tol:
-        return None
-    return n
+    return n if abs(z.real - n) <= 1e-9 else None
 
 
-def _in_pos_even(z: complex) -> bool:
-    n = _near_int(z)
-    return n is not None and n >= 2 and n % 2 == 0
+def _member(value, kind: str) -> bool:
+    """Membership in N, -N u {0}, Z or 2Z."""
+    n = _as_int(value)
+    if n is None:
+        return False
+    if kind == "N":
+        return n >= 1
+    if kind == "-N0":
+        return n <= 0
+    if kind == "Z":
+        return True
+    if kind == "2Z":
+        return n % 2 == 0
+    raise ValueError(kind)
 
 
-def _in_nonpos_even(z: complex) -> bool:
-    n = _near_int(z)
-    return n is not None and n <= 0 and n % 2 == 0
-
-
-def _in_neg_even(z: complex) -> bool:
-    n = _near_int(z)
-    return n is not None and n <= -2 and n % 2 == 0
-
-
-def _in_pos_int(z: complex) -> bool:
-    n = _near_int(z)
-    return n is not None and n >= 1
-
-
-def _in_nonpos_int(z: complex) -> bool:
-    n = _near_int(z)
-    return n is not None and n <= 0
+_SET_TEXT = {"N": "N", "-N0": "-N or 0"}
 
 
 # ---------------------------------------------------------------------------
-# truncated families (generic)
+# the family table: truncated families and their resonant replacements
 
 _HALF_PI = 0.5 * math.pi
 _3HALF_PI = 1.5 * math.pi
+_TWO_PI_I = 2j * math.pi
 
 
-def _trunc_conditions(variant: str, th: ThetaTriple):
-    """(failed-condition list, mu, L) for the four generic variants."""
-    t0, t1, ti = th.theta0, th.theta1, th.thetaInf
-    fails = []
-    if variant == "Trunc00":
-        if _in_pos_even(t0 - t1 - ti):
-            fails.append("theta0-theta1-thetaInf in 2N")
-        if _in_nonpos_even(t0 + t1 + ti):
-            fails.append("theta0+theta1+thetaInf in -2N or 0")
-        if _in_pos_int(t1):
-            fails.append("theta1 in N")
-        mu = 2 * t1 + ti - 1.0
-        L = 0.5 * (t0 - t1 - ti)
-    elif variant == "Trunc01":
-        if _in_neg_even(t0 - t1 - ti):
-            fails.append("theta0-theta1-thetaInf in -2N")
-        if _in_nonpos_even(t0 + t1 - ti):
-            fails.append("theta0+theta1-thetaInf in -2N or 0")
-        if _in_pos_int(t0):
-            fails.append("theta0 in N")
-        mu = 2 * t0 - ti - 1.0
-        L = -0.5 * (t0 - t1 - ti)
-    elif variant == "TruncInf0":
-        if _in_pos_even(t0 + t1 - ti):
-            fails.append("theta0+theta1-thetaInf in 2N")
-        if _in_nonpos_even(t0 - t1 + ti):
-            fails.append("theta0-theta1+thetaInf in -2N or 0")
-        if _in_nonpos_int(t1):
-            fails.append("theta1 in -N or 0")
-        mu = 1.0 - 2 * t1 + ti
-        L = 0.5 * (t1 - t0 - ti)
-    elif variant == "TruncInf1":
-        if _in_pos_even(t0 + t1 + ti):
-            fails.append("theta0+theta1+thetaInf in 2N")
-        if _in_pos_even(t0 - t1 + ti) or abs(t0 - t1 + ti) < 1e-9:
-            fails.append("theta0-theta1+thetaInf in 2N or 0")
-        if _in_nonpos_int(t0):
-            fails.append("theta0 in -N or 0")
-        mu = 1.0 - 2 * t0 - ti
-        L = 0.5 * (t0 - t1 + ti)
-    else:
+class _Family(NamedTuple):
+    """Row k: the generic truncated variant k and the resonant case k.
+
+    first and second are theta combinations, as coefficients of (theta0,
+    theta1, thetaInf), signed so that the generic family needs first not in
+    2N and second not in -2N u {0}; `conditions` names the two as the error
+    messages do. Where one of them fails, resonant case k takes over on that
+    branch with nu = first/2 or nu = 1 - second/2, and the generic family's
+    fixed off-entry 1/(Gamma(1 - first/2) Gamma(second/2)) has its poles
+    exactly there. c0 rides in the off-entry `carrier` of a triangular
+    matrix with diagonal e^{i pi e} and Gamma argument g, (e, g) =
+    carrier_eg(theta0, theta1, thetaInf); the poles of Gamma(g) are the
+    excluded set.
+    """
+
+    variant: str
+    region: str             # sign region of classify_region
+    first: Tuple[int, int, int]
+    second: Tuple[int, int, int]
+    conditions: Tuple[str, str]
+    excluded: Tuple[str, str]   # theta component and "N" or "-N0"
+    mu: Callable[..., complex]
+    L: Callable[..., complex]
+    upper: bool             # sector closed at +pi/2 (at -pi/2 otherwise)
+    tag: str                # series; small* add the correction, large* invert
+    carrier: str            # "m1_21" or "m0_12"
+    carrier_eg: Callable[..., Tuple[complex, complex]]
+
+
+_FAMILIES = (
+    _Family(variant="Trunc00", region="R3plus",
+            first=(1, -1, -1), second=(1, 1, 1),
+            conditions=("theta0-theta1-thetaInf in 2N",
+                        "theta0+theta1+thetaInf in -2N or 0"),
+            excluded=("theta1", "N"),
+            mu=lambda t0, t1, ti: 2 * t1 + ti - 1.0,
+            L=lambda t0, t1, ti: 0.5 * (t0 - t1 - ti),
+            upper=True, tag="small0", carrier="m1_21",
+            carrier_eg=lambda t0, t1, ti: (t1, 1.0 - t1)),
+    _Family(variant="Trunc01", region="R4minus",
+            first=(-1, 1, 1), second=(1, 1, -1),
+            conditions=("theta0-theta1-thetaInf in -2N",
+                        "theta0+theta1-thetaInf in -2N or 0"),
+            excluded=("theta0", "N"),
+            mu=lambda t0, t1, ti: 2 * t0 - ti - 1.0,
+            L=lambda t0, t1, ti: -0.5 * (t0 - t1 - ti),
+            upper=False, tag="small1", carrier="m0_12",
+            carrier_eg=lambda t0, t1, ti: (-t0, 1.0 - t0)),
+    _Family(variant="TruncInf0", region="R3minus",
+            first=(1, 1, -1), second=(1, -1, 1),
+            conditions=("theta0+theta1-thetaInf in 2N",
+                        "theta0-theta1+thetaInf in -2N or 0"),
+            excluded=("theta1", "-N0"),
+            mu=lambda t0, t1, ti: 1.0 - 2 * t1 + ti,
+            L=lambda t0, t1, ti: 0.5 * (t1 - t0 - ti),
+            upper=True, tag="large0", carrier="m1_21",
+            carrier_eg=lambda t0, t1, ti: (-t1, t1)),
+    _Family(variant="TruncInf1", region="R4plus",
+            first=(1, 1, 1), second=(-1, 1, -1),
+            conditions=("theta0+theta1+thetaInf in 2N",
+                        "theta0-theta1+thetaInf in 2N or 0"),
+            excluded=("theta0", "-N0"),
+            mu=lambda t0, t1, ti: 1.0 - 2 * t0 - ti,
+            L=lambda t0, t1, ti: 0.5 * (t0 - t1 + ti),
+            upper=False, tag="large1", carrier="m0_12",
+            carrier_eg=lambda t0, t1, ti: (t0, t0)),
+)
+_BY_VARIANT = {row.variant: row for row in _FAMILIES}
+_BRANCHES = ("first", "second")
+
+
+def _family(variant: str) -> _Family:
+    if variant not in _BY_VARIANT:
         raise ValueError(f"unknown variant {variant!r}")
-    return fails, mu, L
+    return _BY_VARIANT[variant]
 
 
-def _trunc_sector(variant: str, trivial: bool):
+def _resonant_row(case: int, branch: str) -> Tuple[_Family, int]:
+    if case not in (1, 2, 3, 4):
+        raise ValueError("case must be 1..4")
+    if branch not in _BRANCHES:
+        raise ValueError("branch must be 'first' or 'second'")
+    return _FAMILIES[case - 1], _BRANCHES.index(branch)
+
+
+def _partner(case: int, j: int) -> _Family:
+    """Row whose carrier shape the branch-j fixed matrix of a resonant case has.
+
+    It sits on the other matrix: row 1 or 2 (Gamma(1 - theta)) on the first
+    branch, row 3 or 4 (Gamma(theta)) on the second.
+    """
+    return _FAMILIES[case % 2 + 2 * j]
+
+
+def _combo(signs: Tuple[int, int, int], theta: ThetaTriple):
+    s0, s1, si = signs
+    return s0 * theta.theta0 + s1 * theta.theta1 + si * theta.thetaInf
+
+
+def _resonance_nu(row: _Family, j: int, theta: ThetaTriple) -> Optional[int]:
+    """nu of the resonant branch j (0 first, 1 second) theta sits on, or None."""
+    n = _as_int(_combo(row.second if j else row.first, theta))
+    if n is None or n % 2:
+        return None
+    nu = 1 - n // 2 if j else n // 2
+    return nu if nu >= 1 else None
+
+
+def _excluded(row: _Family, theta: ThetaTriple) -> bool:
+    name, kind = row.excluded
+    return _member(getattr(theta, name), kind)
+
+
+def _generic_failures(row: _Family, theta: ThetaTriple) -> List[str]:
+    """The conditions of a generic variant that theta breaks."""
+    fails = [name for j, name in enumerate(row.conditions)
+             if _resonance_nu(row, j, theta) is not None]
+    if _excluded(row, theta):
+        name, kind = row.excluded
+        fails.append(f"{name} in {_SET_TEXT[kind]}")
+    return fails
+
+
+def _trunc_sector(row: _Family, trivial: bool):
     """Validity sector; the doubly-truncated member reaches a full turn."""
-    if variant in ("Trunc00", "TruncInf0", "NonGeneric1", "NonGeneric3"):
-        if trivial:
-            return (-_HALF_PI, _3HALF_PI), (False, False)
-        return (-_HALF_PI, _HALF_PI), (False, True)
     if trivial:
-        return (-_3HALF_PI, _HALF_PI), (False, False)
-    return (-_HALF_PI, _HALF_PI), (True, False)
+        return ((-_HALF_PI, _3HALF_PI) if row.upper
+                else (-_3HALF_PI, _HALF_PI)), (False, False)
+    return (-_HALF_PI, _HALF_PI), ((False, True) if row.upper else (True, False))
 
+
+def _family_descriptor(row: _Family, c0: complex, theta: ThetaTriple,
+                       trivial: bool, case: int = 0,
+                       nu: int = 0) -> AsymptoticDescriptor:
+    """Descriptor of the generic variant of a row, or of its resonant case."""
+    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
+    sector, closed = _trunc_sector(row, trivial)
+    return AsymptoticDescriptor(
+        variant="NonGeneric" if case else row.variant,
+        params={"c0": complex(c0), "mu": row.mu(t0, t1, ti),
+                "L": row.L(t0, t1, ti), "r": 1.0},
+        sector=sector, sector_closed=closed, theta=theta, case=case, nu=nu)
+
+
+def _descriptor_row(d: AsymptoticDescriptor) -> Optional[_Family]:
+    """Table row of a Trunc* or NonGeneric descriptor; None for other variants."""
+    if d.variant != "NonGeneric":
+        return _BY_VARIANT.get(d.variant)
+    if d.case not in (1, 2, 3, 4):
+        raise ValueError(f"resonant case {d.case} is not 1..4")
+    return _FAMILIES[d.case - 1]
+
+
+# ---------------------------------------------------------------------------
+# matrices of the table's families
+
+def _triangle(row: _Family, theta: ThetaTriple):
+    """Diagonal, off-entry phase and Gamma argument of a row's carrier matrix."""
+    e, g = row.carrier_eg(theta.theta0, theta.theta1, theta.thetaInf)
+    d = cmath.exp(1j * cmath.pi * e)
+    if row.carrier == "m1_21":
+        return d, d, g
+    return d, cmath.exp(1j * cmath.pi * (theta.thetaInf + e)), g
+
+
+def _triangular(row: _Family, d: complex, entry: complex) -> Mat2C:
+    if row.carrier == "m1_21":
+        return Mat2C(d, 0.0, entry, 1.0 / d)
+    return Mat2C(d, entry, 0.0, 1.0 / d)
+
+
+def _carrier(row: _Family, theta: ThetaTriple, c0: complex, ut: complex):
+    """Diagonal and off-entry of the matrix that carries c0.
+
+    The generic variant and the resonant case of a row share it.
+    """
+    d, phase, g = _triangle(row, theta)
+    if row.carrier == "m1_21":
+        return d, _TWO_PI_I * phase * c0 / (complex_gamma(g) * ut)
+    return d, _TWO_PI_I * phase * ut * c0 / complex_gamma(g)
+
+
+def _fixed_entry(row: _Family, theta: ThetaTriple, ut: complex) -> complex:
+    """Off-entry of the generic full matrix, opposite the carrier."""
+    a = 1.0 - 0.5 * _combo(row.first, theta)
+    b = 0.5 * _combo(row.second, theta)
+    if row.carrier == "m1_21":
+        return _TWO_PI_I * cmath.exp(-1j * cmath.pi * theta.thetaInf) / (
+            complex_gamma(a) * complex_gamma(b) * ut)
+    return _TWO_PI_I * ut / (complex_gamma(a) * complex_gamma(b))
+
+
+def _resonant_fixed(case: int, j: int, nu: int, theta: ThetaTriple,
+                    ut: complex):
+    """Diagonal and off-entry of the matrix branch j of a resonant case fixes.
+
+    The partner's carrier matrix, with c0 / Gamma(g) replaced by
+    1 / (Gamma(nu - j) Gamma(g + nu)).
+    """
+    partner = _partner(case, j)
+    d, phase, g = _triangle(partner, theta)
+    if partner.carrier == "m1_21":
+        return d, _TWO_PI_I * phase * reciprocal_gamma(nu - j) \
+            * reciprocal_gamma(g + nu) / ut
+    return d, _TWO_PI_I * phase * ut * reciprocal_gamma(nu - j) \
+        * reciprocal_gamma(g + nu)
+
+
+# ---------------------------------------------------------------------------
+# truncated families: build and recover
 
 def build_trunc_family(variant: str, c0: complex, theta: ThetaTriple,
                        utilde: complex) -> Tuple[MonodromyPair, AsymptoticDescriptor]:
     """Monodromy pair and descriptor for one exponentially-truncated family."""
-    fails, mu, L = _trunc_conditions(variant, theta)
+    row = _family(variant)
+    fails = _generic_failures(row, theta)
     if fails:
         raise ThetaViolation("; ".join(fails))
-    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    pi = cmath.pi
-    two_pi_i = 2j * pi
     ut = complex(utilde)
     if abs(ut) < 1e-300:
         raise ValueError("gauge parameter utilde must be nonzero")
-
-    if variant == "Trunc00":
-        m0_11 = cmath.exp(-1j * pi * (t1 + ti))
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (
-            complex_gamma(1.0 - 0.5 * (t0 - t1 - ti))
-            * complex_gamma(0.5 * (t0 + t1 + ti)) * ut)
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
-        m1_11 = cmath.exp(1j * pi * t1)
-        m1_21 = two_pi_i * cmath.exp(1j * pi * t1) * c0 / (complex_gamma(1.0 - t1) * ut)
-        m0 = Mat2C(m0_11, m0_12, m0_21, m0_22)
-        m1 = Mat2C(m1_11, 0.0, m1_21, cmath.exp(-1j * pi * t1))
-    elif variant == "Trunc01":
-        m0_11 = cmath.exp(-1j * pi * t0)
-        m0_12 = two_pi_i * cmath.exp(1j * pi * (ti - t0)) * ut * c0 / complex_gamma(1.0 - t0)
-        m0 = Mat2C(m0_11, m0_12, 0.0, cmath.exp(1j * pi * t0))
-        m1_11 = cmath.exp(1j * pi * (t0 - ti))
-        m1_12 = two_pi_i * ut / (
-            complex_gamma(1.0 + 0.5 * (t0 - t1 - ti))
-            * complex_gamma(0.5 * (t0 + t1 - ti)))
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12
-        m1 = Mat2C(m1_11, m1_12, m1_21, m1_22)
-    elif variant == "TruncInf0":
-        m0_11 = cmath.exp(1j * pi * (t1 - ti))
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 - ti))
-            * complex_gamma(0.5 * (t0 - t1 + ti)) * ut)
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
-        m1_11 = cmath.exp(-1j * pi * t1)
-        m1_21 = two_pi_i * cmath.exp(-1j * pi * t1) * c0 / (complex_gamma(t1) * ut)
-        m0 = Mat2C(m0_11, m0_12, m0_21, m0_22)
-        m1 = Mat2C(m1_11, 0.0, m1_21, cmath.exp(1j * pi * t1))
-    else:  # TruncInf1
-        m0_11 = cmath.exp(1j * pi * t0)
-        m0_12 = two_pi_i * cmath.exp(1j * pi * (ti + t0)) * ut * c0 / complex_gamma(t0)
-        m0 = Mat2C(m0_11, m0_12, 0.0, cmath.exp(-1j * pi * t0))
-        m1_11 = cmath.exp(-1j * pi * (t0 + ti))
-        m1_12 = two_pi_i * ut / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 + ti))
-            * complex_gamma(-0.5 * (t0 - t1 + ti)))
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12
-        m1 = Mat2C(m1_11, m1_12, m1_21, m1_22)
-
-    pair = MonodromyPair(m0, m1, theta)
-    sector, closed = _trunc_sector(variant, abs(c0) < 1e-300)
-    desc = AsymptoticDescriptor(
-        variant=variant,
-        params={"c0": complex(c0), "mu": mu, "L": L, "r": 1.0},
-        sector=sector, sector_closed=closed, theta=theta)
-    return pair, desc
+    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
+    carrier = _triangular(row, *_carrier(row, theta, c0, ut))
+    # the other matrix: diagonal e^{-i pi thetaInf} over the carrier's,
+    # the fixed off-entry, and its trace and determinant completed
+    fixed = _fixed_entry(row, theta, ut)
+    e = row.carrier_eg(t0, t1, ti)[0]
+    f11 = cmath.exp(-1j * cmath.pi * (e + ti))
+    if row.carrier == "m1_21":
+        f22 = 2.0 * cmath.cos(cmath.pi * t0) - f11
+        m0, m1 = Mat2C(f11, (f11 * f22 - 1.0) / fixed, fixed, f22), carrier
+    else:
+        f22 = 2.0 * cmath.cos(cmath.pi * t1) - f11
+        m0, m1 = carrier, Mat2C(f11, fixed, (f11 * f22 - 1.0) / fixed, f22)
+    return MonodromyPair(m0, m1, theta), \
+        _family_descriptor(row, c0, theta, abs(c0) < 1e-300)
 
 
 def recover_c0(variant: str, pair: MonodromyPair) -> complex:
-    """Invert the entry-ratio relation for the family constant (gauge free)."""
+    """Invert the entry-ratio relation for the family constant (gauge free).
+
+    The carrier-to-fixed entry ratio of the pair over the same ratio at
+    c0 = 1.
+    """
+    row = _family(variant)
+    if row.carrier == "m1_21":
+        ratio = pair.m1.m21 / pair.m0.m21
+    else:
+        ratio = pair.m0.m12 / pair.m1.m12
     th = pair.theta
-    t0, t1, ti = th.theta0, th.theta1, th.thetaInf
-    pi = cmath.pi
-    if variant == "Trunc00":
-        pref = cmath.exp(-1j * pi * (t1 + ti)) * complex_gamma(1.0 - t1) / (
-            complex_gamma(1.0 - 0.5 * (t0 - t1 - ti)) * complex_gamma(0.5 * (t0 + t1 + ti)))
-        return pref * pair.m1.m21 / pair.m0.m21
-    if variant == "Trunc01":
-        pref = cmath.exp(1j * pi * (t0 - ti)) * complex_gamma(1.0 - t0) / (
-            complex_gamma(1.0 + 0.5 * (t0 - t1 - ti)) * complex_gamma(0.5 * (t0 + t1 - ti)))
-        return pref * pair.m0.m12 / pair.m1.m12
-    if variant == "TruncInf0":
-        pref = cmath.exp(1j * pi * (t1 - ti)) * complex_gamma(t1) / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 - ti)) * complex_gamma(0.5 * (t0 - t1 + ti)))
-        return pref * pair.m1.m21 / pair.m0.m21
-    if variant == "TruncInf1":
-        pref = cmath.exp(-1j * pi * (ti + t0)) * complex_gamma(t0) / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 + ti)) * complex_gamma(-0.5 * (t0 - t1 + ti)))
-        return pref * pair.m0.m12 / pair.m1.m12
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# truncated families (resonant theta)
-
-_NG_CONDITIONS = {
-    # case: (branch -> (combo, target_sign_of_2nu, diag_sign)), exclusion
-    1: {"first": lambda th, nu: th.theta0 - th.theta1 - th.thetaInf - 2 * nu,
-        "second": lambda th, nu: th.theta0 + th.theta1 + th.thetaInf + 2 * (nu - 1)},
-    2: {"first": lambda th, nu: th.theta0 - th.theta1 - th.thetaInf + 2 * nu,
-        "second": lambda th, nu: th.theta0 + th.theta1 - th.thetaInf + 2 * (nu - 1)},
-    3: {"first": lambda th, nu: th.theta0 + th.theta1 - th.thetaInf - 2 * nu,
-        "second": lambda th, nu: th.theta0 - th.theta1 + th.thetaInf + 2 * (nu - 1)},
-    4: {"first": lambda th, nu: th.theta0 + th.theta1 + th.thetaInf - 2 * nu,
-        "second": lambda th, nu: th.theta0 - th.theta1 + th.thetaInf - 2 * (nu - 1)},
-}
+    return ratio * _fixed_entry(row, th, 1.0) / _carrier(row, th, 1.0, 1.0)[1]
 
 
 def build_trunc_nongeneric(case: int, branch: str, nu: int, c0: complex,
                            theta: ThetaTriple, utilde: complex
                            ) -> Tuple[MonodromyPair, AsymptoticDescriptor]:
     """Resonant-theta truncated families: both off-products vanish (R5 data)."""
-    if case not in (1, 2, 3, 4):
-        raise ValueError("case must be 1..4")
-    if branch not in ("first", "second"):
-        raise ValueError("branch must be 'first' or 'second'")
+    row, j = _resonant_row(case, branch)
     if nu < 1:
         raise ConditionMismatch("nu must be a positive integer")
-    combo = _NG_CONDITIONS[case][branch](theta, nu)
-    if abs(combo) > 1e-9:
+    if _resonance_nu(row, j, theta) != nu:
+        combo = _combo(row.second if j else row.first, theta)
+        off = combo - (2 - 2 * nu if j else 2 * nu)
         raise ConditionMismatch(
-            f"resonance condition off by {abs(combo):.2e} for case {case} {branch}")
-    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    if case == 1 and _in_pos_int(t1):
-        raise ConditionMismatch("case 1 needs theta1 not in N")
-    if case == 2 and _in_pos_int(t0):
-        raise ConditionMismatch("case 2 needs theta0 not in N")
-    if case == 3 and _in_nonpos_int(t1):
-        raise ConditionMismatch("case 3 needs theta1 not in -N or 0")
-    if case == 4 and _in_nonpos_int(t0):
-        raise ConditionMismatch("case 4 needs theta0 not in -N or 0")
-
-    pi = cmath.pi
-    two_pi_i = 2j * pi
+            f"resonance condition off by {float(abs(off)):.2e} for case {case} {branch}")
+    if _excluded(row, theta):
+        name, kind = row.excluded
+        raise ConditionMismatch(f"case {case} needs {name} not in {_SET_TEXT[kind]}")
     ut = complex(utilde)
-
-    if case in (1, 3):
-        # upper-triangular M0 fixed by the branch
-        if branch == "first":
-            m0_11 = cmath.exp(-1j * pi * t0)
-            m0_12 = two_pi_i * cmath.exp(1j * pi * (ti - t0)) * ut \
-                * reciprocal_gamma(nu) * reciprocal_gamma(1.0 - t0 + nu)
-        else:
-            m0_11 = cmath.exp(1j * pi * t0)
-            m0_12 = two_pi_i * cmath.exp(1j * pi * (ti + t0)) * ut \
-                * reciprocal_gamma(nu - 1.0) * reciprocal_gamma(t0 + nu)
-        m0 = Mat2C(m0_11, m0_12, 0.0, 1.0 / m0_11)
-        if case == 1:
-            m1_11 = cmath.exp(1j * pi * t1)
-            m1_21 = two_pi_i * cmath.exp(1j * pi * t1) * c0 / (complex_gamma(1.0 - t1) * ut)
-        else:
-            m1_11 = cmath.exp(-1j * pi * t1)
-            m1_21 = two_pi_i * cmath.exp(-1j * pi * t1) * c0 / (complex_gamma(t1) * ut)
-        m1 = Mat2C(m1_11, 0.0, m1_21, 1.0 / m1_11)
-    else:
-        # upper-triangular M0 carries c0; lower-triangular M1 fixed by branch
-        if case == 2:
-            m0_11 = cmath.exp(-1j * pi * t0)
-            m0_12 = two_pi_i * cmath.exp(1j * pi * (ti - t0)) * ut * c0 \
-                / complex_gamma(1.0 - t0)
-        else:
-            m0_11 = cmath.exp(1j * pi * t0)
-            m0_12 = two_pi_i * cmath.exp(1j * pi * (ti + t0)) * ut * c0 \
-                / complex_gamma(t0)
-        m0 = Mat2C(m0_11, m0_12, 0.0, 1.0 / m0_11)
-        if branch == "first":
-            m1_11 = cmath.exp(1j * pi * t1)
-            m1_21 = two_pi_i * cmath.exp(1j * pi * t1) \
-                * reciprocal_gamma(nu) * reciprocal_gamma(1.0 - t1 + nu) / ut
-        else:
-            m1_11 = cmath.exp(-1j * pi * t1)
-            m1_21 = two_pi_i * cmath.exp(-1j * pi * t1) \
-                * reciprocal_gamma(nu - 1.0) * reciprocal_gamma(t1 + nu) / ut
-        m1 = Mat2C(m1_11, 0.0, m1_21, 1.0 / m1_11)
-
-    pair = MonodromyPair(m0, m1, theta)
-    if case == 1:
-        mu = 2 * t1 + ti - 1.0
-        L = 0.5 * (t0 - t1 - ti)
-    elif case == 2:
-        mu = 2 * t0 - ti - 1.0
-        L = -0.5 * (t0 - t1 - ti)
-    elif case == 3:
-        mu = 1.0 - 2 * t1 + ti
-        L = 0.5 * (t1 - t0 - ti)
-    else:
-        mu = 1.0 - 2 * t0 - ti
-        L = 0.5 * (t0 - t1 + ti)
-    sector, closed = _trunc_sector(f"NonGeneric{case}", abs(c0) < 1e-300)
-    desc = AsymptoticDescriptor(
-        variant="NonGeneric",
-        params={"c0": complex(c0), "mu": mu, "L": L, "r": 1.0},
-        sector=sector, sector_closed=closed, theta=theta, case=case, nu=nu)
-    return pair, desc
+    carrier = _triangular(row, *_carrier(row, theta, c0, ut))
+    fixed = _triangular(_partner(case, j), *_resonant_fixed(case, j, nu, theta, ut))
+    m0, m1 = (fixed, carrier) if row.carrier == "m1_21" else (carrier, fixed)
+    return MonodromyPair(m0, m1, theta), \
+        _family_descriptor(row, c0, theta, abs(c0) < 1e-300, case, nu)
 
 
 def recover_c0_nongeneric(case: int, branch: str, nu: int,
                           pair: MonodromyPair) -> complex:
     """Family constant from the gauge-invariant product of the off-entries."""
+    row, j = _resonant_row(case, branch)
     th = pair.theta
-    t0, t1, ti = th.theta0, th.theta1, th.thetaInf
-    pi = cmath.pi
-    prod = pair.m0.m12 * pair.m1.m21
-    if case in (1, 3):
-        if branch == "first":
-            fixed = cmath.exp(1j * pi * (ti - t0)) * reciprocal_gamma(nu) \
-                * reciprocal_gamma(1.0 - t0 + nu)
-        else:
-            fixed = cmath.exp(1j * pi * (ti + t0)) * reciprocal_gamma(nu - 1.0) \
-                * reciprocal_gamma(t0 + nu)
-        if case == 1:
-            carrier = cmath.exp(1j * pi * t1) / complex_gamma(1.0 - t1)
-        else:
-            carrier = cmath.exp(-1j * pi * t1) / complex_gamma(t1)
-    else:
-        if branch == "first":
-            fixed = cmath.exp(1j * pi * t1) * reciprocal_gamma(nu) \
-                * reciprocal_gamma(1.0 - t1 + nu)
-        else:
-            fixed = cmath.exp(-1j * pi * t1) * reciprocal_gamma(nu - 1.0) \
-                * reciprocal_gamma(t1 + nu)
-        if case == 2:
-            carrier = cmath.exp(1j * pi * (ti - t0)) / complex_gamma(1.0 - t0)
-        else:
-            carrier = cmath.exp(1j * pi * (ti + t0)) / complex_gamma(t0)
-    denom = (2j * pi) ** 2 * fixed * carrier
+    denom = _carrier(row, th, 1.0, 1.0)[1] * _resonant_fixed(case, j, nu, th, 1.0)[1]
     if abs(denom) < 1e-300:
         raise DomainViolation("fixed off-entry vanishes; constant not recoverable")
-    return prod / denom
+    return pair.m0.m12 * pair.m1.m21 / denom
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +654,12 @@ def series_tag_for(d: AsymptoticDescriptor) -> str:
     v = d.variant
     if v in ("TruncAK", "DoublyTruncAK", "Trig"):
         return "minus_one"
-    if v == "Trunc00" or (v == "NonGeneric" and d.case == 1):
-        return "small0"
-    if v == "Trunc01" or (v == "NonGeneric" and d.case == 2):
-        return "small1"
-    if v == "TruncInf0" or (v == "NonGeneric" and d.case == 3):
-        return "large0"
-    if v == "TruncInf1" or (v == "NonGeneric" and d.case == 4):
-        return "large1"
     if v == "TruncBoundary":
         return str(d.params["series_tag"])
-    raise ValueError(f"no series tag for variant {v!r}")
+    row = _descriptor_row(d)
+    if row is None:
+        raise ValueError(f"no series tag for variant {v!r}")
+    return row.tag
 
 
 def eval_trunc(x: complex, d: AsymptoticDescriptor, series: FormalSeries) -> complex:
@@ -677,7 +677,8 @@ def eval_trunc(x: complex, d: AsymptoticDescriptor, series: FormalSeries) -> com
         return base + amp * TWO_SQRT2 * cmath.exp(0.25j * math.pi) \
             * x ** (-0.5) * cmath.exp(direction * 0.5j * x)
 
-    if v in ("Trunc00", "Trunc01", "TruncInf0", "TruncInf1", "NonGeneric"):
+    row = _descriptor_row(d)
+    if row is not None:
         c0 = d.params["c0"]
         mu = d.params["mu"]
         L = d.params["L"]
@@ -687,8 +688,7 @@ def eval_trunc(x: complex, d: AsymptoticDescriptor, series: FormalSeries) -> com
             if size > abs(x) ** (-r):
                 raise OutsideValidity(
                     f"|x^mu e^-x| = {size:.3e} exceeds |x|^-r at this x")
-        small_type = v in ("Trunc00", "Trunc01") or (v == "NonGeneric" and d.case in (1, 2))
-        if small_type:
+        if row.tag.startswith("small"):
             return base + L * c0 * x ** (mu - 1.0) * cmath.exp(-x)
         return x / (x / base + c0 * x ** mu * cmath.exp(-x))
 
@@ -842,7 +842,9 @@ def general_solution_monodromy(p: GeneralSolutionParams,
                          Mat2C(m1_11, m1_12, m1_21, m1_22), theta)
 
 
-_BOUNDARY_FAMILIES = ("small0_upper", "large1_lower", "large0_upper", "small1_lower")
+# The generic variant whose series each boundary family follows.
+_BOUNDARY_FAMILIES = {"small0_upper": "Trunc00", "large1_lower": "TruncInf1",
+                      "large0_upper": "TruncInf0", "small1_lower": "Trunc01"}
 
 
 def trunc_boundary_families(which: str, params: Dict[str, complex],
@@ -850,87 +852,52 @@ def trunc_boundary_families(which: str, params: Dict[str, complex],
                             ) -> Tuple[MonodromyPair, AsymptoticDescriptor]:
     """The four truncated families living on the left-pointing rays.
 
-    These carry an e^{+x} correction (decaying there since Re x < 0); the
-    small-type members add it at the product-with-x level outside the
-    bracket, the large-type members inside, which changes the y-level
-    coefficient; both shapes are encoded literally.
+    Each continues the series of a generic variant past the end of its
+    sector: c rides in the transpose of that variant's carrier matrix
+    (Gamma(1 - g) for Gamma(g)), the other matrix keeps its fixed
+    off-entry, and mu changes sign. These carry an e^{+x} correction
+    (decaying there since Re x < 0); the small-type members add it at the
+    product-with-x level outside the bracket, the large-type members
+    inside, which turns the y-level coefficient into 1/L.
     """
     if which not in _BOUNDARY_FAMILIES:
         raise ValueError(f"unknown boundary family {which!r}")
+    row = _BY_VARIANT[_BOUNDARY_FAMILIES[which]]
     c = complex(params.get("c", params.get("cx", 0.0)))
     ut = complex(params.get("utilde", 1.0))
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    pi = cmath.pi
-    two_pi_i = 2j * pi
-
-    if which == "small0_upper":
-        m1_11 = cmath.exp(1j * pi * t1)
-        m1_12 = two_pi_i * c * ut / complex_gamma(t1)
-        m1 = Mat2C(m1_11, m1_12, 0.0, cmath.exp(-1j * pi * t1))
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (
-            complex_gamma(1.0 - 0.5 * (t0 - t1 - ti))
-            * complex_gamma(0.5 * (t0 + t1 + ti)) * ut)
-        m0_11 = cmath.exp(-1j * pi * t1) * (cmath.exp(-1j * pi * ti) - m0_21 * m1_12)
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
-        m0 = Mat2C(m0_11, m0_12, m0_21, m0_22)
-        mu = 1.0 - 2 * t1 - ti
-        corr_coeff, corr_exp = 1.0 + 0.0j, mu - 1.0
-        series_tag = "small0"
-        sector, closed = (_HALF_PI, _3HALF_PI), (True, False)
-    elif which == "small1_lower":
-        m0_11 = cmath.exp(-1j * pi * t0)
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (complex_gamma(t0) * ut)
-        m0 = Mat2C(m0_11, 0.0, m0_21, cmath.exp(1j * pi * t0))
-        m1_12 = two_pi_i * c * ut / (
-            complex_gamma(1.0 + 0.5 * (t0 - t1 - ti))
-            * complex_gamma(0.5 * (t0 + t1 - ti)))
-        m1_11 = cmath.exp(1j * pi * t0) * (cmath.exp(-1j * pi * ti) - m0_21 * m1_12)
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
+    d, _, g = _triangle(row, theta)
+    w = cmath.exp(-1j * cmath.pi * ti)
+    fixed = _fixed_entry(row, theta, ut)
+    if row.carrier == "m1_21":
+        m1_12 = _TWO_PI_I * c * ut / complex_gamma(1.0 - g)
+        m1 = Mat2C(d, m1_12, 0.0, 1.0 / d)
+        m0_11 = (w - fixed * m1_12) / d
+        m0_22 = 2.0 * cmath.cos(cmath.pi * t0) - m0_11
+        m0 = Mat2C(m0_11, (m0_11 * m0_22 - 1.0) / fixed, fixed, m0_22)
+    else:
+        m0_21 = _TWO_PI_I * w / (complex_gamma(1.0 - g) * ut)
+        m0 = Mat2C(d, 0.0, m0_21, 1.0 / d)
+        m1_12 = c * fixed
+        m1_11 = (w - m0_21 * m1_12) / d
+        m1_22 = 2.0 * cmath.cos(cmath.pi * t1) - m1_11
         m1_21 = (m1_11 * m1_22 - 1.0) / m1_12 if abs(m1_12) > 0 else 0.0
         m1 = Mat2C(m1_11, m1_12, m1_21, m1_22)
-        mu = ti - 2 * t0 + 1.0
+    mu = -row.mu(t0, t1, ti)
+    if row.tag.startswith("small"):
         corr_coeff, corr_exp = 1.0 + 0.0j, mu - 1.0
-        series_tag = "small1"
-        sector, closed = (-_3HALF_PI, -_HALF_PI), (False, True)
-    elif which == "large1_lower":
-        m0_11 = cmath.exp(1j * pi * t0)
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (complex_gamma(1.0 - t0) * ut)
-        m0 = Mat2C(m0_11, 0.0, m0_21, cmath.exp(-1j * pi * t0))
-        m1_12 = two_pi_i * c * ut / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 + ti))
-            * complex_gamma(-0.5 * (t0 - t1 + ti)))
-        m1_11 = cmath.exp(-1j * pi * t0) * (cmath.exp(-1j * pi * ti) - m0_21 * m1_12)
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12 if abs(m1_12) > 0 else 0.0
-        m1 = Mat2C(m1_11, m1_12, m1_21, m1_22)
-        mu = 2 * t0 + ti - 1.0
-        corr_coeff = 2.0 / (t0 - t1 + ti)
-        corr_exp = mu + 1.0
-        series_tag = "large1"
-        sector, closed = (-_3HALF_PI, -_HALF_PI), (False, True)
-    else:  # large0_upper
-        m1_11 = cmath.exp(-1j * pi * t1)
-        m1_12 = two_pi_i * c * ut / complex_gamma(1.0 - t1)
-        m1 = Mat2C(m1_11, m1_12, 0.0, cmath.exp(1j * pi * t1))
-        m0_21 = two_pi_i * cmath.exp(-1j * pi * ti) / (
-            complex_gamma(1.0 - 0.5 * (t0 + t1 - ti))
-            * complex_gamma(0.5 * (t0 - t1 + ti)) * ut)
-        m0_11 = cmath.exp(1j * pi * t1) * (cmath.exp(-1j * pi * ti) - m0_21 * m1_12)
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
-        m0 = Mat2C(m0_11, m0_12, m0_21, m0_22)
-        mu = 2 * t1 - ti - 1.0
-        corr_coeff = -2.0 / (t0 - t1 + ti)
-        corr_exp = mu + 1.0
-        series_tag = "large0"
+    else:
+        corr_coeff, corr_exp = 1.0 / row.L(t0, t1, ti), mu + 1.0
+    if row.upper:
         sector, closed = (_HALF_PI, _3HALF_PI), (True, False)
+    else:
+        sector, closed = (-_3HALF_PI, -_HALF_PI), (False, True)
 
     pair = MonodromyPair(m0, m1, theta)
     desc = AsymptoticDescriptor(
         variant="TruncBoundary",
         params={"c0": c, "mu": mu, "corr_coeff": corr_coeff,
-                "corr_exp": corr_exp, "series_tag": series_tag,
+                "corr_exp": corr_exp, "series_tag": row.tag,
                 "which": which, "r": 1.0 + 0.0j},
         sector=sector, sector_closed=closed, theta=theta)
     return pair, desc

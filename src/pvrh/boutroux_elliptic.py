@@ -63,15 +63,6 @@ def curve_w_plus(A: complex, z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class EllipticCurveSpec:
-    A: complex
-    branch_convention: str = "w ~ -z^2 on the upper sheet"
-
-    def w(self, z: complex) -> complex:
-        return curve_w_plus(self.A, z)
-
-
-@dataclass(frozen=True)
 class BoutrouxSolution:
     phi: float
     A: complex

@@ -15,7 +15,6 @@ import cmath
 import json
 import math
 import os
-import random
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -577,8 +576,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pvrh", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed-rng", type=int, default=None, metavar="U64",
-                        help="fix the seed of any randomized sampling")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def with_pair(p):
@@ -696,8 +693,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(raw_argv)
-        if args.seed_rng is not None:
-            random.seed(args.seed_rng)
         if getattr(args, "tol", None) is None:
             args.tol = _default_tol()
         elif args.tol <= 0.0:

@@ -13,15 +13,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 from .asymptotics import (
     AsymptoticDescriptor,
     SQRT_2PI,
-    _trunc_conditions,
-    _trunc_sector,
+    _BRANCHES,
+    _BY_VARIANT,
+    _FAMILIES,
+    _excluded,
+    _family_descriptor,
+    _fixed_entry,
+    _generic_failures,
+    _member,
+    _partner,
+    _resonance_nu,
+    _triangle,
     beta0_vhat,
     complex_gamma,
     phase_shift_breve,
@@ -55,47 +62,6 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 # arithmetic conditions on theta
 
-def _combo_is_exact(*values) -> bool:
-    return all(isinstance(v, (Integral, Fraction)) for v in values)
-
-
-def _as_int(value, tol: float = 1e-12) -> Optional[int]:
-    """Integer content of a scalar; exact for int/Fraction, tol for floats."""
-    if isinstance(value, Integral):
-        return int(value)
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else None
-    z = complex(value)
-    if abs(z.imag) > tol:
-        return None
-    n = round(z.real)
-    return n if abs(z.real - n) <= tol else None
-
-
-def _member(value, kind: str) -> bool:
-    """Membership in 2N, -2N u {0}, -2N, 2N u {0}, N, -N u {0}, Z, 2Z."""
-    n = _as_int(value)
-    if n is None:
-        return False
-    if kind == "2N":
-        return n >= 2 and n % 2 == 0
-    if kind == "-2N0":
-        return n <= 0 and n % 2 == 0
-    if kind == "-2N":
-        return n <= -2 and n % 2 == 0
-    if kind == "2N0":
-        return n >= 0 and n % 2 == 0
-    if kind == "N":
-        return n >= 1
-    if kind == "-N0":
-        return n <= 0
-    if kind == "Z":
-        return True
-    if kind == "2Z":
-        return n % 2 == 0
-    raise ValueError(kind)
-
-
 @dataclass(frozen=True)
 class ThetaConditionReport:
     theta: ThetaTriple
@@ -112,14 +78,9 @@ class ThetaConditionReport:
 def theta_conditions(theta: ThetaTriple) -> ThetaConditionReport:
     """The four non-resonance conditions plus the integer memberships."""
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    dmm = t0 - t1 - ti
-    spp = t0 + t1 + ti
-    spm = t0 + t1 - ti
-    dmp = t0 - t1 + ti
-    cond1 = not (_member(dmm, "2N") or _member(spp, "-2N0"))
-    cond2 = not (_member(dmm, "-2N") or _member(spm, "-2N0"))
-    cond3 = not (_member(spm, "2N") or _member(dmp, "-2N0"))
-    cond4 = not (_member(spp, "2N") or _member(dmp, "2N0"))
+    # condition k holds when theta sits on neither resonant branch of row k
+    conds = [all(_resonance_nu(row, j, theta) is None for j in (0, 1))
+             for row in _FAMILIES]
     flags = {
         "theta0_int": _member(t0, "Z"),
         "theta1_int": _member(t1, "Z"),
@@ -132,7 +93,7 @@ def theta_conditions(theta: ThetaTriple) -> ThetaConditionReport:
             _member(e0 * t0 + e1 * t1 + ti, "2Z")
             for e0 in (1, -1) for e1 in (1, -1)),
     }
-    return ThetaConditionReport(theta, cond1, cond2, cond3, cond4, flags)
+    return ThetaConditionReport(theta, *conds, flags)
 
 
 def region_emptiness(theta: ThetaTriple) -> Dict[str, object]:
@@ -140,13 +101,8 @@ def region_emptiness(theta: ThetaTriple) -> Dict[str, object]:
     rep = theta_conditions(theta)
     if rep.integer_flags["theta0_int"] or rep.integer_flags["theta1_int"]:
         raise IntegerTheta("emptiness table needs theta0, theta1 off the integers")
-    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    empty = {
-        "R3plus": _member(t0 + t1 + ti, "-2N0") or _member(t0 - t1 - ti, "2N"),
-        "R3minus": _member(t0 - t1 + ti, "-2N0") or _member(t0 + t1 - ti, "2N"),
-        "R4minus": _member(t0 - t1 - ti, "-2N") or _member(t0 + t1 - ti, "-2N0"),
-        "R4plus": _member(t0 + t1 + ti, "2N") or _member(t0 - t1 + ti, "2N0"),
-    }
+    conds = (rep.cond1, rep.cond2, rep.cond3, rep.cond4)
+    empty = {row.region: not ok for row, ok in zip(_FAMILIES, conds)}
     return {
         "empty": empty,
         "r5_nonempty": rep.integer_flags["parity_r5"],
@@ -167,60 +123,22 @@ def _is_pm_identity(m: Mat2C, tol: float) -> bool:
     return False
 
 
-_NG_NU = {
-    # (case, branch) -> nu as a function of theta, from the resonance relation
-    (1, "first"): lambda t0, t1, ti: (t0 - t1 - ti) / 2,
-    (1, "second"): lambda t0, t1, ti: 1 - (t0 + t1 + ti) / 2,
-    (2, "first"): lambda t0, t1, ti: -(t0 - t1 - ti) / 2,
-    (2, "second"): lambda t0, t1, ti: 1 - (t0 + t1 - ti) / 2,
-    (3, "first"): lambda t0, t1, ti: (t0 + t1 - ti) / 2,
-    (3, "second"): lambda t0, t1, ti: 1 - (t0 - t1 + ti) / 2,
-    (4, "first"): lambda t0, t1, ti: (t0 + t1 + ti) / 2,
-    (4, "second"): lambda t0, t1, ti: 1 + (t0 - t1 + ti) / 2,
-}
-
-_NG_DIAG = {
-    # (case, branch) -> (sign of m0_11 exponent, sign of m1_11 exponent)
-    (1, "first"): (-1, 1),
-    (1, "second"): (1, 1),
-    (2, "first"): (-1, 1),
-    (2, "second"): (-1, -1),
-    (3, "first"): (-1, -1),
-    (3, "second"): (1, -1),
-    (4, "first"): (1, 1),
-    (4, "second"): (1, -1),
-}
-
-_NG_EXCLUSION = {1: ("theta1", "N"), 2: ("theta0", "N"),
-                 3: ("theta1", "-N0"), 4: ("theta0", "-N0")}
-
-_NG_MU_L = {
-    1: lambda t0, t1, ti: (2 * t1 + ti - 1.0, 0.5 * (t0 - t1 - ti)),
-    2: lambda t0, t1, ti: (2 * t0 - ti - 1.0, -0.5 * (t0 - t1 - ti)),
-    3: lambda t0, t1, ti: (1.0 - 2 * t1 + ti, 0.5 * (t1 - t0 - ti)),
-    4: lambda t0, t1, ti: (1.0 - 2 * t0 - ti, 0.5 * (t0 - t1 + ti)),
-}
-
-
 def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
     th = pair.theta
-    t0, t1, ti = th.theta0, th.theta1, th.thetaInf
     scale = 1.0 + pair.norm_inf()
     matched_any = False
-    for case in (1, 2, 3, 4):
-        name, kind = _NG_EXCLUSION[case]
-        excl = _member(getattr(th, "theta0" if name == "theta0" else "theta1"), kind)
-        if excl:
+    for case, row in enumerate(_FAMILIES, 1):
+        if _excluded(row, th):
             continue
-        for branch in ("first", "second"):
-            nu_val = _NG_NU[(case, branch)](
-                complex(t0).real, complex(t1).real, complex(ti).real)
-            nu = _as_int(nu_val, tol=1e-9)
-            if nu is None or nu < 1:
+        for j, branch in enumerate(_BRANCHES):
+            nu = _resonance_nu(row, j, th)
+            if nu is None:
                 continue
-            s0, s1 = _NG_DIAG[(case, branch)]
-            want0 = cmath.exp(1j * cmath.pi * s0 * t0)
-            want1 = cmath.exp(1j * cmath.pi * s1 * t1)
+            # the diagonals of the carrier and the branch-fixed matrix
+            carried = _triangle(row, th)[0]
+            fixed = _triangle(_partner(case, j), th)[0]
+            want0, want1 = (fixed, carried) if row.carrier == "m1_21" \
+                else (carried, fixed)
             if abs(pair.m0.m11 - want0) > 1e-6 * scale:
                 continue
             if abs(pair.m1.m11 - want1) > 1e-6 * scale:
@@ -230,14 +148,8 @@ def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
                 c0 = recover_c0_nongeneric(case, branch, nu, pair)
             except DomainViolation:
                 continue
-            mu, L = _NG_MU_L[case](t0, t1, ti)
-            sector, closed = _trunc_sector(f"NonGeneric{case}",
-                                           abs(c0) < 1e-12 * scale)
-            return AsymptoticDescriptor(
-                variant="NonGeneric",
-                params={"c0": c0, "mu": mu, "L": L, "r": 1.0},
-                sector=sector, sector_closed=closed, theta=th,
-                case=case, nu=nu)
+            return _family_descriptor(row, c0, th, abs(c0) < 1e-12 * scale,
+                                      case, nu)
     if matched_any:
         raise NonUniqueFiber(
             "family constant is invisible in the monodromy (resonant nu=1 branch)")
@@ -254,18 +166,15 @@ def _elliptic_descriptor(pair: MonodromyPair, phi: float) -> AsymptoticDescripto
         sector=sector, sector_closed=(False, False), theta=pair.theta)
 
 
-def _trunc_descriptor(variant: str, pair: MonodromyPair) -> AsymptoticDescriptor:
-    th = pair.theta
-    fails, mu, L = _trunc_conditions(variant, th)
+def _trunc_descriptor(row, pair: MonodromyPair) -> AsymptoticDescriptor:
+    fails = _generic_failures(row, pair.theta)
     if fails:
         raise UnmappedRegion(
-            f"{variant} signature but its arithmetic conditions fail: "
+            f"{row.variant} signature but its arithmetic conditions fail: "
             + "; ".join(fails))
-    c0 = recover_c0(variant, pair)
-    sector, closed = _trunc_sector(variant, abs(c0) < 1e-12 * (1 + pair.norm_inf()))
-    return AsymptoticDescriptor(
-        variant=variant, params={"c0": c0, "mu": mu, "L": L, "r": 1.0},
-        sector=sector, sector_closed=closed, theta=th)
+    c0 = recover_c0(row.variant, pair)
+    return _family_descriptor(row, c0, pair.theta,
+                              abs(c0) < 1e-12 * (1 + pair.norm_inf()))
 
 
 def solve_rh(pair: MonodromyPair, phi: float,
@@ -314,14 +223,9 @@ def solve_rh(pair: MonodromyPair, phi: float,
             variant="DoublyTruncAK", params={},
             sector=(-math.pi, math.pi), sector_closed=(False, False), theta=th)
 
-    if region.tag == "R3plus":
-        return _trunc_descriptor("Trunc00", pair)
-    if region.tag == "R3minus":
-        return _trunc_descriptor("TruncInf0", pair)
-    if region.tag == "R4minus":
-        return _trunc_descriptor("Trunc01", pair)
-    if region.tag == "R4plus":
-        return _trunc_descriptor("TruncInf1", pair)
+    for row in _FAMILIES:
+        if region.tag == row.region:
+            return _trunc_descriptor(row, pair)
     if region.tag == "R5":
         return _dispatch_r5(pair)
     # bare R3/R4: the sublabels merged because theta is an integer
@@ -418,18 +322,16 @@ def _elliptic_attachment(pair: MonodromyPair,
 def example_22_coefficient(theta: ThetaTriple, c0: complex) -> complex:
     """Constant of the rotated truncated family, with a chain cross-check.
 
-    Closed form: the input constant plus a fixed Gamma-product term. The
-    cross-check rebuilds it by conjugating the constructed pair through
-    the upper Stokes twist and reading the rotated family constant from
-    the gauge-invariant entry product.
+    Closed form: the input constant plus the Trunc01 fixed off-entry over
+    Gamma(theta0). The cross-check rebuilds it by conjugating the
+    constructed pair through the upper Stokes twist and reading the
+    rotated family constant from the gauge-invariant entry product.
     """
     from .asymptotics import build_trunc_family
 
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    shift = 2j * cmath.pi / (
-        complex_gamma(t0) * complex_gamma(0.5 * (t0 + t1 - ti))
-        * complex_gamma(1.0 + 0.5 * (t0 - t1 - ti)))
-    closed = c0 + shift
+    closed = c0 + _fixed_entry(_BY_VARIANT["Trunc01"], theta, 1.0) \
+        / complex_gamma(t0)
 
     pair, _ = build_trunc_family("Trunc01", c0, theta, 1.0)
     hat = stokes_hat(pair)

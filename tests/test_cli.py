@@ -262,12 +262,6 @@ def test_tolerance_env_and_flag(monkeypatch, capsys):
     assert json.loads(out)["code"] == "bad-tolerance"
 
 
-def test_seed_rng_flag_is_accepted(capsys):
-    status, _ = run_cli(capsys, ["--seed-rng", "7", "conditions",
-                                 "--theta", "1/3,1/5,1/7"])
-    assert status == 0
-
-
 def test_phase_shift_success_shape(rng, capsys):
     # needs a pair with generic corner entries; the doubly truncated one
     # is exactly the degenerate case the command rejects

@@ -1,20 +1,27 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvrh.asymptotics import (
     build_trunc_family,
     build_trunc_nongeneric,
     phase_shift_breve,
     phase_shift_x0,
+    recover_c0,
+    recover_c0_nongeneric,
     reduce_mod_lattice,
 )
 from pvrh.boutroux_elliptic import solve_boutroux
 from pvrh.errors import (
+    ConditionMismatch,
     IntegerTheta,
     NonUniqueFiber,
     NotPiMultiple,
+    ThetaViolation,
     UnmappedRegion,
 )
 from pvrh.mono_core import (
@@ -68,6 +75,123 @@ def test_region_emptiness_table():
     assert not any(clear["empty"].values())
     with pytest.raises(IntegerTheta):
         region_emptiness(ThetaTriple(1.0, 0.2, 0.3))
+
+
+# Each generic variant, its sign region, its number k (condition k and
+# resonant case k), and the theta combinations (signs of theta0, theta1,
+# thetaInf) of the two resonant branches: c = 2 nu on the first, c = 2 - 2 nu
+# on the second.
+_FAMILY_ROWS = {
+    "Trunc00": ("R3plus", 1, (1, -1, -1), (1, 1, 1)),
+    "Trunc01": ("R4minus", 2, (-1, 1, 1), (1, 1, -1)),
+    "TruncInf0": ("R3minus", 3, (1, 1, -1), (1, -1, 1)),
+    "TruncInf1": ("R4plus", 4, (1, 1, 1), (-1, 1, -1)),
+}
+
+
+def _theta_with(signs, value, t1, ti):
+    """The triple with the given theta1, thetaInf whose combination is value."""
+    s0, s1, si = signs
+    return ThetaTriple(s0 * (value - s1 * t1 - si * ti), t1, ti)
+
+
+def _gauged(pair, g):
+    def move(m):
+        return Mat2C(m.m11, m.m12 / g, m.m21 * g, m.m22)
+    return MonodromyPair(move(pair.m0), move(pair.m1), pair.theta)
+
+
+@pytest.mark.parametrize("variant", list(_FAMILY_ROWS))
+def test_near_resonance_gets_one_answer(variant):
+    # 5e-11 off an even integer is resonant for every entry point; 2e-9 off,
+    # or 1e-6 off in the imaginary part, generic for every entry point
+    region, case, first, second = _FAMILY_ROWS[variant]
+    c0, ut = 0.7 + 0.3j, 1.1 - 0.2j
+    for branch, nu, signs in (("first", 1, first), ("second", 2, second)):
+        target = 2 * nu if branch == "first" else 2 - 2 * nu
+        for offset, resonant in ((5e-11, True), (2e-9, False),
+                                 (1e-6j, False)):
+            theta = _theta_with(signs, target + offset, 0.2, 0.1)
+            rep = theta_conditions(theta)
+            assert getattr(rep, f"cond{case}") is not resonant, (branch, offset)
+            assert region_emptiness(theta)["empty"][region] is resonant
+            if resonant:
+                with pytest.raises(ThetaViolation):
+                    build_trunc_family(variant, c0, theta, ut)
+                pair, _ = build_trunc_nongeneric(case, branch, nu, c0, theta, ut)
+                d = solve_rh(pair, 0.2, zero_tol=1e-11)
+                assert (d.variant, d.case, d.nu) == ("NonGeneric", case, nu)
+            else:
+                with pytest.raises(ConditionMismatch):
+                    build_trunc_nongeneric(case, branch, nu, c0, theta, ut)
+                pair, _ = build_trunc_family(variant, c0, theta, ut)
+                d = solve_rh(pair, 0.2, zero_tol=1e-11)
+                assert d.variant == variant
+            assert abs(d.params["c0"] - c0) < 1e-9 * abs(c0)
+
+
+def test_exact_theta_gets_one_answer():
+    # theta0 - theta1 - thetaInf = 2 exactly; off it, the mismatch is
+    # reported for Fraction input too
+    on = ThetaTriple(Fraction(12, 5), Fraction(1, 5), Fraction(1, 5))
+    assert not theta_conditions(on).cond1
+    assert region_emptiness(on)["empty"]["R3plus"]
+    with pytest.raises(ThetaViolation):
+        build_trunc_family("Trunc00", 1.0, on, 1.0)
+    pair, _ = build_trunc_nongeneric(1, "first", 1, 0.5, on, 1.0)
+    d = solve_rh(pair, 0.2, zero_tol=1e-11)
+    assert (d.variant, d.case, d.nu) == ("NonGeneric", 1, 1)
+    off = ThetaTriple(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    with pytest.raises(ConditionMismatch):
+        build_trunc_nongeneric(1, "first", 1, 0.5, off, 1.0)
+
+
+_RESONANT_BRANCHES = [("first", 1), ("first", 2), ("first", 3),
+                      ("second", 2), ("second", 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(list(_FAMILY_ROWS)),
+    resonance=st.sampled_from([None] + _RESONANT_BRANCHES),
+    signs=st.tuples(*[st.sampled_from((1, -1))] * 3),
+    sizes=st.tuples(st.floats(min_value=0.66, max_value=0.95),
+                    st.floats(min_value=0.25, max_value=0.45),
+                    st.floats(min_value=0.05, max_value=0.15)),
+    c0_polar=st.tuples(st.floats(min_value=0.5, max_value=2.0),
+                       st.floats(min_value=-math.pi, max_value=math.pi)),
+    ut_polar=st.tuples(st.floats(min_value=0.5, max_value=2.0),
+                       st.floats(min_value=-math.pi, max_value=math.pi)),
+    gauge=st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0),
+)
+def test_family_table_roundtrip(variant, resonance, signs, sizes, c0_polar,
+                                ut_polar, gauge):
+    # |theta0| in [0.66, 0.95] and |theta1| + |thetaInf| <= 0.6 keep every
+    # combination at least 0.06 from 0 and below 2 in size; on a resonant
+    # branch theta0 is solved for, and it and theta1 stay at least 0.1 off
+    # the integers, the other combinations 0.1 off the even integers
+    _, case, first, second = _FAMILY_ROWS[variant]
+    c0 = cmath.rect(*c0_polar)
+    ut = cmath.rect(*ut_polar)
+    t0, t1, ti = (s * size for s, size in zip(signs, sizes))
+    if resonance is None:
+        theta = ThetaTriple(t0, t1, ti)
+        pair, _ = build_trunc_family(variant, c0, theta, ut)
+        d = solve_rh(pair, 0.2, zero_tol=1e-11)
+        assert (d.variant, d.case, d.nu) == (variant, 0, 0)
+        moved = recover_c0(variant, _gauged(pair, gauge))
+    else:
+        branch, nu = resonance
+        combo, target = (first, 2 * nu) if branch == "first" \
+            else (second, 2 - 2 * nu)
+        theta = _theta_with(combo, target, t1, ti)
+        pair, _ = build_trunc_nongeneric(case, branch, nu, c0, theta, ut)
+        d = solve_rh(pair, 0.2, zero_tol=1e-11)
+        assert (d.variant, d.case, d.nu) == ("NonGeneric", case, nu)
+        moved = recover_c0_nongeneric(case, branch, nu, _gauged(pair, gauge))
+    assert validate_pair(pair.m0, pair.m1, theta, tol=1e-10).ok
+    assert abs(d.params["c0"] - c0) < 1e-9 * abs(c0)
+    assert abs(moved - d.params["c0"]) < 1e-9 * abs(c0)
 
 
 def test_solve_rh_oscillatory_on_the_axis(rng):
