@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.special as sp
 
-from ._laurent import Laurent
 from .boutroux_elliptic import BoutrouxSolution, reduce_mod_lattice, sn_cn_dn
 from .errors import (
     CaseGap,
@@ -220,92 +219,115 @@ def eval_trig(x: complex, d: AsymptoticDescriptor, mode: Optional[str] = None) -
 # ---------------------------------------------------------------------------
 # formal series
 
-def _pv_residual_series(y: Laurent, th: ThetaTriple, cap: int) -> Laurent:
-    """Polynomial-cleared residual of the fifth Painleve equation.
+def _pv_residual(coeffs: np.ndarray, min_exp: int, th: ThetaTriple,
+                 lo: int, hi: int) -> np.ndarray:
+    """Coefficients of x^-lo ... x^-hi in the cleared PV residual of a series.
 
-    2 x^2 y (y-1) y'' - x^2 (3y-1) (y')^2 + 2 x y (y-1) y'
-    - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1)
+    The series is y = sum_k coeffs[k] x^-(min_exp + k). The cleared residual
+
+        2 x^2 y (y-1) y'' - x^2 (3y-1) (y')^2 + 2 x y (y-1) y'
+        - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1)
+
+    is summed as 2 y (y-1) E - (3y-1) D^2 - 2 (y-1)^3 (a y^2 - b)
+    - 2 c x y^2 (y-1) + x^2 y^2 (y+1) with D = x y' and E = x^2 y'' + x y',
+    which scale x^-e by -e and e^2. Every array holds x^-floor ...
+    x^-(hi - floor), where floor = 5 min(min_exp, 0) - 2: no product of up
+    to five factors of y and x^2 grows faster than x^-floor, and products
+    cut at x^-(hi - floor) stay exact up to x^-hi.
     """
-    a = th.a_theta
-    b = th.b_theta
-    c = th.c_theta
-    one = Laurent.const(1.0, cap)
-    x1 = Laurent.x_power(1, cap)
-    x2 = Laurent.x_power(2, cap)
-    yp = y.diff()
-    ypp = yp.diff()
+    floor = 5 * min(min_exp, 0) - 2
+    n = hi - 2 * floor + 1
+    e = floor + np.arange(n)
+    y = np.zeros(n, dtype=complex)
+    k = min(len(coeffs), n - (min_exp - floor))
+    y[min_exp - floor:min_exp - floor + k] = coeffs[:k]
+
+    def mul(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = np.convolve(out, f)[-floor:n - floor]
+        return out
+
+    def times_x(f):
+        return np.append(f[1:], 0.0)
+
+    one = (e == 0).astype(complex)
     ym1 = y - one
-    t1 = x2 * y * ym1 * ypp
-    t1 = t1 + t1
-    t2 = x2 * (y.scale(3.0) - one) * yp * yp
-    t3 = (x1 * y * ym1 * yp).scale(2.0)
-    t4 = (ym1 * ym1 * ym1 * ((y * y).scale(a) - Laurent.const(b, cap))).scale(2.0)
-    t5 = (x1 * y * y * ym1).scale(2.0 * c)
-    t6 = x2 * y * y * (y + one)
-    return t1 - t2 + t3 - t4 - t5 + t6
+    d = -e * y
+    yy = mul(y, y)
+    res = (2.0 * mul(y, ym1, e * e * y) - mul(3.0 * y - one, d, d)
+           - 2.0 * mul(ym1, ym1, ym1, th.a_theta * yy - th.b_theta * one)
+           - 2.0 * th.c_theta * times_x(mul(yy, ym1))
+           + times_x(times_x(mul(yy, y + one))))
+    return res[lo - floor:hi - floor + 1]
 
 
-_SERIES_SEEDS = {
-    # tag: (min_exp, seed function of theta)
-    "minus_one": (0, lambda th: -1.0 + 0.0j),
-    "small0": (1, lambda th: 0.5 * (th.theta0 - th.theta1 - th.thetaInf)),
-    "small1": (1, lambda th: -0.5 * (th.theta0 - th.theta1 - th.thetaInf)),
-    "large0": (-1, lambda th: 2.0 / (th.theta1 - th.theta0 - th.thetaInf)),
-    "large1": (-1, lambda th: 2.0 / (th.theta0 - th.theta1 + th.thetaInf)),
+# Series kind: (min_exp, s, slope sigma of the leading coefficient a0).
+# Linearising the cleared residual about a0 x^-min_exp, a_m first enters it
+# at x^-(m + s), linearly and with slope sigma, at every order m.
+_SERIES_KINDS = {
+    "minus_one": (0, -2, lambda a0: 1.0),
+    "small": (1, -1, lambda a0: 2.0 * a0),
+    "large": (-1, -4, lambda a0: -2.0 * a0 * a0),
 }
 
 
 def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeries:
     """Coefficients of the doubly-truncated power-series solution.
 
-    Order-by-order substitution into the cleared equation; each new
-    coefficient enters linearly, so two evaluations of the residual pin it.
+    y = sum_{min_exp <= m <= N} a_m x^-m starts at a0 = -1 (`minus_one`, the
+    Andreev-Kitaev family), a0 = L at x^-1 (`small0/1`) or a0 = 1/L at x^1
+    (`large0/1`), where L is that of the family-table row with the tag.
+    Each later a_m is resolved at x^-(m + s) of the polynomial-cleared
+    residual, which it enters linearly with a slope sigma fixed by a0:
+
+        minus_one   s = -2   sigma = 1
+        small*      s = -1   sigma = 2 a0
+        large*      s = -4   sigma = -2 a0^2
+
+    One residual evaluation with a_m = 0 gives the coefficient rho_m there,
+    and a_m = -rho_m / sigma. No later coefficient reaches x^-(m + s), so a
+    final pass with every coefficient set rechecks all solved orders at
+    once, and raises ResonanceFailure where the residual at x^-(m + s)
+    exceeds 1e-8 max(1, |rho_m|, |sigma a_m|) or is not a number.
+
+    L = 0: on the small rows y = 0 solves the equation (b_theta = L^2/2 = 0);
+    sigma = 0 leaves every a_m at 0 and the final pass confirms it. The large
+    rows have no leading coefficient 1/L there and raise ResonanceFailure.
     """
-    if leading_tag not in _SERIES_SEEDS:
-        raise ValueError(f"unknown leading_tag {leading_tag!r}")
+    if leading_tag == "minus_one":
+        kind, a0 = leading_tag, -1.0
+    else:
+        rows = [row for row in _FAMILIES if row.tag == leading_tag]
+        if not rows:
+            raise ValueError(f"unknown leading_tag {leading_tag!r}")
+        kind = leading_tag[:5]
+        a0 = rows[0].L(theta.theta0, theta.theta1, theta.thetaInf)
     if N > 20:
         raise ValueError("order capped at 20 (coefficient growth)")
-    min_exp, seed = _SERIES_SEEDS[leading_tag]
+    min_exp, s, slope = _SERIES_KINDS[kind]
     if N < min_exp:
         raise ValueError("order below the leading exponent")
-    cap = N + 10
+    if kind == "large":
+        if a0 == 0:
+            raise ResonanceFailure(f"{leading_tag} series starts at 1/L, and L = 0")
+        a0 = 1.0 / a0
+    sigma = slope(a0)
     coeffs = np.zeros(N - min_exp + 1, dtype=complex)
-    coeffs[0] = seed(theta)
-
-    def residual_with(mth_value: complex, m: int) -> Laurent:
-        work = coeffs.copy()
-        work[m - min_exp] = mth_value
-        y = Laurent(min_exp, work, cap)
-        return _pv_residual_series(y, theta, cap)
-
+    coeffs[0] = a0
+    rho = []
     for m in range(min_exp + 1, N + 1):
-        r0 = residual_with(0.0, m)
-        r1 = residual_with(1.0, m)
-        diff = r1 - r0
-        k_star = None
-        for k in range(diff.e0, cap + 1):
-            if abs(diff.coeff(k)) > 1e-10 * max(1.0, abs(r0.coeff(k))):
-                k_star = k
-                break
-        if k_star is None:
-            raise ResonanceFailure(f"no resolving order for coefficient {m}")
-        slope = diff.coeff(k_star)
-        value = -r0.coeff(k_star) / slope
-        check = residual_with(value, m).coeff(k_star)
-        tol = 1e-8 * max(1.0, abs(r0.coeff(k_star)), abs(slope) * abs(value))
-        if abs(check) > tol:
-            # the coefficient can enter nonlinearly at low order; secant polish
-            prev_v, prev_f = 0.0 + 0.0j, r0.coeff(k_star)
-            for _ in range(40):
-                if abs(check) <= tol or check == prev_f:
-                    break
-                value, prev_v, prev_f = (
-                    value - check * (value - prev_v) / (check - prev_f), value, check)
-                check = residual_with(value, m).coeff(k_star)
-            if abs(check) > tol:
-                raise ResonanceFailure(
-                    f"order-{m} solve left residual {abs(check):.3e} (resonant theta?)")
-        coeffs[m - min_exp] = value
+        rho.append(complex(_pv_residual(coeffs, min_exp, theta, m + s, m + s)[0]))
+        if sigma != 0:
+            coeffs[m - min_exp] = -rho[-1] / sigma
+    left = _pv_residual(coeffs, min_exp, theta, min_exp + 1 + s, N + s)
+    tol = 1e-8 * np.maximum(1.0, np.maximum(np.abs(rho), np.abs(sigma * coeffs[1:])))
+    bad = np.flatnonzero(~(np.abs(left) <= tol))  # NaN fails too
+    if bad.size:
+        i = bad[0]
+        raise ResonanceFailure(
+            f"order-{min_exp + 1 + i} solve left residual {abs(left[i]):.3e} "
+            "(resonant theta?)")
     return FormalSeries(leading_tag=leading_tag, theta=theta, order=N,
                         min_exp=min_exp, coeffs=tuple(complex(c) for c in coeffs))
 

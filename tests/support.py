@@ -162,3 +162,90 @@ def cycle_integral_reference(A: complex, integrand_tag: str, cycle: str,
             num = 1 if integrand_tag == "period" else A - z * z
             return -num * d * mpmath.sin(arg) / w_plus(z)
         return complex(mpmath.quad(g, mpmath.linspace(0, 2 * mpmath.pi, 9)))
+
+
+def _laurent_mul(a: dict, b: dict, cap: int) -> dict:
+    """Product truncated above x^-cap, each coefficient one exact dot product."""
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb <= cap:
+                terms.setdefault(ea + eb, []).append((ca, cb))
+    return {e: mpmath.fdot(t) for e, t in terms.items()}
+
+
+def _laurent_add(*terms) -> dict:
+    """Sum of (scale, series) pairs."""
+    out = {}
+    for scale, f in terms:
+        for e, c in f.items():
+            out[e] = out.get(e, 0) + scale * c
+    return out
+
+
+def _laurent_shift(f: dict, p: int) -> dict:
+    """x^p f."""
+    return {e - p: c for e, c in f.items()}
+
+
+def _laurent_diff(f: dict) -> dict:
+    """d/dx: c x^-e -> -e c x^-(e+1)."""
+    return {e + 1: -e * c for e, c in f.items() if e}
+
+
+def _cleared_pv_residual(y: dict, a, b, c, cap: int) -> dict:
+    """2 x^2 y (y-1) y'' - x^2 (3y-1) y'^2 + 2 x y (y-1) y'
+    - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1), to x^-cap."""
+    add, shift = _laurent_add, _laurent_shift
+    mul = lambda f, g: _laurent_mul(f, g, cap)
+    one = {0: 1}
+    yp = _laurent_diff(y)
+    ypp = _laurent_diff(yp)
+    yy = mul(y, y)
+    yyy = mul(yy, y)
+    ym1_cubed = add((1, yyy), (-3, yy), (3, y), (-1, one))
+    return add(
+        (2, mul(add((1, yy), (-1, y)), add((1, shift(ypp, 2)), (1, shift(yp, 1))))),
+        (-1, shift(mul(add((3, y), (-1, one)), mul(yp, yp)), 2)),
+        (-2, mul(ym1_cubed, add((a, yy), (-b, one)))),
+        (-2 * c, shift(add((1, yyy), (-1, yy)), 1)),
+        (1, shift(add((1, yyy), (1, yy)), 2)))
+
+
+def formal_series_reference(tag: str, theta: ThetaTriple, N: int,
+                            dps: int = 40) -> list:
+    """Coefficients of `formal_series_pv(tag, theta, N)` at `dps` digits.
+
+    The check on the double recurrence, and independent of its table of
+    resolving orders and slopes: each coefficient a_m is solved from two
+    residual evaluations, with a_m = 0 and a_m = 1, at the first power of x
+    where they differ, where the residual is affine in a_m. The residual is
+    expanded with plain truncated Laurent dicts {e: coefficient of x^-e}.
+    The leading coefficients come from the leading balance of the equation.
+    """
+    with mpmath.workdps(dps):
+        t0, t1, ti = (mpmath.mpmathify(t) for t in
+                      (theta.theta0, theta.theta1, theta.thetaInf))
+        a = (t0 - t1 + ti) ** 2 / 8
+        b = (t0 - t1 - ti) ** 2 / 8
+        c = 1 - t0 - t1
+        min_exp, lead = {
+            "minus_one": (0, mpmath.mpf(-1)),
+            "small0": (1, (t0 - t1 - ti) / 2),
+            "small1": (1, -(t0 - t1 - ti) / 2),
+            "large0": (-1, 2 / (t1 - t0 - ti)),
+            "large1": (-1, 2 / (t0 - t1 + ti)),
+        }[tag]
+        y = {min_exp: lead}
+        # no factor starts before x^-q, so with every product cut at
+        # x^-(m + 2 - 2q) the residual (x^2 times up to five factors) is
+        # exact up to x^-m, the last power searched
+        q = min(min_exp, 0)
+        for m in range(min_exp + 1, N + 1):
+            cap = m + 2 - 2 * q
+            r0 = _cleared_pv_residual({**y, m: mpmath.mpf(0)}, a, b, c, cap)
+            r1 = _cleared_pv_residual({**y, m: mpmath.mpf(1)}, a, b, c, cap)
+            k = next(k for k in range(min(r1), m + 1)
+                     if r1.get(k, 0) != r0.get(k, 0))
+            y[m] = -r0.get(k, 0) / (r1[k] - r0.get(k, 0))
+        return [complex(y[m]) for m in range(min_exp, N + 1)]

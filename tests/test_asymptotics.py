@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,13 +36,19 @@ from pvrh.errors import (
     DomainViolation,
     InsidePoleDisk,
     OutsideValidity,
+    ResonanceFailure,
     ThetaViolation,
     WrongSector,
 )
 from pvrh.mono_core import Mat2C, MonodromyPair, ThetaTriple, classify_region, validate_pair
 from pvrh.oracle import pv_residual
 
-from support import THETA_DESK, doubly_truncated_pair, random_valid_pair
+from support import (
+    THETA_DESK,
+    doubly_truncated_pair,
+    formal_series_reference,
+    random_valid_pair,
+)
 
 
 def test_gamma_agrees_with_scipy(rng):
@@ -109,6 +116,39 @@ def test_series_residual_improves_with_order():
 def test_series_rejects_unknown_tag():
     with pytest.raises(ValueError):
         formal_series_pv("oscillatory", THETA_DESK, 4)
+
+
+@pytest.mark.parametrize("theta", [THETA_DESK,
+                                   ThetaTriple(0.3 + 0.2j, -0.15 + 0.1j, 0.2 - 0.05j)],
+                         ids=["desk", "complex"])
+@pytest.mark.parametrize("tag", ["minus_one", "small0", "small1", "large0", "large1"])
+def test_series_matches_reference(tag, theta):
+    # coefficients reach 1e21 at order 20; lower ones do not depend on N
+    ref = formal_series_reference(tag, theta, 20)
+    for order in (8, 12, 16, 20):
+        got = formal_series_pv(tag, theta, order).coeffs
+        assert len(got) == len(ref) - (20 - order)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
+
+
+def test_series_at_zero_L():
+    # b_theta = L^2/2 = 0, so y = 0 solves the equation on the small rows
+    zero_small = ThetaTriple(Fraction(3, 10), Fraction(1, 10), Fraction(1, 5))
+    for tag in ("small0", "small1"):
+        assert formal_series_pv(tag, zero_small, 8).coeffs == (0j,) * 8
+    # the large rows start at 1/L
+    zero_large = ThetaTriple(Fraction(1, 10), Fraction(3, 10), Fraction(1, 5))
+    for tag in ("large0", "large1"):
+        with pytest.raises(ResonanceFailure):
+            formal_series_pv(tag, zero_large, 8)
+
+
+def test_series_final_check_rejects_non_finite_residual():
+    theta = ThetaTriple(float("nan"), 0.2, 0.1)
+    for tag in ("minus_one", "small0", "large1"):
+        with pytest.raises(ResonanceFailure):
+            formal_series_pv(tag, theta, 8)
 
 
 # oscillatory family

@@ -5,10 +5,15 @@ import math
 import pytest
 
 from pvrh import cli
-from pvrh.asymptotics import build_trunc_family, formal_series_pv
+from pvrh.asymptotics import FormalSeries, build_trunc_family, formal_series_pv
 from pvrh.mono_core import pair_to_json_obj
 
-from support import THETA_DESK, doubly_truncated_pair, random_valid_pair
+from support import (
+    THETA_DESK,
+    doubly_truncated_pair,
+    formal_series_reference,
+    random_valid_pair,
+)
 
 
 def run_cli(capsys, argv):
@@ -81,7 +86,8 @@ def test_output_is_byte_deterministic(capsys):
     assert third == fourth
 
 
-def test_solve_then_eval_round_trip(capsys):
+@pytest.mark.parametrize("order", [8, 16])
+def test_solve_then_eval_round_trip(capsys, order):
     status, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
     assert status == 0
     body = json.loads(solved)
@@ -89,11 +95,12 @@ def test_solve_then_eval_round_trip(capsys):
     assert body["params"] == {}
 
     status, out = run_cli(capsys, ["eval", solved.strip(), "--kind", "trunc",
-                                   "--at", "25"])
+                                   "--at", "25", "--order", str(order)])
     assert status == 0
     ev = json.loads(out)
     assert ev["at"] == [25.0, 0.0]
-    ser = formal_series_pv("minus_one", THETA_DESK, 8)
+    ser = FormalSeries("minus_one", THETA_DESK, order, 0, tuple(
+        formal_series_reference("minus_one", THETA_DESK, order)))
     want = ser.eval(25.0)
     assert abs(complex(*ev["y"]) - want) < 1e-12
     assert abs(complex(*ev["yprime"]) - ser.eval_deriv(25.0)) < 1e-8
