@@ -475,14 +475,16 @@ def _partner(case: int, j: int) -> _Family:
     return _FAMILIES[case % 2 + 2 * j]
 
 
-def _combo(signs: Tuple[int, int, int], theta: ThetaTriple):
-    s0, s1, si = signs
-    return s0 * theta.theta0 + s1 * theta.theta1 + si * theta.thetaInf
+def _combos(row: _Family, theta: ThetaTriple):
+    """The row's two signed theta combinations, first and second."""
+    (f0, f1, fi), (s0, s1, si) = row.first, row.second
+    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
+    return f0 * t0 + f1 * t1 + fi * ti, s0 * t0 + s1 * t1 + si * ti
 
 
-def _resonance_nu(row: _Family, j: int, theta: ThetaTriple) -> Optional[int]:
-    """nu of the resonant branch j (0 first, 1 second) theta sits on, or None."""
-    n = _as_int(_combo(row.second if j else row.first, theta))
+def _resonance_nu(j: int, combo) -> Optional[int]:
+    """nu of the resonant branch j (0 first, 1 second) combo sits on, or None."""
+    n = _as_int(combo)
     if n is None or n % 2:
         return None
     nu = 1 - n // 2 if j else n // 2
@@ -494,10 +496,13 @@ def _excluded(row: _Family, theta: ThetaTriple) -> bool:
     return _member(getattr(theta, name), kind)
 
 
-def _generic_failures(row: _Family, theta: ThetaTriple) -> List[str]:
-    """The conditions of a generic variant that theta breaks."""
-    fails = [name for j, name in enumerate(row.conditions)
-             if _resonance_nu(row, j, theta) is not None]
+def _generic_failures(row: _Family, theta: ThetaTriple, combos) -> List[str]:
+    """The conditions of a generic variant that theta breaks.
+
+    combos are the row's two theta combinations, from `_combos`.
+    """
+    fails = [name for j, (name, combo) in enumerate(zip(row.conditions, combos))
+             if _resonance_nu(j, combo) is not None]
     if _excluded(row, theta):
         name, kind = row.excluded
         fails.append(f"{name} in {_SET_TEXT[kind]}")
@@ -563,10 +568,14 @@ def _carrier(row: _Family, theta: ThetaTriple, c0: complex, ut: complex):
     return d, _TWO_PI_I * phase * ut * c0 / complex_gamma(g)
 
 
-def _fixed_entry(row: _Family, theta: ThetaTriple, ut: complex) -> complex:
-    """Off-entry of the generic full matrix, opposite the carrier."""
-    a = 1.0 - 0.5 * _combo(row.first, theta)
-    b = 0.5 * _combo(row.second, theta)
+def _fixed_entry(row: _Family, theta: ThetaTriple, ut: complex,
+                 combos) -> complex:
+    """Off-entry of the generic full matrix, opposite the carrier.
+
+    combos are the row's two theta combinations, from `_combos`.
+    """
+    a = 1.0 - 0.5 * combos[0]
+    b = 0.5 * combos[1]
     if row.carrier == "m1_21":
         return _TWO_PI_I * cmath.exp(-1j * cmath.pi * theta.thetaInf) / (
             complex_gamma(a) * complex_gamma(b) * ut)
@@ -596,7 +605,8 @@ def build_trunc_family(variant: str, c0: complex, theta: ThetaTriple,
                        utilde: complex) -> Tuple[MonodromyPair, AsymptoticDescriptor]:
     """Monodromy pair and descriptor for one exponentially-truncated family."""
     row = _family(variant)
-    fails = _generic_failures(row, theta)
+    combos = _combos(row, theta)
+    fails = _generic_failures(row, theta, combos)
     if fails:
         raise ThetaViolation("; ".join(fails))
     ut = complex(utilde)
@@ -606,7 +616,7 @@ def build_trunc_family(variant: str, c0: complex, theta: ThetaTriple,
     carrier = _triangular(row, *_carrier(row, theta, c0, ut))
     # the other matrix: diagonal e^{-i pi thetaInf} over the carrier's,
     # the fixed off-entry, and its trace and determinant completed
-    fixed = _fixed_entry(row, theta, ut)
+    fixed = _fixed_entry(row, theta, ut, combos)
     e = row.carrier_eg(t0, t1, ti)[0]
     f11 = cmath.exp(-1j * cmath.pi * (e + ti))
     if row.carrier == "m1_21":
@@ -631,7 +641,8 @@ def recover_c0(variant: str, pair: MonodromyPair) -> complex:
     else:
         ratio = pair.m0.m12 / pair.m1.m12
     th = pair.theta
-    return ratio * _fixed_entry(row, th, 1.0) / _carrier(row, th, 1.0, 1.0)[1]
+    return ratio * _fixed_entry(row, th, 1.0, _combos(row, th)) \
+        / _carrier(row, th, 1.0, 1.0)[1]
 
 
 def build_trunc_nongeneric(case: int, branch: str, nu: int, c0: complex,
@@ -641,8 +652,8 @@ def build_trunc_nongeneric(case: int, branch: str, nu: int, c0: complex,
     row, j = _resonant_row(case, branch)
     if nu < 1:
         raise ConditionMismatch("nu must be a positive integer")
-    if _resonance_nu(row, j, theta) != nu:
-        combo = _combo(row.second if j else row.first, theta)
+    combo = _combos(row, theta)[j]
+    if _resonance_nu(j, combo) != nu:
         off = combo - (2 - 2 * nu if j else 2 * nu)
         raise ConditionMismatch(
             f"resonance condition off by {float(abs(off)):.2e} for case {case} {branch}")
@@ -890,7 +901,7 @@ def trunc_boundary_families(which: str, params: Dict[str, complex],
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
     d, _, g = _triangle(row, theta)
     w = cmath.exp(-1j * cmath.pi * ti)
-    fixed = _fixed_entry(row, theta, ut)
+    fixed = _fixed_entry(row, theta, ut, _combos(row, theta))
     if row.carrier == "m1_21":
         m1_12 = _TWO_PI_I * c * ut / complex_gamma(1.0 - g)
         m1 = Mat2C(d, m1_12, 0.0, 1.0 / d)

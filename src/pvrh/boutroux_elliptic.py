@@ -27,7 +27,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from scipy.special import elliprd, elliprf
 
@@ -240,12 +240,19 @@ def _quarter_periods(k: complex) -> Tuple[complex, complex]:
     return K, Kp
 
 
-def _theta_quads(v: complex, q: complex):
-    """theta_1..theta_4 at argument v and nome q, series cut at 1e-16 terms."""
+def _theta_quads(v: complex, q: complex, half: Dict[int, complex],
+                 square: Dict[int, complex]):
+    """theta_1..theta_4 at argument v and nome q, series cut at 1e-16 terms.
+
+    half and square map n to q^((n + 1/2)^2) and q^(n^2); a power missing
+    from them is computed and stored on first use.
+    """
     t1 = 0.0 + 0.0j
     t2 = 0.0 + 0.0j
     for n in range(0, 64):
-        qn = q ** ((n + 0.5) ** 2)
+        qn = half.get(n)
+        if qn is None:
+            qn = half[n] = q ** ((n + 0.5) ** 2)
         a1 = qn * cmath.sin((2 * n + 1) * v)
         a2 = qn * cmath.cos((2 * n + 1) * v)
         t1 += (-1) ** n * a1
@@ -255,13 +262,51 @@ def _theta_quads(v: complex, q: complex):
     t3 = 1.0 + 0.0j
     t4 = 1.0 + 0.0j
     for n in range(1, 64):
-        qn = q ** (n * n)
+        qn = square.get(n)
+        if qn is None:
+            qn = square[n] = q ** (n * n)
         c = qn * cmath.cos(2 * n * v)
         t3 += 2.0 * c
         t4 += 2.0 * (-1) ** n * c
         if abs(c) < 1e-16:
             break
     return 2.0 * t1, 2.0 * t2, t3, t4
+
+
+class _Modulus(NamedTuple):
+    """What sn, cn, dn need of the modulus k alone.
+
+    The power tables of `_theta_quads` fill as its series first reach n, at
+    most 64 entries each. An entry is the power the series would compute in
+    place, so sharing the tables between points changes no result, and two
+    threads that fill one entry store the same value.
+    """
+    K: complex
+    Kp: complex
+    q: complex
+    half_powers: Dict[int, complex]
+    square_powers: Dict[int, complex]
+    z3_z2: complex
+    z4_z2: complex
+    z4_z3: complex
+
+
+@functools.lru_cache(maxsize=128)
+def _modulus(k: complex, re_sign: float, im_sign: float) -> _Modulus:
+    """Quarter periods, nome, its powers and the theta-null ratios of k.
+
+    re_sign and im_sign, the signs of k's parts, only key the cache:
+    -0.5 + 0j and -0.5 - 0j compare equal but sit on two sides of the cut
+    of the square root in the AGM, so they get different K'. An exception
+    is not cached, so NoConvergence is raised on every call.
+    """
+    K, Kp = _quarter_periods(k)
+    q = cmath.exp(-math.pi * Kp / K)
+    if abs(q) >= 0.999:
+        raise NoConvergence("nome too close to the unit circle")
+    half, square = {}, {}
+    _, z2, z3, z4 = _theta_quads(0.0, q, half, square)
+    return _Modulus(K, Kp, q, half, square, z3 / z2, z4 / z2, z4 / z3)
 
 
 def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
@@ -275,7 +320,13 @@ def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
 
 
 def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
-    """Jacobi sn, cn, dn for complex argument and complex modulus k."""
+    """Jacobi sn, cn, dn for complex argument and complex modulus k.
+
+    Quotients of theta functions. Everything that depends on k alone (K,
+    K', the nome, its powers and the theta nulls) is computed once per
+    modulus and kept in a bounded LRU cache, so the points of a ray pay
+    only for the lattice reduction and one theta evaluation each.
+    """
     ksq = k * k
     if abs(ksq) < 1e-8:
         return cmath.sin(u), cmath.cos(u), 1.0 + 0.0j
@@ -283,19 +334,16 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
         s = cmath.tanh(u)
         c = 1.0 / cmath.cosh(u)
         return s, c, c
-    K, Kp = _quarter_periods(k)
-    q = cmath.exp(-math.pi * Kp / K)
-    if abs(q) >= 0.999:
-        raise NoConvergence("nome too close to the unit circle")
-    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * Kp)
+    m = _modulus(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
+    K = m.K
+    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * m.Kp)
     v = 0.5 * math.pi * u_red / K
-    t1, t2, t3, t4 = _theta_quads(v, q)
-    z1, z2, z3, z4 = _theta_quads(0.0, q)
+    t1, t2, t3, t4 = _theta_quads(v, m.q, m.half_powers, m.square_powers)
     if abs(t4) < 1e-12 * max(abs(t1), 1.0):
         raise NearPole("argument sits on the sn pole lattice")
-    sn = (z3 / z2) * (t1 / t4)
-    cn = (z4 / z2) * (t2 / t4)
-    dn = (z4 / z3) * (t3 / t4)
+    sn = m.z3_z2 * (t1 / t4)
+    cn = m.z4_z2 * (t2 / t4)
+    dn = m.z4_z3 * (t3 / t4)
     if abs(sn) > 1e8:
         raise NearPole("sn overflow guard tripped")
     return sn, cn, dn

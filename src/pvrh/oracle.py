@@ -27,6 +27,7 @@ from .mono_core import (
     Mat2C,
     MonodromyPair,
     ThetaTriple,
+    exp_sigma3,
     gauge_cascade_index,
     gauge_normalize_at,
 )
@@ -405,10 +406,6 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + ab * s))
 
 
-def _exp_sigma3_np(a: complex) -> np.ndarray:
-    return np.diag([cmath.exp(a), cmath.exp(-a)])
-
-
 def _canonical_g(state: LinearSystemState, lam: complex) -> complex:
     return (state.t * lam - 2.0 * state.theta.thetaInf * cmath.log(lam)) / 4.0
 
@@ -557,13 +554,13 @@ def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
     if det_drift > 1e-9:
         raise ToleranceFailure(
             f"transport det drift {det_drift:.2e} exceeds 1e-9")
-    e_m = _exp_sigma3_np(_canonical_g(state, lam_m))
+    e_m = np.array(exp_sigma3(_canonical_g(state, lam_m)).rows())
     y_m = v @ e_m
     out = []
     for which in (0, 1):
         phi_loc, th = _local_frame(state, which, lam_m)
         c = np.linalg.solve(phi_loc, y_m)
-        e_loop = _exp_sigma3_np(1j * cmath.pi * th)
+        e_loop = np.array(exp_sigma3(1j * cmath.pi * th).rows())
         out.append(np.linalg.solve(c, e_loop @ c))
     return out[0], out[1]
 
@@ -606,7 +603,7 @@ def direct_monodromy(state: LinearSystemState,
             loops = default_loops(state.phi, lam0)
         out = []
         g0 = _canonical_g(state, lam0)
-        e_base = _exp_sigma3_np(g0)
+        e_base = np.array(exp_sigma3(g0).rows())
         y_base = p_seed @ e_base
         y_base_inv = np.linalg.inv(y_base)
         for spec in loops:

@@ -21,6 +21,7 @@ from .asymptotics import (
     _BRANCHES,
     _BY_VARIANT,
     _FAMILIES,
+    _combos,
     _excluded,
     _family_descriptor,
     _fixed_entry,
@@ -79,7 +80,8 @@ def theta_conditions(theta: ThetaTriple) -> ThetaConditionReport:
     """The four non-resonance conditions plus the integer memberships."""
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
     # condition k holds when theta sits on neither resonant branch of row k
-    conds = [all(_resonance_nu(row, j, theta) is None for j in (0, 1))
+    conds = [all(_resonance_nu(j, combo) is None
+                 for j, combo in enumerate(_combos(row, theta)))
              for row in _FAMILIES]
     flags = {
         "theta0_int": _member(t0, "Z"),
@@ -130,8 +132,8 @@ def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
     for case, row in enumerate(_FAMILIES, 1):
         if _excluded(row, th):
             continue
-        for j, branch in enumerate(_BRANCHES):
-            nu = _resonance_nu(row, j, th)
+        for j, (branch, combo) in enumerate(zip(_BRANCHES, _combos(row, th))):
+            nu = _resonance_nu(j, combo)
             if nu is None:
                 continue
             # the diagonals of the carrier and the branch-fixed matrix
@@ -167,7 +169,7 @@ def _elliptic_descriptor(pair: MonodromyPair, phi: float) -> AsymptoticDescripto
 
 
 def _trunc_descriptor(row, pair: MonodromyPair) -> AsymptoticDescriptor:
-    fails = _generic_failures(row, pair.theta)
+    fails = _generic_failures(row, pair.theta, _combos(row, pair.theta))
     if fails:
         raise UnmappedRegion(
             f"{row.variant} signature but its arithmetic conditions fail: "
@@ -330,7 +332,8 @@ def example_22_coefficient(theta: ThetaTriple, c0: complex) -> complex:
     from .asymptotics import build_trunc_family
 
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
-    closed = c0 + _fixed_entry(_BY_VARIANT["Trunc01"], theta, 1.0) \
+    row = _BY_VARIANT["Trunc01"]
+    closed = c0 + _fixed_entry(row, theta, 1.0, _combos(row, theta)) \
         / complex_gamma(t0)
 
     pair, _ = build_trunc_family("Trunc01", c0, theta, 1.0)

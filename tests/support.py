@@ -12,6 +12,8 @@ import random
 import mpmath
 
 from pvrh.asymptotics import formal_series_pv
+from pvrh.boutroux_elliptic import _quarter_periods, reduce_mod_lattice
+from pvrh.errors import NearPole, NoConvergence
 from pvrh.mono_core import (
     Mat2C,
     MonodromyPair,
@@ -120,6 +122,62 @@ def max_entry_diff(a: Mat2C, b: Mat2C) -> float:
 
 def pair_diff(p: MonodromyPair, q: MonodromyPair) -> float:
     return max(max_entry_diff(p.m0, q.m0), max_entry_diff(p.m1, q.m1))
+
+
+def _theta_quads_reference(v: complex, q: complex):
+    """theta_1..theta_4 with every power of the nome computed in place."""
+    t1 = 0.0 + 0.0j
+    t2 = 0.0 + 0.0j
+    for n in range(0, 64):
+        qn = q ** ((n + 0.5) ** 2)
+        a1 = qn * cmath.sin((2 * n + 1) * v)
+        a2 = qn * cmath.cos((2 * n + 1) * v)
+        t1 += (-1) ** n * a1
+        t2 += a2
+        if n > 2 and abs(a1) < 1e-16 and abs(a2) < 1e-16:
+            break
+    t3 = 1.0 + 0.0j
+    t4 = 1.0 + 0.0j
+    for n in range(1, 64):
+        qn = q ** (n * n)
+        c = qn * cmath.cos(2 * n * v)
+        t3 += 2.0 * c
+        t4 += 2.0 * (-1) ** n * c
+        if abs(c) < 1e-16:
+            break
+    return 2.0 * t1, 2.0 * t2, t3, t4
+
+
+def sn_cn_dn_reference(u: complex, k: complex):
+    """`sn_cn_dn` with nothing kept between calls, the check on its cache.
+
+    The same theta quotients in the same floating-point order, with K, K',
+    the nome, its powers and the theta nulls computed afresh at every
+    point, so the cached kernel must agree with it bit for bit.
+    """
+    ksq = k * k
+    if abs(ksq) < 1e-8:
+        return cmath.sin(u), cmath.cos(u), 1.0 + 0.0j
+    if abs(1.0 - ksq) < 1e-8:
+        s = cmath.tanh(u)
+        c = 1.0 / cmath.cosh(u)
+        return s, c, c
+    K, Kp = _quarter_periods(k)
+    q = cmath.exp(-math.pi * Kp / K)
+    if abs(q) >= 0.999:
+        raise NoConvergence("nome too close to the unit circle")
+    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * Kp)
+    v = 0.5 * math.pi * u_red / K
+    t1, t2, t3, t4 = _theta_quads_reference(v, q)
+    _, z2, z3, z4 = _theta_quads_reference(0.0, q)
+    if abs(t4) < 1e-12 * max(abs(t1), 1.0):
+        raise NearPole("argument sits on the sn pole lattice")
+    sn = (z3 / z2) * (t1 / t4)
+    cn = (z4 / z2) * (t2 / t4)
+    dn = (z4 / z3) * (t3 / t4)
+    if abs(sn) > 1e8:
+        raise NearPole("sn overflow guard tripped")
+    return sn, cn, dn
 
 
 def cycle_integral_reference(A: complex, integrand_tag: str, cycle: str,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvrh import boutroux_elliptic
+from pvrh.asymptotics import AsymptoticDescriptor, eval_elliptic
 from pvrh.boutroux_elliptic import (
     curve_w_plus,
     cycle_integral,
@@ -20,9 +21,10 @@ from pvrh.boutroux_elliptic import (
     sn_derivative,
     solve_boutroux,
 )
-from pvrh.errors import DegenerateCurve, DegenerateLattice, DomainViolation, NearPole
+from pvrh.errors import (DegenerateCurve, DegenerateLattice, DomainViolation,
+                         InsidePoleDisk, NearPole, NoConvergence)
 
-from support import cycle_integral_reference
+from support import THETA_DESK, cycle_integral_reference, sn_cn_dn_reference
 
 # frozen regression value for the modulus at phi = 0.7 (quadrature path
 # dependent in the last two digits, hence the 1e-13 pin)
@@ -160,10 +162,19 @@ def test_agm_matches_mpmath():
             assert abs(got - ref) <= 8.0 * sys.float_info.epsilon * abs(ref)
 
 
+# the fixed elliptic directions of the ray_table benchmark workload
+RAY_TABLE_PHIS = tuple((-1) ** j * (0.05 + 1.45 * (j + 0.5) / 6.0)
+                       for j in range(6))
+
+
+def _sn_modulus(phi):
+    """k = sqrt(A_phi) with Re k >= 0, as `eval_elliptic` takes it."""
+    k = cmath.sqrt(solve_boutroux(phi).A)
+    return -k if k.real < 0 else k
+
+
 def test_agm_square_roots_on_ray_table_moduli(monkeypatch):
-    # the fixed elliptic directions of the ray_table benchmark workload,
-    # four of whose AGMs used to run the whole 64-step budget
-    phis = tuple((-1) ** j * (0.05 + 1.45 * (j + 0.5) / 6.0) for j in range(6))
+    # four of the AGMs on these moduli used to run the whole 64-step budget
     roots = []
 
     def counted_sqrt(z):
@@ -171,10 +182,8 @@ def test_agm_square_roots_on_ray_table_moduli(monkeypatch):
         return cmath.sqrt(z)
 
     counting = types.SimpleNamespace(sqrt=counted_sqrt)
-    for phi in phis:
-        k = cmath.sqrt(solve_boutroux(phi).A)
-        if k.real < 0:
-            k = -k
+    for phi in RAY_TABLE_PHIS:
+        k = _sn_modulus(phi)
         for b in (cmath.sqrt(1.0 - k * k), k):
             roots.clear()
             with monkeypatch.context() as m:
@@ -193,6 +202,100 @@ def test_sn_cn_dn_match_mpmath():
             assert abs(val - ref) < 1e-12 * max(1.0, abs(ref)), (name, u, k)
         assert jacobi_sn(u, k) == got[0]
         assert sn_derivative(u, k) == got[1] * got[2]
+
+
+def _sn_or_error(f, u, k):
+    try:
+        return f(u, k)
+    except (NearPole, NoConvergence) as exc:
+        return type(exc), str(exc)
+
+
+def _pole_neighbourhood(k):
+    """60 arguments on and next to the sn poles 2mK + (2n+1)iK'."""
+    big_k, big_kp = boutroux_elliptic._quarter_periods(k)
+    return [2 * m * big_k + (2 * n + 1) * 1j * big_kp + eps * direction
+            for m in (-1, 0, 1) for n in (-1, 0)
+            for eps in (0.0, 1e-13, 1e-10, 1e-6, 1e-2)
+            for direction in (1.0, cmath.exp(2.0j))]
+
+
+def test_sn_cn_dn_matches_uncached_reference_exactly(rng):
+    moduli = [_sn_modulus(phi) for phi in RAY_TABLE_PHIS]
+    moduli += [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+               for _ in range(8)]
+    boutroux_elliptic._modulus.cache_clear()
+    poles_hit = 0
+    for k in moduli:
+        args = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
+                for _ in range(140)] + _pole_neighbourhood(k)
+        for u in args:
+            got = _sn_or_error(sn_cn_dn, u, k)
+            assert got == _sn_or_error(sn_cn_dn_reference, u, k), (u, k)
+            poles_hit += got[0] is NearPole
+    assert poles_hit > 0
+    info = boutroux_elliptic._modulus.cache_info()
+    assert (info.misses, info.currsize) == (len(moduli), len(moduli))
+
+
+def test_sn_cache_keeps_signed_zero_moduli_apart():
+    # -0.5 + 0j == -0.5 - 0j, but the AGM's square root takes them to the
+    # two sides of its cut and gives different last bits
+    u = 0.3 + 0.2j
+    plus, minus = complex(-0.5, 0.0), complex(-0.5, -0.0)
+    assert sn_cn_dn_reference(u, plus) != sn_cn_dn_reference(u, minus)
+    for k in (plus, minus, plus):
+        assert sn_cn_dn(u, k) == sn_cn_dn_reference(u, k)
+
+
+def test_ray_computes_quarter_periods_once(monkeypatch):
+    calls = []
+    quarter_periods = boutroux_elliptic._quarter_periods
+
+    def counted(k):
+        calls.append(k)
+        return quarter_periods(k)
+
+    monkeypatch.setattr(boutroux_elliptic, "_quarter_periods", counted)
+    boutroux_elliptic._modulus.cache_clear()
+    phi = 0.7
+    d = AsymptoticDescriptor(variant="Elliptic",
+                             params={"A": solve_boutroux(phi).A, "x0": 0.3 + 0.1j},
+                             sector=(0.0, 0.5 * math.pi), theta=THETA_DESK)
+    kept = 0
+    for i in range(256):
+        x = (20.0 + 20.0 * i / 255) * cmath.exp(1j * phi)
+        try:
+            eval_elliptic(x, d, solve_boutroux(phi))
+            kept += 1
+        except InsidePoleDisk:
+            pass
+    assert kept > 200
+    assert len(calls) == 1
+
+
+def test_sn_errors_raise_on_every_call(monkeypatch):
+    k = 0.6 + 0.1j
+    big_kp = complex(mpmath.ellipk(1.0 - k * k))
+    boutroux_elliptic._modulus.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NearPole):
+            sn_cn_dn(1j * big_kp, k)
+    info = boutroux_elliptic._modulus.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # no modulus on a grid over |Re k|, |Im k| <= 3 gets |q| that close to
+    # 1, so fake its periods: K'/K = 1e-4 gives |q| = e^{-pi 1e-4} > 0.999
+    calls = []
+
+    def near_unit_nome(k):
+        calls.append(k)
+        return 1.0 + 0.0j, 1e-4 + 0.0j
+
+    monkeypatch.setattr(boutroux_elliptic, "_quarter_periods", near_unit_nome)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            sn_cn_dn(0.3, 0.5 + 0.2j)
+    assert len(calls) == 2
 
 
 def test_reduce_mod_lattice_rejects_parallel_generators():
