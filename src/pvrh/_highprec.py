@@ -1,4 +1,4 @@
-"""Arbitrary-precision replica of the direct-monodromy chain.
+"""mpmath ray stepper and the mp entry points of the monodromy chain.
 
 Double precision cannot separate the exponentially small solution mode of
 the truncated families at |x| near 60 from roundoff: the mode scales like
@@ -6,81 +6,26 @@ exp(-|x|), while the connection solve at the matching point cancels about
 exp(|x|/2) worth of digits when it digs the subdominant column out of the
 local frame.  Both the ray transport of the seed and the linear solve
 therefore need tens of extra digits before the small monodromy entries of
-such seeds mean anything.  This module re-implements the minimal chain
-(ray integration, canonical seed, lambda-transport, local Frobenius
-frames, matching) with mpmath scalars and Taylor-series stepping.  It is
-deliberately slower than the scipy path and is selected through the dps
-arguments of the oracle entry points, only where doubles are provably
-insufficient.
+such seeds mean anything.
 
-Matrices are plain 4-tuples (a11, a12, a21, a22) of mpc; series are lists
-of mpc coefficients addressed by power.
+The monodromy chain itself (canonical seed, lambda-transport, local
+Frobenius frames, matching) lives once in pvrh.oracle and runs here on
+mpc states.  This module holds what has no double twin: Taylor stepping
+of the nonlinear ray system in mp scalars, and the entry points the dps
+arguments of the oracle select, only where doubles are provably
+insufficient.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
-from .errors import HitSingularity, SeedDefectTooLarge, ToleranceFailure
-from .mono_core import Mat2C, MonodromyPair, ThetaTriple
-
-Mat = Tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]
-
-
-def _mul(a: Mat, b: Mat) -> Mat:
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
-
-
-def _add(a: Mat, b: Mat) -> Mat:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def _scale(a: Mat, s) -> Mat:
-    return (a[0] * s, a[1] * s, a[2] * s, a[3] * s)
-
-
-def _matvec(a: Mat, v):
-    return (a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
-
-
-def _inv(a: Mat) -> Mat:
-    det = a[0] * a[3] - a[1] * a[2]
-    return (a[3] / det, -a[1] / det, -a[2] / det, a[0] / det)
-
-
-def _det(a: Mat):
-    return a[0] * a[3] - a[1] * a[2]
-
-
-def _norm(a: Mat):
-    return max(abs(a[0]), abs(a[1]), abs(a[2]), abs(a[3]))
-
-
-def _eye() -> Mat:
-    return (mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))
-
-
-def _zero() -> Mat:
-    return (mp.mpc(0), mp.mpc(0), mp.mpc(0), mp.mpc(0))
-
-
-def _sig3() -> Mat:
-    return (mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(-1))
-
-
-def _residues(theta: ThetaTriple, y, z) -> Tuple[Mat, Mat]:
-    t0 = mp.mpf(theta.theta0)
-    t1 = mp.mpf(theta.theta1)
-    ti = mp.mpf(theta.thetaInf)
-    b0 = (z + t0 / 2, -z - t0, z, -z - t0 / 2)
-    alpha = z + (t0 - t1 + ti) / 2
-    beta = z + (t0 + t1 + ti) / 2
-    b1 = (-z - (t0 + ti) / 2, y * alpha, -beta / y, z + (t0 + ti) / 2)
-    return b0, b1
+from . import oracle
+from .errors import HitSingularity, ToleranceFailure
+from .mono_core import MonodromyPair, ThetaTriple
 
 
 # ---------------------------------------------------------------------------
@@ -217,318 +162,51 @@ def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
 
 
 # ---------------------------------------------------------------------------
-# canonical frame at infinity
-
-def _canonical_coeffs(theta: ThetaTriple, e, t, b0: Mat, b1: Mat,
-                      N: int) -> List[Mat]:
-    """Coefficients Y_1..Y_N of the formal frame, matched order by order."""
-    ti = mp.mpf(theta.thetaInf)
-    sig3 = _sig3()
-
-    def c_mat(m: int) -> Mat:
-        return _add(_scale(b0, (-e) ** (m - 1)), _scale(b1, e ** (m - 1)))
-
-    ys: List[Mat] = [_eye()]
-
-    def k_of(m: int) -> Mat:
-        prev = ys[m - 1]
-        out = _add(_scale(prev, m - 1), _scale(_mul(prev, sig3), ti / 2))
-        out = _add(out, c_mat(m))
-        for j in range(1, m):
-            out = _add(out, _mul(c_mat(j), ys[m - j]))
-        return out
-
-    for m in range(1, N + 2):
-        if m >= 2:
-            # the diagonal of Y_{m-1} enters diag(K_m) with exact slope m-1
-            base = list(ys[m - 1])
-            for slot in (0, 3):
-                probe0 = list(base)
-                probe0[slot] = mp.mpc(0)
-                ys[m - 1] = tuple(probe0)
-                k0 = k_of(m)[slot]
-                probe1 = list(probe0)
-                probe1[slot] = mp.mpc(1)
-                ys[m - 1] = tuple(probe1)
-                k1 = k_of(m)[slot]
-                probe1[slot] = -k0 / (k1 - k0)
-                ys[m - 1] = tuple(probe1)
-                base = probe1
-        if m <= N:
-            k = k_of(m)
-            ys.append((mp.mpc(0), -2 * k[1] / t, 2 * k[2] / t, mp.mpc(0)))
-    return ys[1:]
-
-
-def _seed_frame(theta: ThetaTriple, e, t, b0: Mat, b1: Mat, rho, N: int,
-                defect_cap) -> Tuple[mp.mpc, Mat]:
-    """Polynomial part P(i rho) of the canonical frame, defect-checked."""
-    ti = mp.mpf(theta.thetaInf)
-    attempts = 0
-    while True:
-        coeffs = _canonical_coeffs(theta, e, t, b0, b1, N)
-        lam = mp.mpc(0, rho)
-        p = _eye()
-        pp = _zero()
-        li = 1 / lam
-        lpow = li
-        for m, ym in enumerate(coeffs, start=1):
-            p = _add(p, _scale(ym, lpow))
-            pp = _add(pp, _scale(ym, -m * lpow * li))
-            lpow = lpow * li
-        gp = t / 4 - ti / (2 * lam)
-        bmat = _add(_scale(_sig3(), t / 4),
-                    _add(_scale(b0, 1 / (lam + e)), _scale(b1, 1 / (lam - e))))
-        defect_mat = _add(_add(pp, _scale(_mul(p, _sig3()), gp)),
-                          _scale(_mul(bmat, p), -1))
-        defect = _norm(defect_mat)
-        if defect <= defect_cap:
-            return lam, p
-        attempts += 1
-        rho = rho * mp.mpf("1.5")
-        if attempts > 6:
-            raise SeedDefectTooLarge(
-                f"seed defect {float(defect):.2e} above target at |base|={float(rho)}")
-
-
-# ---------------------------------------------------------------------------
-# Taylor transport of the gauged columns in lambda
-
-def _transport_column(t, ti, e, b0: Mat, b1: Mat, eps: int, start, end,
-                      vec, tol, cap: int = 170):
-    """Transport one exp-gauged column from start to end along a segment.
-
-    The gauged system is v' = ((t/4)(sigma3 - eps I) + B0/(lam+e)
-    + B1/(lam-e) + eps theta_inf/(2 lam) I) v; on paths where Re(g) stays
-    near 0 the column keeps unit scale and no dichotomy develops.
-    """
-    lam = mp.mpc(start)
-    target = mp.mpc(end)
-    base0 = ((t / 4) * (1 - eps), mp.mpc(0), mp.mpc(0), (t / 4) * (-1 - eps))
-    heps = mp.mpf("0.5")
-    hexp = mp.mpf(24) / max(t, mp.mpf(1))
-    while abs(target - lam) > 0:
-        d = min(abs(lam - e), abs(lam + e), abs(lam))
-        rem = target - lam
-        hmag = min(abs(rem), heps * d, hexp)
-        h = rem / abs(rem) * hmag
-        while True:
-            res = _taylor_leg(t, ti, e, b0, b1, base0, eps, lam, vec, h,
-                              tol, cap)
-            if res is not None:
-                break
-            h = h / 2
-            if abs(h) < mp.mpf("1e-6"):
-                raise ToleranceFailure("lambda transport step collapsed")
-        vec = res
-        lam = lam + h
-    return vec
-
-
-def _taylor_leg(t, ti, e, b0: Mat, b1: Mat, base0: Mat, eps: int, lam, vec,
-                h, tol, cap: int):
-    """One Taylor step; returns the transported vector or None to retry."""
-    c0 = 1 / (lam + e)
-    c1 = 1 / (lam - e)
-    cz = 1 / lam
-    f0, f1, fz = c0, c1, (eps * ti / 2) * cz
-    amats: List[Mat] = []
-    vs = [(mp.mpc(vec[0]), mp.mpc(vec[1]))]
-    ah = abs(h)
-    kmin = int(float(t) * float(ah) / 2) + 8
-    vscale = max(abs(vec[0]), abs(vec[1]), mp.mpf(1))
-    recent = [mp.inf] * 3
-    for k in range(cap):
-        a_k = (b0[0] * f0 + b1[0] * f1 + fz, b0[1] * f0 + b1[1] * f1,
-               b0[2] * f0 + b1[2] * f1, b0[3] * f0 + b1[3] * f1 + fz)
-        if k == 0:
-            a_k = _add(a_k, base0)
-        amats.append(a_k)
-        f0, f1, fz = -f0 * c0, -f1 * c1, -fz * cz
-        s0 = mp.mpc(0)
-        s1 = mp.mpc(0)
-        for j in range(k + 1):
-            w = vs[k - j]
-            aj = amats[j]
-            s0 += aj[0] * w[0] + aj[1] * w[1]
-            s1 += aj[2] * w[0] + aj[3] * w[1]
-        vs.append((s0 / (k + 1), s1 / (k + 1)))
-        term = max(abs(vs[-1][0]), abs(vs[-1][1])) * ah ** (k + 1)
-        recent = recent[1:] + [term]
-        if k + 1 >= kmin and max(recent) < tol * vscale:
-            v0 = _horner([w[0] for w in vs], h)
-            v1 = _horner([w[1] for w in vs], h)
-            return (v0, v1)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# local Frobenius frames
-
-def _local_frame(theta: ThetaTriple, e, t, b0: Mat, b1: Mat, y, z,
-                 which: int, lam_match, tol, cap: int = 700) -> Tuple[Mat, mp.mpf]:
-    """Local fundamental solution (sum G_k w^k) w^D at one singular point."""
-    th0 = mp.mpf(theta.theta0)
-    th1 = mp.mpf(theta.theta1)
-    ti = mp.mpf(theta.thetaInf)
-    if which == 0:
-        r_self, r_other = b0, b1
-        s_self, s_other = -e, e
-        th = th0
-        g0 = (z + th0, mp.mpc(1), z, mp.mpc(1))
-    else:
-        r_self, r_other = b1, b0
-        s_self, s_other = e, -e
-        th = th1
-        alpha = z + (th0 - th1 + ti) / 2
-        beta = z + (th0 + th1 + ti) / 2
-        g0 = (y * alpha, y, beta, mp.mpc(1))
-    if abs(_det(g0)) < mp.mpf("1e-12") * max(1, _norm(g0) ** 2):
-        raise ToleranceFailure("residue eigenbasis is degenerate")
-
-    dist = s_self - s_other
-    w = mp.mpc(lam_match) - s_self
-    gs = [g0]
-    acc = g0
-    wk = mp.mpc(1)
-    hfac = 1 / dist
-    sig3 = _sig3()
-    hmats: List[Mat] = []
-    kmin = int(float(t) * float(abs(w)) / 4) + 8
-    recent = [mp.inf] * 3
-    for k in range(1, cap + 1):
-        j = k - 1
-        hj = _scale(r_other, ((-1) ** j) * hfac ** (j + 1))
-        if j == 0:
-            hj = _add(hj, _scale(sig3, t / 4))
-        hmats.append(hj)
-        rhs = _zero()
-        for jj in range(k):
-            rhs = _add(rhs, _mul(hmats[jj], gs[k - 1 - jj]))
-        # solve (k I + . D - R_self .) G_k = rhs column by column
-        cols = []
-        for col, dval in ((0, th / 2), (1, -th / 2)):
-            mloc = (k + dval - r_self[0], -r_self[1],
-                    -r_self[2], k + dval - r_self[3])
-            det = mloc[0] * mloc[3] - mloc[1] * mloc[2]
-            if abs(det) < mp.mpf("1e-20") * max(1, k * k):
-                raise ToleranceFailure(
-                    f"resonant local exponents at order {k} (integer theta?)")
-            r0, r1 = rhs[col], rhs[2 + col]
-            cols.append(((mloc[3] * r0 - mloc[1] * r1) / det,
-                         (-mloc[2] * r0 + mloc[0] * r1) / det))
-        gk = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-        gs.append(gk)
-        wk = wk * w
-        term = _norm(gk) * abs(wk)
-        acc = _add(acc, _scale(gk, wk))
-        recent = recent[1:] + [term]
-        if k > kmin and max(recent) < tol * max(1, _norm(acc)):
-            break
-    if max(recent) > tol * max(mp.mpf(1), _norm(acc)) * mp.mpf(100):
-        raise ToleranceFailure("local series tail did not converge")
-    logw = mp.log(w)
-    wd = (mp.exp(th / 2 * logw), mp.mpc(0), mp.mpc(0), mp.exp(-th / 2 * logw))
-    return _mul(acc, wd), th
-
-
-# ---------------------------------------------------------------------------
-# assembled chain
+# entry points
 
 def direct_monodromy_mp(theta: ThetaTriple, phi: float, t, y, z,
-                        rho: float = 16.0, N: int = 44,
                         match_height: float = 0.3) -> MonodromyPair:
-    """Monodromy pair of the state (t, phi, y, zfrak), all-mp pipeline.
+    """Monodromy pair of the state (t, phi, y, zfrak) in mp scalars.
 
     Call under mp.workdps; y and z may be mpc (full precision) or complex.
     """
-    dps = mp.mp.dps
-    t = mp.mpf(t)
-    y = mp.mpc(y)
-    z = mp.mpc(z)
-    e = mp.exp(1j * mp.mpf(phi))
-    ti = mp.mpf(theta.thetaInf)
-    b0, b1 = _residues(theta, y, z)
-    defect_cap = mp.mpf(10) ** (-max(18, dps - 28))
-    lam0, p = _seed_frame(theta, e, t, b0, b1, mp.mpf(rho), N, defect_cap)
-    lam_m = mp.mpc(0, match_height)
-    tolT = mp.mpf(10) ** (-(dps - 16))
-    cols = []
-    for eps, col in ((1, (p[0], p[2])), (-1, (p[1], p[3]))):
-        cols.append(_transport_column(t, ti, e, b0, b1, eps, lam0, lam_m,
-                                      col, tolT))
-    v = (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-    det_rel = abs(_det(v) - _det(p)) / max(mp.mpf(1), abs(_det(p)))
-    if det_rel > mp.mpf(10) ** (-(dps - 24)):
-        raise ToleranceFailure(f"transport det drift {float(det_rel):.2e}")
-    g = (t * lam_m - 2 * ti * mp.log(lam_m)) / 4
-    eg, emg = mp.exp(g), mp.exp(-g)
-    ym = (v[0] * eg, v[1] * emg, v[2] * eg, v[3] * emg)
-    tolL = mp.mpf(10) ** (-(dps - 14))
-    out = []
-    for which in (0, 1):
-        phi_loc, th = _local_frame(theta, e, t, b0, b1, y, z, which, lam_m,
-                                   tolL)
-        c = _mul(_inv(phi_loc), ym)
-        eip = mp.exp(1j * mp.pi * th)
-        emat = (eip, mp.mpc(0), mp.mpc(0), 1 / eip)
-        m = _mul(_inv(c), _mul(emat, c))
-        out.append(Mat2C(complex(m[0]), complex(m[1]),
-                         complex(m[2]), complex(m[3])))
-    return MonodromyPair(out[0], out[1], theta, tol=1e-3)
+    state = oracle.LinearSystemState(mp.mpf(t), phi, mp.mpc(y), mp.mpc(z),
+                                     0.0, theta)
+    return oracle._monodromy(state, loops=None, N=None, method="frobenius",
+                             match_height=match_height)
 
 
 def drift_pairs_mp(theta: ThetaTriple, seed: Dict[str, complex],
-                   t_list: Sequence[float], dps: int = 50,
-                   rho: float = 16.0, N: int = 44,
-                   match_height: float = 0.3, guard: float = 1e-6
+                   t_list: Sequence[float], dps: int = 50
                    ) -> Tuple[List[float], List[MonodromyPair]]:
     """Raw monodromy pairs along one trajectory, never leaving mp.
 
-    The intermediate states stay at full precision between the ray
-    transport and the linear solve; rounding them to doubles would
-    re-inject exactly the exp(-|x|)-scale noise this path exists to avoid.
+    The legs are chained as in the double path (oracle._ray_pairs).  The
+    intermediate states stay at full precision between the ray transport
+    and the linear solve; rounding them to doubles would re-inject exactly
+    the exp(-|x|)-scale noise this path exists to avoid.
     """
     with mp.workdps(dps):
+        _, y0, z0, lu0 = oracle._seed_values(theta, seed, mp.mpc)
         x0 = complex(seed["x"])
         phi = cmath.phase(x0)
-        t_start = abs(x0)
-        y0 = mp.mpc(complex(seed["y"]))
-        if "zfrak" in seed:
-            z0 = mp.mpc(complex(seed["zfrak"]))
-        elif "yprime" in seed:
-            th0 = mp.mpf(theta.theta0)
-            th1 = mp.mpf(theta.theta1)
-            ti = mp.mpf(theta.thetaInf)
-            yp = mp.mpc(complex(seed["yprime"]))
-            xs = mp.mpc(x0)
-            z0 = -xs * (yp - y0) / (2 * (y0 - 1) ** 2) \
-                + (th0 + th1) / (2 * (y0 - 1)) - (th0 - th1 + ti) / 4
-        else:
-            raise ValueError("seed needs zfrak or yprime")
-        lu0 = mp.mpc(complex(seed.get("log_u", 0.0)))
-        t_sorted = sorted(float(t) for t in t_list)
-        pairs = []
-        for t in t_sorted:
-            if abs(t - t_start) < 1e-12 * max(1.0, t_start):
-                y, z = y0, z0
-            else:
-                y, z, _ = _ray_final(theta, phi, t_start, y0, z0, lu0, t,
-                                     guard=guard)
-            pairs.append(direct_monodromy_mp(theta, phi, t, y, z, rho=rho,
-                                             N=N, match_height=match_height))
-        return t_sorted, pairs
+
+        def leg(state, t_end):
+            return (t_end,) + _ray_final(theta, phi, *state, t_end)
+
+        def solve(t, state):
+            return direct_monodromy_mp(theta, phi, t, state[1], state[2])
+
+        return oracle._ray_pairs(t_list, abs(x0), (abs(x0), y0, z0, lu0),
+                                 leg, solve)
 
 
 def ray_final_mp(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
-                 dps: int = 50, guard: float = 1e-6
-                 ) -> Tuple[complex, complex, complex]:
+                 dps: int = 50) -> Tuple[complex, complex, complex]:
     """Final (y, zfrak, log u) of a ray leg, as doubles (for cross-checks)."""
     with mp.workdps(dps):
+        _, y, z, lu = oracle._seed_values(theta, seed, mp.mpc)
         x0 = complex(seed["x"])
-        y, z, lu = _ray_final(theta, cmath.phase(x0), abs(x0),
-                              mp.mpc(complex(seed["y"])),
-                              mp.mpc(complex(seed["zfrak"])),
-                              mp.mpc(complex(seed.get("log_u", 0.0))),
-                              t_end, guard=guard)
+        y, z, lu = _ray_final(theta, cmath.phase(x0), abs(x0), y, z, lu,
+                              t_end)
         return complex(y), complex(z), complex(lu)

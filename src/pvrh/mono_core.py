@@ -68,6 +68,14 @@ class Mat2C:
     def norm_inf(self) -> float:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
+    def add(self, other: "Mat2C") -> "Mat2C":
+        return Mat2C(
+            self.m11 + other.m11,
+            self.m12 + other.m12,
+            self.m21 + other.m21,
+            self.m22 + other.m22,
+        )
+
     def sub(self, other: "Mat2C") -> "Mat2C":
         return Mat2C(
             self.m11 - other.m11,
@@ -75,6 +83,9 @@ class Mat2C:
             self.m21 - other.m21,
             self.m22 - other.m22,
         )
+
+    def scale(self, s) -> "Mat2C":
+        return Mat2C(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
 
     def is_finite(self) -> bool:
         return all(

@@ -4,14 +4,23 @@ Integrates the nonlinear first-order system along rays, integrates the
 2x2 linear lambda-system to read monodromy matrices directly off the
 trajectory data, and measures how far the computed monodromy drifts as
 the base point moves (it should not).
+
+The monodromy chain (residues, canonical series and seed ladder, Taylor
+lambda-transport, local Frobenius frames, connection solve) is written
+once on Mat2C and runs in the scalars of the state it is given: Python
+complex with cmath, or mpmath numbers at the working precision for a
+state built under mp.workdps (the dps arguments of the entry points do
+that).  The chain uses only arithmetic, abs, exp, log and pi of its
+backend, and converts every Python float through the backend before it
+computes with it, so no double rounding enters the mp arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,34 +36,71 @@ from .mono_core import (
     Mat2C,
     MonodromyPair,
     ThetaTriple,
-    exp_sigma3,
     gauge_cascade_index,
     gauge_normalize_at,
 )
 
-_I2 = np.eye(2, dtype=complex)
-_SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+
+# ---------------------------------------------------------------------------
+# scalar backends of the monodromy chain
+
+@dataclass(frozen=True)
+class _Backend:
+    """Scalar context of the chain and the constants of its precision."""
+
+    num: Callable[[Any], Any]   # a Python number as a scalar of the backend
+    exp: Callable[[Any], Any]
+    log: Callable[[Any], Any]
+    pi: Any
+    rho: float          # |lambda| of the first rung of the seed ladder
+    N: int              # order of the large-lambda series of the seed frame
+    defect_cap: Any     # seed defect the ladder accepts
+    tol: Any            # relative tail of a Taylor step or a local series
+    det_tol: Any        # relative determinant drift allowed in transport
+
+
+_DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log, cmath.pi, rho=10.0,
+                   N=16, defect_cap=1e-8, tol=1e-16, det_tol=1e-9)
+
+
+def _mp_backend() -> _Backend:
+    import mpmath as mp
+    dps = mp.mp.dps
+    ten = mp.mpf(10)
+    return _Backend(mp.mpmathify, mp.exp, mp.log, mp.pi, rho=16.0, N=44,
+                    defect_cap=ten ** -max(18, dps - 28),
+                    tol=ten ** -(dps - 16), det_tol=ten ** -(dps - 24))
+
+
+def _backend_of(x) -> _Backend:
+    """Backend whose scalars x is made of; Python numbers are doubles."""
+    return _DOUBLE if isinstance(x, (int, float, complex)) else _mp_backend()
+
+
+def _thetas(theta: ThetaTriple, bk: _Backend) -> Tuple[Any, Any, Any]:
+    return bk.num(theta.theta0), bk.num(theta.theta1), bk.num(theta.thetaInf)
 
 
 # ---------------------------------------------------------------------------
 # coefficient data of the linear system
 
 def residue_matrices(theta: ThetaTriple, y: complex,
-                     zfrak: complex) -> Tuple[np.ndarray, np.ndarray]:
+                     zfrak: complex) -> Tuple[Mat2C, Mat2C]:
     """Residues at lambda = -e^{i phi} (theta0) and +e^{i phi} (theta1)."""
-    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
+    t0, t1, ti = _thetas(theta, _backend_of(zfrak))
     z = zfrak
-    b0 = np.array([[z + t0 / 2, -z - t0],
-                   [z, -z - t0 / 2]], dtype=complex)
-    b1 = np.array([[-z - (t0 + ti) / 2, y * (z + (t0 - t1 + ti) / 2)],
-                   [-(z + (t0 + t1 + ti) / 2) / y, z + (t0 + ti) / 2]],
-                  dtype=complex)
+    b0 = Mat2C(z + t0 / 2, -z - t0, z, -z - t0 / 2)
+    b1 = Mat2C(-z - (t0 + ti) / 2, y * (z + (t0 - t1 + ti) / 2),
+               -(z + (t0 + t1 + ti) / 2) / y, z + (t0 + ti) / 2)
     return b0, b1
 
 
 @dataclass(frozen=True)
 class LinearSystemState:
-    """Solution data at one point of a ray, enough to assemble the system."""
+    """Solution data at one point of a ray, enough to assemble the system.
+
+    t, y and zfrak are Python numbers, or mpf / mpc for the mp chain.
+    """
 
     t: float
     phi: float
@@ -73,21 +119,29 @@ class LinearSystemState:
             + 0.5 * self.theta.thetaInf * (1j * self.phi + math.log(2.0))
         return cmath.exp(self.log_u - 2.0 * varpi)
 
-    def coefficient_matrix(self, lam: complex) -> np.ndarray:
+    def coefficient_matrix(self, lam: complex) -> Mat2C:
         b0, b1 = residue_matrices(self.theta, self.y, self.zfrak)
-        e = cmath.exp(1j * self.phi)
-        return (self.t / 4.0) * _SIGMA3 + b0 / (lam + e) + b1 / (lam - e)
+        e = _unit(self)
+        q = self.t / 4
+        return Mat2C(q, 0.0, 0.0, -q).add(b0.scale(1 / (lam + e))) \
+            .add(b1.scale(1 / (lam - e)))
 
     def residue_residuals(self) -> Dict[str, float]:
         """Trace and eigenvalue defects of both residues (should be ~0)."""
         b0, b1 = residue_matrices(self.theta, self.y, self.zfrak)
         t0, t1 = self.theta.theta0, self.theta.theta1
         return {
-            "trace_b0": abs(np.trace(b0)),
-            "trace_b1": abs(np.trace(b1)),
-            "det_b0": abs(np.linalg.det(b0) + t0 * t0 / 4.0),
-            "det_b1": abs(np.linalg.det(b1) + t1 * t1 / 4.0),
+            "trace_b0": float(abs(b0.trace())),
+            "trace_b1": float(abs(b1.trace())),
+            "det_b0": float(abs(b0.det() + t0 * t0 / 4.0)),
+            "det_b1": float(abs(b1.det() + t1 * t1 / 4.0)),
         }
+
+
+def _unit(state: LinearSystemState):
+    """e^{i phi} in the scalars of the state."""
+    bk = _backend_of(state.t)
+    return bk.exp(1j * bk.num(state.phi))
 
 
 @dataclass(frozen=True)
@@ -103,14 +157,6 @@ class ODETrajectory:
     rtol: float
     atol: float
     seed_ref: str
-
-    def state_at(self, index: int, theta: ThetaTriple) -> LinearSystemState:
-        x, y, z, lu = self.samples[index]
-        return LinearSystemState(t=abs(x), phi=cmath.phase(x), y=y,
-                                 zfrak=z, log_u=lu, theta=theta)
-
-    def final_state(self, theta: ThetaTriple) -> LinearSystemState:
-        return self.state_at(len(self.samples) - 1, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +178,30 @@ def pv_rhs_first_order(theta: ThetaTriple, x: complex, y: complex,
 
 def zfrak_from_y_yprime(theta: ThetaTriple, x: complex, y: complex,
                         yprime: complex) -> complex:
-    """Auxiliary variable from (y, y'), inverting the first ray equation."""
-    t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
+    """Auxiliary variable from (y, y'), inverting the first ray equation.
+
+    Runs in the scalars of y (Python complex, or mpc for the mp chain).
+    """
+    t0, t1, ti = _thetas(theta, _backend_of(y))
     return -x * (yprime - y) / (2 * (y - 1) ** 2) \
-        + (t0 + t1) / (2 * (y - 1)) - (t0 - t1 + ti) / 4.0
+        + (t0 + t1) / (2 * (y - 1)) - (t0 - t1 + ti) / 4
+
+
+def _seed_values(theta: ThetaTriple, seed: Dict[str, complex],
+                 num: Callable) -> Tuple[Any, Any, Any, Any]:
+    """(x, y, zfrak, log u) of a seed, each entry passed through num.
+
+    seed needs "x" and "y" plus one of "zfrak" / "yprime"; "log_u"
+    defaults to 0 (it is a gauge degree of freedom).
+    """
+    x, y = num(complex(seed["x"])), num(complex(seed["y"]))
+    if "zfrak" in seed:
+        z = num(complex(seed["zfrak"]))
+    elif "yprime" in seed:
+        z = zfrak_from_y_yprime(theta, x, y, num(complex(seed["yprime"])))
+    else:
+        raise ValueError("seed needs zfrak or yprime")
+    return x, y, z, num(complex(seed.get("log_u", 0.0)))
 
 
 def yprime_from_y_zfrak(theta: ThetaTriple, x: complex, y: complex,
@@ -149,23 +215,14 @@ def integrate_pv(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
                  guard: float = 1e-6) -> ODETrajectory:
     """Integrate the ray system from the seed's |x| to t_end (either way).
 
-    seed needs "x" and "y" plus one of "zfrak" / "yprime"; "log_u" defaults
-    to 0 (it is a gauge degree of freedom). Terminates with HitSingularity
-    when y approaches 0 or 1.
+    seed as read by _seed_values. Terminates with HitSingularity when y
+    approaches 0 or 1.
     """
-    x0 = complex(seed["x"])
+    x0, y0, z0, lu0 = _seed_values(theta, seed, complex)
     if x0 == 0:
         raise ValueError("seed must sit at nonzero x")
     phi = cmath.phase(x0)
     t_start = abs(x0)
-    y0 = complex(seed["y"])
-    if "zfrak" in seed:
-        z0 = complex(seed["zfrak"])
-    elif "yprime" in seed:
-        z0 = zfrak_from_y_yprime(theta, x0, y0, complex(seed["yprime"]))
-    else:
-        raise ValueError("seed needs zfrak or yprime")
-    lu0 = complex(seed.get("log_u", 0.0))
     if min(abs(y0), abs(y0 - 1.0)) < guard:
         raise HitSingularity(f"seed y={y0} already inside the guard band")
 
@@ -257,6 +314,13 @@ def pv_residual(xs: Sequence[complex], ys: Sequence[complex],
 # ---------------------------------------------------------------------------
 # canonical frame at large lambda
 
+_RHO_MAX = 2000.0       # top of the seed ladder
+_STEP_REACH = 24.0      # t times the longest Taylor step in lambda
+_TAYLOR_CAP = 170       # terms of one Taylor step before it is halved
+_FROBENIUS_REACH = 4.0  # t times the largest |w| a local series is summed at
+_SERIES_CAP = 700       # terms of one local series
+
+
 @dataclass(frozen=True)
 class CanonicalFrame:
     frame: Mat2C
@@ -264,51 +328,73 @@ class CanonicalFrame:
     coeffs: Tuple[Mat2C, ...]
 
 
-def _series_coefficients(state: LinearSystemState, N: int) -> List[np.ndarray]:
+def _times_sigma3(m: Mat2C) -> Mat2C:
+    return Mat2C(m.m11, -m.m12, m.m21, -m.m22)
+
+
+def _scale_columns(m: Mat2C, a, b) -> Mat2C:
+    """m @ diag(a, b)."""
+    return Mat2C(m.m11 * a, m.m12 * b, m.m21 * a, m.m22 * b)
+
+
+def _canonical_g(state: LinearSystemState, lam: complex) -> complex:
+    bk = _backend_of(state.t)
+    return (state.t * lam
+            - 2 * bk.num(state.theta.thetaInf) * bk.log(lam)) / 4
+
+
+def _series_coefficients(state: LinearSystemState, N: int) -> List[Mat2C]:
     """Y_1..Y_N of the large-lambda expansion, diagonal parts included.
 
     Matching powers after substituting (I + sum Y_m L^-m) e^{g sigma3} into
-    the system; the off-diagonal of Y_m comes from the commutator at order
-    m, the diagonal of Y_{m-1} from requiring the diagonal at order m to
-    vanish.  That diagonal is linear in diag(Y_{m-1}) with slope exactly
-    m-1 (never zero): the +-thetaInf/2 of the sigma3 term cancels against
-    diag(b0 + b1) = (-thetaInf/2, +thetaInf/2).
+    the system gives K_m = (m-1) Y_{m-1} + (thetaInf/2) Y_{m-1} sigma3
+    + sum_{j=1..m} C_j Y_{m-j}; the off-diagonal of Y_m comes from the
+    off-diagonal of K_m, the diagonal of Y_{m-1} from requiring the
+    diagonal of K_m to vanish.  That diagonal is linear in diag(Y_{m-1})
+    with slope exactly m-1 (never zero): the +-thetaInf/2 of the sigma3
+    term cancels against diag(C_1) = diag(b0 + b1) = (-thetaInf/2,
+    +thetaInf/2), so it is solved directly and checked afterwards.
     """
     t = state.t
-    ti = state.theta.thetaInf
+    half_ti = _backend_of(t).num(state.theta.thetaInf) / 2
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
-    e = cmath.exp(1j * state.phi)
-    c_mats = [None] + [(-e) ** (m - 1) * b0 + e ** (m - 1) * b1
+    e = _unit(state)
+    c_mats = [None] + [b0.scale((-e) ** (m - 1)).add(b1.scale(e ** (m - 1)))
                        for m in range(1, N + 2)]
-
-    ys = [np.array(_I2)]  # Y_0 = I
-
-    def k_of(m: int) -> np.ndarray:
-        prev = ys[m - 1]
-        out = (m - 1) * prev + (ti / 2.0) * prev @ _SIGMA3 + c_mats[m]
-        for j in range(1, m):
-            out = out + c_mats[j] @ ys[m - j]
-        return out
-
+    ys = [Mat2C.identity()]  # Y_0 = I
     for m in range(1, N + 2):
+        rest = Mat2C(0.0, 0.0, 0.0, 0.0)  # the part blind to Y_{m-1}
+        for j in range(2, m + 1):
+            rest = rest.add(c_mats[j] @ ys[m - j])
+
+        def k_of(prev: Mat2C) -> Mat2C:
+            return rest.add(prev.scale(m - 1)) \
+                .add(_times_sigma3(prev).scale(half_ti)).add(c_mats[1] @ prev)
+
+        prev = ys[m - 1]
         if m >= 2:
-            prev = ys[m - 1]
-            prev[0, 0] = prev[1, 1] = 0.0
-            k0 = k_of(m)
-            prev[0, 0] = -k0[0, 0] / (m - 1)
-            prev[1, 1] = -k0[1, 1] / (m - 1)
-            k = k_of(m)
-            if max(abs(k[0, 0]), abs(k[1, 1])) > 1e-8 * (1 + np.abs(k).max()):
-                raise ToleranceFailure(
-                    f"diagonal matching failed at order {m}")
-        else:
-            k = k_of(m)
+            k0 = k_of(prev)  # diag(Y_{m-1}) is still zero here
+            prev = ys[m - 1] = Mat2C(-k0.m11 / (m - 1), prev.m12, prev.m21,
+                                     -k0.m22 / (m - 1))
+        k = k_of(prev)
+        if m >= 2 and max(abs(k.m11), abs(k.m22)) > 1e-8 * (1 + k.norm_inf()):
+            raise ToleranceFailure(f"diagonal matching failed at order {m}")
         if m <= N:
-            ym = np.zeros((2, 2), dtype=complex)
-            ym[0, 1] = -2.0 * k[0, 1] / t
-            ym[1, 0] = 2.0 * k[1, 0] / t
-            ys.append(ym)
+            ys.append(Mat2C(0.0, -2 * k.m12 / t, 2 * k.m21 / t, 0.0))
     return ys[1:]
+
+
+def _poly_part(coeffs: Sequence[Mat2C], lam) -> Tuple[Mat2C, Mat2C]:
+    """P(lam) = I + sum Y_m lam^-m and its lambda-derivative."""
+    li = 1 / lam
+    p = Mat2C.identity()
+    pprime = Mat2C(0.0, 0.0, 0.0, 0.0)
+    lpow = li
+    for m, ym in enumerate(coeffs, start=1):
+        p = p.add(ym.scale(lpow))
+        pprime = pprime.add(ym.scale(-m * lpow * li))
+        lpow = lpow * li
+    return p, pprime
 
 
 def canonical_frame(state: LinearSystemState, lam: complex,
@@ -318,82 +404,138 @@ def canonical_frame(state: LinearSystemState, lam: complex,
     The defect is measured on the polynomial part P (bounded entries), so
     it is meaningful even where the exponential factor is enormous.
     """
-    t = state.t
-    ti = state.theta.thetaInf
+    bk = _backend_of(state.t)
     coeffs = _series_coefficients(state, N) if N >= 1 else []
-    p = np.array(_I2)
-    pprime = np.zeros((2, 2), dtype=complex)
-    for m, ym in enumerate(coeffs, start=1):
-        p = p + ym * lam ** (-m)
-        pprime = pprime + (-m) * ym * lam ** (-m - 1)
-    gprime = t / 4.0 - ti / (2.0 * lam)
-    defect_mat = pprime + gprime * (p @ _SIGMA3) - state.coefficient_matrix(lam) @ p
-    defect = float(np.abs(defect_mat).max())
-    g = (t * lam - 2.0 * ti * cmath.log(lam)) / 4.0
-    frame_np = p @ np.diag([cmath.exp(g), cmath.exp(-g)])
-    frame = Mat2C(frame_np[0, 0], frame_np[0, 1], frame_np[1, 0], frame_np[1, 1])
-    return CanonicalFrame(frame, defect,
-                          tuple(Mat2C(*ym.reshape(4)) for ym in coeffs))
+    p, pprime = _poly_part(coeffs, lam)
+    gprime = state.t / 4 - bk.num(state.theta.thetaInf) / (2 * lam)
+    defect = pprime.add(_times_sigma3(p).scale(gprime)) \
+        .sub(state.coefficient_matrix(lam) @ p).norm_inf()
+    g = _canonical_g(state, lam)
+    return CanonicalFrame(_scale_columns(p, bk.exp(g), bk.exp(-g)),
+                          float(defect), tuple(coeffs))
+
+
+def _seed_frame(state: LinearSystemState, N: int,
+                lam: Optional[complex] = None) -> Tuple[Any, Mat2C, float]:
+    """Base point on the upper imaginary axis with an acceptable defect.
+
+    Returns (lambda0, P(lambda0), defect).  The ladder starts close to the
+    singular points, at the backend's |lambda| (10 in doubles, 16 in mp),
+    and climbs by factors of 1.5 until the order-N frame meets the
+    backend's defect cap; at the default orders the first rung already
+    passes for t up to 60, so the transport down to the matching point
+    stays short.  With lam fixed (a caller-chosen base point) no
+    adaptation happens and an excessive defect is an error right away.
+    """
+    bk = _backend_of(state.t)
+    if lam is not None:
+        cf = canonical_frame(state, lam, N)
+        if cf.defect > bk.defect_cap:
+            raise SeedDefectTooLarge(
+                f"seed defect {cf.defect:.2e} above "
+                f"{float(bk.defect_cap):.0e} at {lam}")
+        return lam, _poly_part(cf.coeffs, lam)[0], cf.defect
+    rho = bk.rho
+    while True:
+        lam = bk.num(1j * rho)
+        cf = canonical_frame(state, lam, N)
+        if cf.defect <= bk.defect_cap:
+            return lam, _poly_part(cf.coeffs, lam)[0], cf.defect
+        rho *= 1.5
+        if rho > _RHO_MAX:
+            raise SeedDefectTooLarge(
+                f"seed defect {cf.defect:.2e} above "
+                f"{float(bk.defect_cap):.0e} even at |base| = {rho / 1.5:.0f}")
 
 
 # ---------------------------------------------------------------------------
 # linear transport
 
-def _transport_columns(state: LinearSystemState, start: complex,
-                       waypoints: Sequence[complex], v0: np.ndarray,
-                       rtol: float = 1e-12, atol: float = 1e-13) -> np.ndarray:
-    """Transport the column-gauged canonical frame along a polyline.
+def _transport(state: LinearSystemState, path: Sequence[complex],
+               v: Mat2C) -> Mat2C:
+    """Carry the column-gauged frame V = Y e^{-g sigma3} along a polyline.
 
-    Column 0 of the actual frame equals (column 0 of v) * exp(g) and
-    column 1 equals (column 1 of v) * exp(-g), with g the canonical
-    exponent; transporting v instead keeps entries of moderate size along
-    paths where Re(lambda) stays small.  Both columns are integrated as one
-    complex system per segment, with the residues hoisted out of the
-    right-hand side.
+    g is the canonical exponent, so V' = (t/4)(sigma3 V - V sigma3)
+    + B0 V/(lam+e) + B1 V/(lam-e) + (thetaInf/2)(V/lam) sigma3 keeps
+    entries of moderate size where Re(lambda) stays small.  Taylor steps
+    of at most 24/t, and at most half the distance to +-e^{i phi} and 0,
+    go from path[0] through the other points; a step is halved until the
+    last three terms of each column fall below tol times that column.
     """
-    q = state.t / 4.0
-    half_ti = state.theta.thetaInf / 2.0
-    e = cmath.exp(1j * state.phi)
+    bk = _backend_of(state.t)
+    e = _unit(state)
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
-    b0_11, b0_12, b0_21, b0_22 = (complex(c) for c in b0.reshape(4))
-    b1_11, b1_12, b1_21, b1_22 = (complex(c) for c in b1.reshape(4))
-    v = np.array(v0, dtype=complex)
-    pos = complex(start)
-    for target in waypoints:
-        target = complex(target)
-        seg = target - pos
-        for sing in (-e, e):
-            # distance from segment to each singular point
-            d = _point_segment_distance(sing, pos, target)
-            if d < 0.3:
-                raise LoopHitsSingularity(
-                    f"path segment passes within {d:.3f} of {sing}")
-
-        def rhs(s, w):
-            lam = pos + seg * s
-            d0 = 1.0 / (lam + e)
-            d1 = 1.0 / (lam - e)
-            a11 = q + b0_11 * d0 + b1_11 * d1
-            a12 = b0_12 * d0 + b1_12 * d1
-            a21 = b0_21 * d0 + b1_21 * d1
-            a22 = -q + b0_22 * d0 + b1_22 * d1
-            gp = q - half_ti / lam
-            u0, u1, x0, x1 = w.tolist()
-            return [seg * (a11 * u0 + a12 * u1 - gp * u0),
-                    seg * (a21 * u0 + a22 * u1 - gp * u1),
-                    seg * (a11 * x0 + a12 * x1 + gp * x0),
-                    seg * (a21 * x0 + a22 * x1 + gp * x1)]
-
-        w0 = np.array([v[0, 0], v[1, 0], v[0, 1], v[1, 1]])
-        sol = solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise ToleranceFailure(
-                f"linear transport failed on segment to {target}: {sol.message}")
-        wf = sol.y[:, -1]
-        v = np.array([[wf[0], wf[2]], [wf[1], wf[3]]])
-        pos = target
+    coef = (state.t / 2, bk.num(state.theta.thetaInf) / 2, e, b0, b1,
+            bk.tol)
+    hmax = _STEP_REACH / max(state.t, 1)
+    pos = path[0]
+    for target in path[1:]:
+        while pos != target:
+            rem = target - pos
+            reach = min(hmax, min(abs(pos - e), abs(pos + e), abs(pos)) / 2)
+            h = rem if abs(rem) <= reach else rem * (reach / abs(rem))
+            while True:
+                stepped = _taylor_step(coef, pos, v, h)
+                if stepped is not None:
+                    break
+                h = h / 2
+                if abs(h) < 1e-6:
+                    raise ToleranceFailure("lambda transport step collapsed")
+            v = stepped
+            pos = target if h == rem else pos + h
     return v
+
+
+def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
+    """V(pos + h) from the Taylor series at pos; None to retry shorter.
+
+    The Cauchy products of V with 1/(lam+e), 1/(lam-e) and 1/lam are the
+    first-order recurrences P_k = c (V_k - P_{k-1}) with c = 1/(pos+e),
+    1/(pos-e), 1/pos.
+    """
+    t_half, half_ti, e, b0, b1, tol = coef
+    c0, c1, cz = 1 / (pos + e), 1 / (pos - e), 1 / pos
+    a11, a12, a21, a22 = b0.m11, b0.m12, b0.m21, b0.m22
+    b11, b12, b21, b22 = b1.m11, b1.m12, b1.m21, b1.m22
+    v11, v12, v21, v22 = v.m11, v.m12, v.m21, v.m22
+    s11, s12, s21, s22 = v11, v12, v21, v22
+    cut0 = tol * max(abs(v11), abs(v21))
+    cut1 = tol * max(abs(v12), abs(v22))
+    p11 = p12 = p21 = p22 = q11 = q12 = q21 = q22 = 0
+    r11 = r12 = r21 = r22 = 0
+    hk = 1
+    ah = abs(h)
+    ahk = 1
+    kmin = int(float(t_half * ah)) + 8
+    quiet = 0
+    for k in range(1, _TAYLOR_CAP + 1):
+        p11, p12 = c0 * (v11 - p11), c0 * (v12 - p12)
+        p21, p22 = c0 * (v21 - p21), c0 * (v22 - p22)
+        q11, q12 = c1 * (v11 - q11), c1 * (v12 - q12)
+        q21, q22 = c1 * (v21 - q21), c1 * (v22 - q22)
+        r11, r12 = cz * (v11 - r11), cz * (v12 - r12)
+        r21, r22 = cz * (v21 - r21), cz * (v22 - r22)
+        v11, v12, v21, v22 = (
+            (a11 * p11 + a12 * p21 + b11 * q11 + b12 * q21
+             + half_ti * r11) / k,
+            (t_half * v12 + a11 * p12 + a12 * p22 + b11 * q12 + b12 * q22
+             - half_ti * r12) / k,
+            (-t_half * v21 + a21 * p11 + a22 * p21 + b21 * q11 + b22 * q21
+             + half_ti * r21) / k,
+            (a21 * p12 + a22 * p22 + b21 * q12 + b22 * q22
+             - half_ti * r22) / k)
+        hk = hk * h
+        ahk = ahk * ah
+        s11, s12 = s11 + v11 * hk, s12 + v12 * hk
+        s21, s22 = s21 + v21 * hk, s22 + v22 * hk
+        if max(abs(v11), abs(v21)) * ahk < cut0 \
+                and max(abs(v12), abs(v22)) * ahk < cut1:
+            quiet += 1
+            if quiet >= 3 and k >= kmin:
+                return Mat2C(s11, s12, s21, s22)
+        else:
+            quiet = 0
+    return None
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -406,82 +548,99 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + ab * s))
 
 
-def _canonical_g(state: LinearSystemState, lam: complex) -> complex:
-    return (state.t * lam - 2.0 * state.theta.thetaInf * cmath.log(lam)) / 4.0
+def _check_clearance(state: LinearSystemState, path: Sequence[complex]) -> None:
+    """LoopHitsSingularity if a segment passes within 0.3 of +-e^{i phi}."""
+    e = cmath.exp(1j * state.phi)
+    for a, b in zip(path, path[1:]):
+        for sing in (-e, e):
+            d = _point_segment_distance(sing, complex(a), complex(b))
+            if d < 0.3:
+                raise LoopHitsSingularity(
+                    f"path segment passes within {d:.3f} of {sing}")
 
 
 # ---------------------------------------------------------------------------
 # local Frobenius frames at the two finite singular points
 
-def _local_frame(state: LinearSystemState, which: int, lam_match: complex,
-                 terms: int = 220) -> Tuple[np.ndarray, complex]:
-    """Fundamental local solution Phi(lam_match) = (sum G_k w^k) w^{D}.
+def _solve_order(k: int, r_self: Mat2C, th, rhs: Mat2C) -> Mat2C:
+    """G with k G + G D - R G = rhs, D = diag(th/2, -th/2), by columns."""
+    cols = []
+    for d, top, bottom in ((th / 2, rhs.m11, rhs.m21),
+                           (-th / 2, rhs.m12, rhs.m22)):
+        m11, m22 = k + d - r_self.m11, k + d - r_self.m22
+        det = m11 * m22 - r_self.m12 * r_self.m21
+        if abs(det) < 1e-20 * k * k:
+            raise ToleranceFailure(
+                f"resonant local exponents at order {k} (integer theta?)")
+        cols.append(((m22 * top + r_self.m12 * bottom) / det,
+                     (r_self.m21 * top + m11 * bottom) / det))
+    return Mat2C(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
 
-    which = 0 for the point carrying theta0 (-e^{i phi}), 1 for theta1.
-    Returns (Phi(lam_match), theta_local). Resonant integer theta makes the
-    order-k operator singular and is reported, not patched. terms is a
-    cap; the sum stops once the tail is negligible (the terms first grow
-    like e^{t|w|/4} before the geometric decay in |w|/2 wins).
+
+def _local_frame(state: LinearSystemState, which: int,
+                 lam_match: complex) -> Tuple[Mat2C, Any]:
+    """Fundamental local solution Phi = (sum G_k w^k) w^{D} at lam_match.
+
+    which = 0 for the point s carrying theta0 (-e^{i phi}), 1 for theta1.
+    Returns (Phi(lam_match), theta_local).  The order-k coefficient comes
+    from U_k = (G_{k-1} - U_{k-1})/(s - s_other), the expansion of
+    R_other/(lam - s_other) convolved with G.  The terms grow like
+    e^{t|w|/4} before they cancel, so the series is summed toward
+    lam_match at |w| = min(|lam_match - s|, 4/t), where no term is large,
+    and the transport carries it the rest of the way, gauged by e^{-+g}.
+    Where that segment crosses the negative real axis the principal log in
+    g leaves a constant diagonal factor on the right of Phi, which the
+    connection solve does not see.  Resonant integer theta makes the
+    order-k operator singular and is reported, not patched.
     """
+    bk = _backend_of(state.t)
+    t0, t1, ti = _thetas(state.theta, bk)
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
-    e = cmath.exp(1j * state.phi)
+    e = _unit(state)
+    z = state.zfrak
     if which == 0:
-        r_self, r_other = b0, b1
-        s_self, s_other = -e, e
-        th = state.theta.theta0
-        z, t0 = state.zfrak, state.theta.theta0
-        g0 = np.array([[z + t0, 1.0], [z, 1.0]], dtype=complex)
+        r_self, r_other, s_self, s_other, th = b0, b1, -e, e, t0
+        g0 = Mat2C(z + t0, 1.0, z, 1.0)
     else:
-        r_self, r_other = b1, b0
-        s_self, s_other = e, -e
-        th = state.theta.theta1
-        z = state.zfrak
-        t0, t1, ti = state.theta.theta0, state.theta.theta1, state.theta.thetaInf
-        alpha = z + 0.5 * (t0 - t1 + ti)
-        beta = z + 0.5 * (t0 + t1 + ti)
-        g0 = np.array([[state.y * alpha, state.y], [beta, 1.0]], dtype=complex)
-    if abs(np.linalg.det(g0)) < 1e-12 * max(1.0, np.abs(g0).max() ** 2):
+        r_self, r_other, s_self, s_other, th = b1, b0, e, -e, t1
+        g0 = Mat2C(state.y * (z + (t0 - t1 + ti) / 2), state.y,
+                   z + (t0 + t1 + ti) / 2, 1.0)
+    if abs(g0.det()) < 1e-12 * max(1.0, g0.norm_inf() ** 2):
         raise ToleranceFailure(
             "residue eigenbasis is degenerate (apparent-singularity data?)")
 
-    d_diag = np.array([th / 2.0, -th / 2.0], dtype=complex)
-    dist = s_self - s_other
-    q_sigma3 = np.array([[state.t / 4.0], [-state.t / 4.0]])
-    # operator G -> k G + G D - R G, acting entrywise as k I + op_const
-    op_const = np.kron(_I2, np.diag(d_diag)) - np.kron(r_self, _I2)
-    eye4 = np.eye(4, dtype=complex)
-
-    w = lam_match - s_self
-    g_prev = g0
-    # u = sum_{j<k} (-1)^j dist^-(j+1) G_{k-1-j}: the expansion of
-    # r_other / (lam - s_other) in w, convolved with G, as a recurrence
-    u = np.zeros((2, 2), dtype=complex)
-    acc = g0.astype(complex).copy()
-    wk = 1.0 + 0.0j
-    recent = [math.inf] * 3
-    for k in range(1, terms + 1):
-        u = (g_prev - u) / dist
-        rhs = q_sigma3 * g_prev + r_other @ u
-        try:
-            gk = np.linalg.solve(k * eye4 + op_const,
-                                 rhs.reshape(4)).reshape(2, 2)
-        except np.linalg.LinAlgError as exc:
-            raise ToleranceFailure(
-                f"resonant local exponents at order {k} (integer theta?)") from exc
-        g_prev = gk
-        wk *= w
-        term = gk * wk
-        acc = acc + term
-        recent = recent[1:] + [float(np.abs(term).max())]
-        if k > 8 and max(recent) < 1e-14 * max(1.0, float(np.abs(acc).max())):
-            break
-    tail = max(recent)
-    if tail > 1e-10 * max(1.0, float(np.abs(acc).max())):
+    w_match = lam_match - s_self
+    w = w_match * (min(abs(w_match), _FROBENIUS_REACH / state.t)
+                   / abs(w_match))
+    inv_dist = 1 / (s_self - s_other)
+    quarter_t = state.t / 4
+    g_prev, u, acc = g0, Mat2C(0.0, 0.0, 0.0, 0.0), g0
+    wk = 1
+    quiet = 0
+    for k in range(1, _SERIES_CAP + 1):
+        u = g_prev.sub(u).scale(inv_dist)
+        rhs = Mat2C(quarter_t * g_prev.m11, quarter_t * g_prev.m12,
+                    -quarter_t * g_prev.m21, -quarter_t * g_prev.m22) \
+            .add(r_other @ u)
+        g_prev = _solve_order(k, r_self, th, rhs)
+        wk = wk * w
+        acc = acc.add(g_prev.scale(wk))
+        if g_prev.norm_inf() * abs(wk) < bk.tol * max(1, acc.norm_inf()):
+            quiet += 1
+            if quiet >= 3 and k > 8:
+                break
+        else:
+            quiet = 0
+    else:
         raise ToleranceFailure(
-            f"local series tail {tail:.2e} too large at {terms} terms")
-    logw = cmath.log(w)
-    wd = np.diag([cmath.exp(d_diag[0] * logw), cmath.exp(d_diag[1] * logw)])
-    return acc @ wd, th
+            f"local series tail still large at {_SERIES_CAP} terms")
+    logw = bk.log(w)
+    phi = _scale_columns(acc, bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw))
+    lam_s = s_self + w
+    g_s, g_m = _canonical_g(state, lam_s), _canonical_g(state, lam_match)
+    v = _transport(state, (lam_s, lam_match),
+                   _scale_columns(phi, bk.exp(-g_s), bk.exp(g_s)))
+    return _scale_columns(v, bk.exp(g_m), bk.exp(-g_m)), th
 
 
 # ---------------------------------------------------------------------------
@@ -501,74 +660,70 @@ def default_loops(phi: float, base_point: complex) -> Tuple[LoopSpec, LoopSpec]:
     return specs[0], specs[1]
 
 
-def _poly_part(cf: CanonicalFrame, lam: complex) -> np.ndarray:
-    p = np.array(_I2)
-    for m, ym in enumerate(cf.coeffs, start=1):
-        arr = np.array([[ym.m11, ym.m12], [ym.m21, ym.m22]])
-        p = p + arr * lam ** (-m)
-    return p
-
-
-def _seed_frame(state: LinearSystemState, N: int, defect_cap: float = 1e-8,
-                lam: Optional[complex] = None) -> Tuple[complex, np.ndarray, float]:
-    """Base point on the upper imaginary axis with an acceptable defect.
-
-    The ladder starts close to the singular points, at |lambda| = 10, and
-    climbs by factors of 1.5 until the order-N frame meets defect_cap; at
-    the default order N = 16 of direct_monodromy the first rung already
-    passes for t up to 60, so the transport down to the matching point
-    stays short.  With lam fixed (a caller-chosen base point) no adaptation
-    happens and an excessive defect is an error right away.
-    """
-    if lam is not None:
-        cf = canonical_frame(state, lam, N)
-        if cf.defect > defect_cap:
-            raise SeedDefectTooLarge(
-                f"seed defect {cf.defect:.2e} above {defect_cap:.0e} at {lam}")
-        return lam, _poly_part(cf, lam), cf.defect
-    rho = 10.0
-    while True:
-        lam = 1j * rho
-        cf = canonical_frame(state, lam, N)
-        if cf.defect <= defect_cap:
-            return lam, _poly_part(cf, lam), cf.defect
-        rho *= 1.5
-        if rho > 2000.0:
-            raise SeedDefectTooLarge(
-                f"seed defect {cf.defect:.2e} above {defect_cap:.0e} "
-                f"even at |base| = {rho / 1.5:.0f}")
-
-
 def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
-                         p_seed: np.ndarray, rtol: float, atol: float,
-                         match_height: float) -> Tuple[np.ndarray, np.ndarray]:
+                         p_seed: Mat2C, match_height: float
+                         ) -> Tuple[Mat2C, Mat2C]:
     """(M0, M1) from the canonical frame seeded at lam0 with part p_seed.
 
     Transports the frame down the imaginary axis to i*match_height and
-    connects it there to the local Frobenius frames of both singular points.
+    connects it there to the local Frobenius frames of both singular
+    points: C = Phi_loc^{-1} Y and M = C^{-1} e^{i pi theta sigma3} C.
     """
-    lam_m = 1j * match_height
-    v = _transport_columns(state, lam0, (lam_m,), p_seed,
-                           rtol=rtol, atol=atol)
-    det_drift = abs(np.linalg.det(v) - np.linalg.det(p_seed))
-    if det_drift > 1e-9:
+    bk = _backend_of(state.t)
+    lam_m = bk.num(1j * match_height)
+    path = (lam0, lam_m)
+    _check_clearance(state, path)
+    v = _transport(state, path, p_seed)
+    det_p = p_seed.det()
+    det_drift = abs(v.det() - det_p) / max(1, abs(det_p))
+    if det_drift > bk.det_tol:
         raise ToleranceFailure(
-            f"transport det drift {det_drift:.2e} exceeds 1e-9")
-    e_m = np.array(exp_sigma3(_canonical_g(state, lam_m)).rows())
-    y_m = v @ e_m
+            f"transport det drift {float(det_drift):.2e} exceeds "
+            f"{float(bk.det_tol):.0e}")
+    g = _canonical_g(state, lam_m)
+    y_m = _scale_columns(v, bk.exp(g), bk.exp(-g))
     out = []
     for which in (0, 1):
         phi_loc, th = _local_frame(state, which, lam_m)
-        c = np.linalg.solve(phi_loc, y_m)
-        e_loop = np.array(exp_sigma3(1j * cmath.pi * th).rows())
-        out.append(np.linalg.solve(c, e_loop @ c))
+        c = phi_loc.inv() @ y_m
+        turn = bk.exp(1j * bk.pi * th)
+        out.append(c.inv() @ Mat2C(turn, 0.0, 0.0, 1 / turn) @ c)
     return out[0], out[1]
+
+
+def _as_complex(m: Mat2C) -> Mat2C:
+    return Mat2C(complex(m.m11), complex(m.m12), complex(m.m21),
+                 complex(m.m22))
+
+
+def _monodromy(state: LinearSystemState,
+               loops: Optional[Tuple[LoopSpec, LoopSpec]], N: Optional[int],
+               method: str, match_height: float) -> MonodromyPair:
+    """The chain in the scalars of state; the pair leaves it as complex."""
+    bk = _backend_of(state.t)
+    base = loops[0].base_point if (method == "transport" and loops) else None
+    lam0, p_seed, _ = _seed_frame(state, bk.N if N is None else N, lam=base)
+    if method == "transport":
+        if loops is None:
+            loops = default_loops(state.phi, lam0)
+        g0 = _canonical_g(state, lam0)
+        y_base_inv = _scale_columns(p_seed, bk.exp(g0), bk.exp(-g0)).inv()
+        out = []
+        for spec in loops:
+            path = (lam0,) + tuple(spec.polyline)
+            _check_clearance(state, path)
+            v = _transport(state, path, p_seed)
+            out.append(y_base_inv @ _scale_columns(v, bk.exp(g0), bk.exp(-g0)))
+        m0, m1 = out
+    else:
+        m0, m1 = _frobenius_monodromy(state, lam0, p_seed, match_height)
+    return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta,
+                         tol=1e-3)
 
 
 def direct_monodromy(state: LinearSystemState,
                      loops: Optional[Tuple[LoopSpec, LoopSpec]] = None,
-                     N: int = 16, method: str = "frobenius",
-                     rtol: float = 1e-12, atol: float = 1e-13,
+                     N: Optional[int] = None, method: str = "frobenius",
                      match_height: float = 0.3,
                      dps: Optional[int] = None) -> MonodromyPair:
     """Monodromy pair of the linear system read off the given ray data.
@@ -581,45 +736,24 @@ def direct_monodromy(state: LinearSystemState,
     cross-check and for loop-homotopy experiments).
 
     N is the order of the large-lambda series of the seed frame.  The
-    default 16 lets the seed sit at |lambda| = 10 (see _seed_frame); a
+    default (16) lets the seed sit at |lambda| = 10 (see _seed_frame); a
     smaller N still works, with the seed pushed further out.
+
+    dps runs the frobenius chain in mpmath at that many digits, with the
+    mp seed order (44) and tolerances (see _highprec.direct_monodromy_mp).
     """
     if method not in ("frobenius", "transport"):
         raise ValueError(f"unknown method {method!r}")
-    if dps is not None:
-        if method != "frobenius":
-            raise ValueError("dps is only supported with the frobenius method")
-        from . import _highprec
-        import mpmath as mp
-        with mp.workdps(dps):
-            return _highprec.direct_monodromy_mp(
-                state.theta, state.phi, state.t, state.y, state.zfrak,
-                match_height=match_height)
-    base = loops[0].base_point if (method == "transport" and loops) else None
-    lam0, p_seed, defect = _seed_frame(state, N, lam=base)
-
-    if method == "transport":
-        if loops is None:
-            loops = default_loops(state.phi, lam0)
-        out = []
-        g0 = _canonical_g(state, lam0)
-        e_base = np.array(exp_sigma3(g0).rows())
-        y_base = p_seed @ e_base
-        y_base_inv = np.linalg.inv(y_base)
-        for spec in loops:
-            v = _transport_columns(state, lam0, spec.polyline, p_seed,
-                                   rtol=rtol, atol=atol)
-            y_loop = v @ e_base
-            out.append(y_base_inv @ y_loop)
-        m0_np, m1_np = out
-    else:
-        m0_np, m1_np = _frobenius_monodromy(state, lam0, p_seed, rtol, atol,
-                                            match_height)
-
-    def to_mat(a: np.ndarray) -> Mat2C:
-        return Mat2C(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-
-    return MonodromyPair(to_mat(m0_np), to_mat(m1_np), state.theta, tol=1e-3)
+    if dps is None:
+        return _monodromy(state, loops, N, method, match_height)
+    if method != "frobenius":
+        raise ValueError("dps is only supported with the frobenius method")
+    from . import _highprec
+    import mpmath as mp
+    with mp.workdps(dps):
+        return _highprec.direct_monodromy_mp(
+            state.theta, state.phi, state.t, state.y, state.zfrak,
+            match_height=match_height)
 
 
 # ---------------------------------------------------------------------------
@@ -667,17 +801,36 @@ def _normalized_drift(raw_pairs: Sequence[MonodromyPair], zero_tol: float
     return worst, pairs
 
 
+def _ray_pairs(t_list: Sequence[float], t_seed: float, start: Any,
+               leg: Callable[[Any, float], Any],
+               solve: Callable[[float, Any], MonodromyPair]
+               ) -> Tuple[List[float], List[MonodromyPair]]:
+    """Raw pairs at the sorted bases of one trajectory, its legs chained.
+
+    Bases at or below the seed's |x| are reached leg by leg going down
+    from the seed state start, bases above it leg by leg going up;
+    leg(state, t) carries a state to |x| = t and solve(t, state) reads the
+    pair off it.  Both precisions run this loop with their own legs.
+    """
+    t_sorted = sorted(float(t) for t in t_list)
+    states: Dict[float, Any] = {}
+    for part in ([t for t in reversed(t_sorted) if t <= t_seed],
+                 [t for t in t_sorted if t > t_seed]):
+        cur = start
+        for t in part:
+            cur = states[t] = leg(cur, t)
+    return t_sorted, [solve(t, states[t]) for t in t_sorted]
+
+
 def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
-                       t_list: Sequence[float], N: int = 16,
-                       zero_tol: float = 1e-6,
+                       t_list: Sequence[float], zero_tol: float = 1e-6,
                        perturb: Optional[Tuple[float, complex]] = None,
                        dps: Optional[int] = None) -> DriftReport:
     """Spread of the gauge-normalized monodromy along one trajectory.
 
-    The ray is integrated once: bases at or below the seed's |x| are
-    reached leg by leg going down from the seed, bases above it leg by leg
-    going up.  All pairs are normalised at the cascade entry the pair at
-    the largest t selects (see _normalized_drift).
+    The ray is integrated once, its legs chained (see _ray_pairs).  All
+    pairs are normalised at the cascade entry the pair at the largest t
+    selects (see _normalized_drift).
 
     perturb, when given, is (t_value, dy): after integrating to the matching
     |x| the solution value y is shifted by dy before the monodromy solve.
@@ -686,36 +839,30 @@ def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
     this is the negative control for the metric.
 
     dps switches the whole chain (ray integration included) to the
-    arbitrary-precision path.  Seeds of the truncated families need this:
-    their distinguishing solution mode scales like exp(-|x|), far below
-    double roundoff at |x| ~ 60, so the double-precision drift of such a
-    seed is meaningless noise in the subdominant entries.
+    arbitrary-precision path (_highprec.drift_pairs_mp).  Seeds of the
+    truncated families need this: their distinguishing solution mode
+    scales like exp(-|x|), far below double roundoff at |x| ~ 60, so the
+    double-precision drift of such a seed is meaningless noise in the
+    subdominant entries.
     """
     if dps is not None:
         if perturb is not None:
             raise ValueError("perturb is not supported on the dps path")
         from . import _highprec
-        t_sorted, raw_pairs = _highprec.drift_pairs_mp(theta, seed, t_list,
-                                                       dps=dps)
-        worst, pairs = _normalized_drift(raw_pairs, zero_tol)
-        return DriftReport(worst, tuple(t_sorted), tuple(pairs))
-    t_sorted = sorted(float(t) for t in t_list)
-    t_seed = abs(complex(seed["x"]))
-    states: Dict[float, LinearSystemState] = {}
-    for leg in ([t for t in reversed(t_sorted) if t <= t_seed],
-                [t for t in t_sorted if t > t_seed]):
-        start = seed
-        for t in leg:
-            traj = integrate_pv(theta, start, t, n_samples=2)
-            states[t] = traj.final_state(theta)
-            x, y, z, lu = traj.samples[-1]
-            start = {"x": x, "y": y, "zfrak": z, "log_u": lu}
-    raw = []
-    for t in t_sorted:
-        st = states[t]
-        if perturb is not None and abs(t - perturb[0]) < 1e-12 * max(1.0, t):
-            st = LinearSystemState(st.t, st.phi, st.y + perturb[1],
-                                   st.zfrak, st.log_u, st.theta)
-        raw.append(direct_monodromy(st, N=N))
+        t_sorted, raw = _highprec.drift_pairs_mp(theta, seed, t_list, dps=dps)
+    else:
+        def leg(start: Dict[str, complex], t: float) -> Dict[str, complex]:
+            x, y, z, lu = integrate_pv(theta, start, t, n_samples=2).samples[-1]
+            return {"x": x, "y": y, "zfrak": z, "log_u": lu}
+
+        def solve(t: float, end: Dict[str, complex]) -> MonodromyPair:
+            x, y = end["x"], end["y"]
+            if perturb is not None and abs(t - perturb[0]) < 1e-12 * max(1.0, t):
+                y = y + perturb[1]
+            return direct_monodromy(LinearSystemState(
+                abs(x), cmath.phase(x), y, end["zfrak"], end["log_u"], theta))
+
+        t_sorted, raw = _ray_pairs(t_list, abs(complex(seed["x"])), seed,
+                                   leg, solve)
     worst, pairs = _normalized_drift(raw, zero_tol)
     return DriftReport(worst, tuple(t_sorted), tuple(pairs))

@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from pvrh._highprec import ray_final_mp
 from pvrh.asymptotics import formal_series_pv
+from pvrh.cli import _eval_family
 from pvrh.errors import GridTooCoarse, HitSingularity, SeedDefectTooLarge
 from pvrh.mono_core import (
     Mat2C,
@@ -37,7 +40,16 @@ from pvrh.oracle import (
     zfrak_from_y_yprime,
 )
 
-from support import THETA_DESK, pair_diff, random_valid_pair
+from pvrh.rh_dispatch import solve_rh
+from support import (
+    THETA_DESK,
+    doubly_truncated_pair,
+    pair_diff,
+    r2_0_pair,
+    r2_1_pair,
+    random_valid_pair,
+    trunc00_y_yprime,
+)
 
 # theta0 + theta1 = 1 with thetaInf = 0 makes y = -1 an exact constant
 # solution of the ray system, which gives every oracle check a trajectory
@@ -254,9 +266,8 @@ def _far_seed(state: LinearSystemState):
 def test_near_seed_matches_far_seed(t):
     st_ = desk_series_state(t)
     lam0, p_seed, _ = _far_seed(st_)
-    m0, m1 = _frobenius_monodromy(st_, lam0, p_seed, 1e-12, 1e-13, 0.3)
-    far = MonodromyPair(Mat2C(*m0.reshape(4)), Mat2C(*m1.reshape(4)),
-                        THETA_DESK)
+    m0, m1 = _frobenius_monodromy(st_, lam0, p_seed, 0.3)
+    far = MonodromyPair(m0, m1, THETA_DESK)
     near = direct_monodromy(st_)
     assert pair_diff(gauge_normalize(near).pair,
                      gauge_normalize(far).pair) < 1e-8
@@ -265,7 +276,8 @@ def test_near_seed_matches_far_seed(t):
 def _local_frame_convolution(state: LinearSystemState, which: int,
                              lam_match: complex, terms: int = 220):
     """O(K^2) reference: order-k right side as a full Cauchy product."""
-    b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
+    b0, b1 = (np.array(m.rows()) for m in
+              residue_matrices(state.theta, state.y, state.zfrak))
     e = cmath.exp(1j * state.phi)
     z = state.zfrak
     t0, t1, ti = state.theta.theta0, state.theta.theta1, state.theta.thetaInf
@@ -305,9 +317,11 @@ def _local_frame_convolution(state: LinearSystemState, which: int,
                           cmath.exp(-th / 2.0 * logw)])
 
 
-# at larger t the series terms peak near e^{t|w|/4} before they cancel, so
-# both summations lose digits to roundoff (about 3e-11 relative at t = 30
-# against a 40-digit sum) and no longer tell the recurrences apart
+# the reference sums the series at the matching point itself, where at
+# larger t its terms peak near e^{t|w|/4} before they cancel: it loses
+# digits to roundoff there (about 3e-11 relative at t = 30 against a
+# 40-digit sum) and no longer checks _local_frame, which sums within 4/t of
+# the singular point and transports the rest of the way
 @pytest.mark.parametrize("state", [const_state(8.0), desk_series_state(12.0)],
                          ids=["const8", "desk12"])
 @pytest.mark.parametrize("which", [0, 1])
@@ -316,7 +330,8 @@ def test_local_frame_matches_convolution_reference(state, which):
     fast, th = _local_frame(state, which, lam_m)
     ref = _local_frame_convolution(state, which, lam_m)
     assert th == (state.theta.theta0, state.theta.theta1)[which]
-    assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(np.array(fast.rows()) - ref).max() \
+        <= 1e-13 * np.abs(ref).max()
 
 
 def test_drift_normalises_every_base_at_the_reference_entry(rng):
@@ -348,3 +363,75 @@ def test_drift_perturbation_stays_out_of_the_chained_ray():
                              perturb=(14.0, 0.01))
     assert pair_diff(bad.pairs[1], clean.pairs[1]) > 1e-3
     assert pair_diff(bad.pairs[2], clean.pairs[2]) == 0.0
+
+
+# the double chain against a 40-digit one: the series seed at t = 60 is the
+# hardest case for the local frames (summed at the matching point their
+# terms would peak near e^{15}), the R2 states lie on the verify_double rays
+def test_double_pair_matches_mp_pair_on_series_seed():
+    st_ = desk_series_state(60.0)
+    assert _pair_distance(direct_monodromy(st_),
+                          direct_monodromy(st_, dps=40)) < 1e-10
+
+
+def _family_state(pair: MonodromyPair, t: float) -> LinearSystemState:
+    d = solve_rh(pair, 0.0)
+    y, _, z = _eval_family("trunc", d, t, 8)
+    return LinearSystemState(t, 0.0, y, z, 0.0, d.theta)
+
+
+@pytest.mark.parametrize("pair, t", [
+    (doubly_truncated_pair(r2_0_pair().theta), 27.5),
+    (r2_0_pair(), 19.17),
+    (r2_1_pair(), 35.83),
+], ids=["R2_01", "R2_0", "R2_1"])
+def test_double_pair_matches_mp_pair_on_r2_states(pair, t):
+    st_ = _family_state(pair, t)
+    assert _pair_distance(direct_monodromy(st_),
+                          direct_monodromy(st_, dps=40)) < 1e-12
+
+
+# gauge-normalised dps=50 pair of the criterion 09 Trunc00 state at t = 60,
+# frozen from an independent mpmath implementation of the chain (O(K^2)
+# Taylor convolutions, local series summed at the matching point).  A
+# Python float inside the mp recurrences moves its large entries far beyond
+# 1e-13 relative, while raising dps to 70 leaves them as they are, so only a
+# pinned pair catches one.
+TRUNC00_T60_DPS50 = (
+    (0.47386866247299864 - 0.880595531856738j,
+     0.02476564392510125 - 0.046022278135435454j,
+     1.0 + 0.0j,
+     0.5261313375270015 + 0.880595531856738j),
+    (0.8090169943749475 + 0.5877852522924731j,
+     -3.4780888228824726e-40 + 1.6749591966425812e-40j,
+     -1.9420386777930916e+16 - 3.608912590743451e+16j,
+     0.8090169943749475 - 0.5877852522924731j),
+)
+
+
+def test_mp_pair_matches_pinned_pair():
+    y, yp = trunc00_y_yprime(THETA_DESK, 1.0, 60.0)
+    st_ = LinearSystemState(60.0, 0.0, y,
+                            zfrak_from_y_yprime(THETA_DESK, 60.0, y, yp),
+                            0.0, THETA_DESK)
+    got = gauge_normalize(direct_monodromy(st_, dps=50)).pair
+    # dps 50 resolves entries to about 1e-47 absolutely (the m1_12 entry,
+    # 4e-40, to 9e-11 relative here and to 9e-9 in the pinned pair, both
+    # against dps 70 and 90), so entries are compared relatively down to an
+    # absolute floor of 1e-45
+    for m, want in zip((got.m0, got.m1), TRUNC00_T60_DPS50):
+        for a, b in zip(m.rows()[0] + m.rows()[1], want):
+            assert abs(a - b) <= 1e-13 * abs(b) + 1e-45
+
+
+def test_benchmark_layers_resolve(monkeypatch):
+    # the benchmark's tracer wraps these names, and its worker imports
+    # pvrh._highprec while it sets up
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    importlib.import_module("pvrh._highprec")
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"pvrh.{layer}")
+        for name in names:
+            assert callable(getattr(module, name)), f"{layer}.{name}"
