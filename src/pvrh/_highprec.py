@@ -31,6 +31,9 @@ from .mono_core import MonodromyPair, ThetaTriple
 # ---------------------------------------------------------------------------
 # Taylor stepping for the nonlinear ray system
 
+_RAY_ORDER = 56         # Taylor terms of one ray step
+_RAY_GUARD = 1e-6       # a leg stops when y comes this close to 0 or 1
+
 def _conv(a: List, b: List, k: int):
     lo = max(0, k - len(b) + 1)
     hi = min(k, len(a) - 1)
@@ -47,8 +50,8 @@ def _horner(coeffs: List, h):
     return acc
 
 
-def _ray_step_coeffs(theta: ThetaTriple, e, t0c, y0, z0, lu0,
-                     K: int) -> Tuple[List, List, List]:
+def _ray_step_coeffs(theta: ThetaTriple, e, t0c, y0, z0,
+                     lu0) -> Tuple[List, List, List]:
     """Taylor coefficients in u = t - t0 of (y, zfrak, log u) around t0."""
     th0 = mp.mpf(theta.theta0)
     th1 = mp.mpf(theta.theta1)
@@ -82,11 +85,11 @@ def _ray_step_coeffs(theta: ThetaTriple, e, t0c, y0, z0, lu0,
     # 1/(t0 + u) as an explicit geometric series
     gi = []
     gcur = 1 / mp.mpc(t0c)
-    for _ in range(K + 1):
+    for _ in range(_RAY_ORDER + 1):
         gi.append(gcur)
         gcur = -gcur / t0c
     et0 = e * t0c
-    for k in range(K):
+    for k in range(_RAY_ORDER):
         v.append(y[k] - (1 if k == 0 else 0))
         vsq.append(_conv(v, v, k))
         zv.append(_conv(z, vsq, k))
@@ -117,7 +120,7 @@ def _ray_step_coeffs(theta: ThetaTriple, e, t0c, y0, z0, lu0,
 
 
 def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
-               t_end, guard: float = 1e-6, K: int = 56):
+               t_end):
     """Follow the ray from t_start to t_end; returns final (y, z, log u).
 
     Runs at the ambient mp precision; per-step Taylor tail is pushed a
@@ -132,7 +135,7 @@ def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
     y, z, lu = mp.mpc(y0), mp.mpc(z0), mp.mpc(lu0)
     steps = 0
     while abs(target - tc) > stop * max(1, abs(target)):
-        ys, zs, lus = _ray_step_coeffs(theta, e, tc, y, z, lu, K)
+        ys, zs, lus = _ray_step_coeffs(theta, e, tc, y, z, lu)
         rem = target - tc
         hcap = mp.mpf("0.45") * abs(tc)
         h = rem if abs(rem) <= hcap else hcap * mp.sign(rem)
@@ -140,7 +143,7 @@ def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
         while True:
             ah = abs(h)
             tail = mp.mpf(0)
-            for idx in range(K - 3, K + 1):
+            for idx in range(_RAY_ORDER - 3, _RAY_ORDER + 1):
                 tail = max(tail, (abs(ys[idx]) + abs(zs[idx])
                                   + abs(lus[idx])) * ah ** idx)
             if tail <= tol * scale:
@@ -153,7 +156,7 @@ def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
         z = _horner(zs, h)
         lu = _horner(lus, h)
         tc = tc + h
-        if min(abs(y), abs(y - 1)) < guard:
+        if min(abs(y), abs(y - 1)) < _RAY_GUARD:
             raise HitSingularity(f"y reached a guard band near t={float(tc)}")
         steps += 1
         if steps > 500:
@@ -164,16 +167,15 @@ def _ray_final(theta: ThetaTriple, phi: float, t_start, y0, z0, lu0,
 # ---------------------------------------------------------------------------
 # entry points
 
-def direct_monodromy_mp(theta: ThetaTriple, phi: float, t, y, z,
-                        match_height: float = 0.3) -> MonodromyPair:
+def direct_monodromy_mp(theta: ThetaTriple, phi: float, t, y,
+                        z) -> MonodromyPair:
     """Monodromy pair of the state (t, phi, y, zfrak) in mp scalars.
 
     Call under mp.workdps; y and z may be mpc (full precision) or complex.
     """
     state = oracle.LinearSystemState(mp.mpf(t), phi, mp.mpc(y), mp.mpc(z),
                                      0.0, theta)
-    return oracle._monodromy(state, loops=None, N=None, method="frobenius",
-                             match_height=match_height)
+    return oracle._monodromy(state, loops=None, N=None, method="frobenius")
 
 
 def drift_pairs_mp(theta: ThetaTriple, seed: Dict[str, complex],

@@ -315,6 +315,7 @@ def pv_residual(xs: Sequence[complex], ys: Sequence[complex],
 # canonical frame at large lambda
 
 _RHO_MAX = 2000.0       # top of the seed ladder
+_MATCH_HEIGHT = 0.3     # the matching point sits at i * _MATCH_HEIGHT
 _STEP_REACH = 24.0      # t times the longest Taylor step in lambda
 _TAYLOR_CAP = 170       # terms of one Taylor step before it is halved
 _FROBENIUS_REACH = 4.0  # t times the largest |w| a local series is summed at
@@ -661,16 +662,15 @@ def default_loops(phi: float, base_point: complex) -> Tuple[LoopSpec, LoopSpec]:
 
 
 def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
-                         p_seed: Mat2C, match_height: float
-                         ) -> Tuple[Mat2C, Mat2C]:
+                         p_seed: Mat2C) -> Tuple[Mat2C, Mat2C]:
     """(M0, M1) from the canonical frame seeded at lam0 with part p_seed.
 
-    Transports the frame down the imaginary axis to i*match_height and
+    Transports the frame down the imaginary axis to i*_MATCH_HEIGHT and
     connects it there to the local Frobenius frames of both singular
     points: C = Phi_loc^{-1} Y and M = C^{-1} e^{i pi theta sigma3} C.
     """
     bk = _backend_of(state.t)
-    lam_m = bk.num(1j * match_height)
+    lam_m = bk.num(1j * _MATCH_HEIGHT)
     path = (lam0, lam_m)
     _check_clearance(state, path)
     v = _transport(state, path, p_seed)
@@ -698,7 +698,7 @@ def _as_complex(m: Mat2C) -> Mat2C:
 
 def _monodromy(state: LinearSystemState,
                loops: Optional[Tuple[LoopSpec, LoopSpec]], N: Optional[int],
-               method: str, match_height: float) -> MonodromyPair:
+               method: str) -> MonodromyPair:
     """The chain in the scalars of state; the pair leaves it as complex."""
     bk = _backend_of(state.t)
     base = loops[0].base_point if (method == "transport" and loops) else None
@@ -716,7 +716,7 @@ def _monodromy(state: LinearSystemState,
             out.append(y_base_inv @ _scale_columns(v, bk.exp(g0), bk.exp(-g0)))
         m0, m1 = out
     else:
-        m0, m1 = _frobenius_monodromy(state, lam0, p_seed, match_height)
+        m0, m1 = _frobenius_monodromy(state, lam0, p_seed)
     return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta,
                          tol=1e-3)
 
@@ -724,7 +724,6 @@ def _monodromy(state: LinearSystemState,
 def direct_monodromy(state: LinearSystemState,
                      loops: Optional[Tuple[LoopSpec, LoopSpec]] = None,
                      N: Optional[int] = None, method: str = "frobenius",
-                     match_height: float = 0.3,
                      dps: Optional[int] = None) -> MonodromyPair:
     """Monodromy pair of the linear system read off the given ray data.
 
@@ -745,15 +744,14 @@ def direct_monodromy(state: LinearSystemState,
     if method not in ("frobenius", "transport"):
         raise ValueError(f"unknown method {method!r}")
     if dps is None:
-        return _monodromy(state, loops, N, method, match_height)
+        return _monodromy(state, loops, N, method)
     if method != "frobenius":
         raise ValueError("dps is only supported with the frobenius method")
     from . import _highprec
     import mpmath as mp
     with mp.workdps(dps):
         return _highprec.direct_monodromy_mp(
-            state.theta, state.phi, state.t, state.y, state.zfrak,
-            match_height=match_height)
+            state.theta, state.phi, state.t, state.y, state.zfrak)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def _far_seed(state: LinearSystemState):
 def test_near_seed_matches_far_seed(t):
     st_ = desk_series_state(t)
     lam0, p_seed, _ = _far_seed(st_)
-    m0, m1 = _frobenius_monodromy(st_, lam0, p_seed, 0.3)
+    m0, m1 = _frobenius_monodromy(st_, lam0, p_seed)
     far = MonodromyPair(m0, m1, THETA_DESK)
     near = direct_monodromy(st_)
     assert pair_diff(gauge_normalize(near).pair,
@@ -407,6 +407,10 @@ TRUNC00_T60_DPS50 = (
      -1.9420386777930916e+16 - 3.608912590743451e+16j,
      0.8090169943749475 - 0.5877852522924731j),
 )
+# the tiny m1_12 entry of the same pair at dps 70 (dps 90 gives the same
+# doubles); dps 50 resolves it to 3.4e-10 relative, the pinned pair above to
+# 2.4e-8
+TRUNC00_T60_M1_12_DPS70 = -3.4780887908639683e-40 + 1.6749592836390538e-40j
 
 
 def test_mp_pair_matches_pinned_pair():
@@ -415,13 +419,14 @@ def test_mp_pair_matches_pinned_pair():
                             zfrak_from_y_yprime(THETA_DESK, 60.0, y, yp),
                             0.0, THETA_DESK)
     got = gauge_normalize(direct_monodromy(st_, dps=50)).pair
-    # dps 50 resolves entries to about 1e-47 absolutely (the m1_12 entry,
-    # 4e-40, to 9e-11 relative here and to 9e-9 in the pinned pair, both
-    # against dps 70 and 90), so entries are compared relatively down to an
-    # absolute floor of 1e-45
+    # dps 50 resolves entries to about 1e-48 absolutely, so entries are
+    # compared relatively down to an absolute floor of 1e-45; below it, the
+    # m1_12 entry is held to the dps-70 value
     for m, want in zip((got.m0, got.m1), TRUNC00_T60_DPS50):
         for a, b in zip(m.rows()[0] + m.rows()[1], want):
             assert abs(a - b) <= 1e-13 * abs(b) + 1e-45
+    want = TRUNC00_T60_M1_12_DPS70
+    assert abs(got.m1.m12 - want) <= 1e-8 * abs(want)
 
 
 def test_benchmark_layers_resolve(monkeypatch):
