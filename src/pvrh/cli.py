@@ -71,10 +71,6 @@ _NUMERIC_ERRORS = (
 _OP_TAGS = ("m", "s0", "s1", "shat0", "shat1")
 
 
-def schema_version() -> str:
-    return SCHEMA_VERSION
-
-
 class CliFailure(Exception):
     """Carries the machine-readable error envelope and the exit status."""
 

@@ -28,11 +28,6 @@ class Mat2C:
     m22: complex
 
     @classmethod
-    def from_rows(cls, rows) -> "Mat2C":
-        (a, b), (c, d) = rows
-        return cls(complex(a), complex(b), complex(c), complex(d))
-
-    @classmethod
     def identity(cls) -> "Mat2C":
         return cls(1.0, 0.0, 0.0, 1.0)
 

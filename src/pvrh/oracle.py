@@ -5,25 +5,23 @@ Integrates the nonlinear first-order system along rays, integrates the
 trajectory data, and measures how far the computed monodromy drifts as
 the base point moves (it should not).
 
-The monodromy chain (residues, canonical series and seed ladder, Taylor
-lambda-transport, local Frobenius frames, connection solve) is written
-once on Mat2C and runs in the scalars of the state it is given: Python
-complex with cmath, or mpmath numbers at the working precision for a
-state built under mp.workdps (the dps arguments of the entry points do
-that).  The chain uses only arithmetic, abs, exp, log and pi of its
-backend, and converts every Python float through the backend before it
-computes with it, so no double rounding enters the mp arithmetic.
+The Taylor ray stepper and the monodromy chain on Mat2C (residues,
+canonical series and seed ladder, Taylor lambda-transport, local
+Frobenius frames, connection solve) are written once and run in the scalars
+of the state they are given: Python complex with cmath, or mpmath numbers
+at the working precision for a state built under mp.workdps (the dps
+arguments of the entry points do that).  Both use only arithmetic, abs,
+exp, log, pi and a dot product of their backend, and convert every
+Python float through the backend before they compute with it, so no
+double rounding enters the mp arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     GridTooCoarse,
@@ -51,25 +49,32 @@ class _Backend:
     num: Callable[[Any], Any]   # a Python number as a scalar of the backend
     exp: Callable[[Any], Any]
     log: Callable[[Any], Any]
+    dot: Callable[[Sequence, Sequence], Any]   # sum of a[j] b[j]
     pi: Any
     rho: float          # |lambda| of the first rung of the seed ladder
     N: int              # order of the large-lambda series of the seed frame
     defect_cap: Any     # seed defect the ladder accepts
     tol: Any            # relative tail of a Taylor step or a local series
     det_tol: Any        # relative determinant drift allowed in transport
+    ray_order: int      # Taylor terms of one step of the nonlinear ray
+    ray_tol: Any        # relative tail of one such step
 
 
-_DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log, cmath.pi, rho=10.0,
-                   N=16, defect_cap=1e-8, tol=1e-16, det_tol=1e-9)
+_DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log,
+                   lambda a, b: sum(map(mul, a, b)), cmath.pi, rho=10.0,
+                   N=16, defect_cap=1e-8, tol=1e-16, det_tol=1e-9,
+                   ray_order=24, ray_tol=1e-16)
 
 
 def _mp_backend() -> _Backend:
     import mpmath as mp
     dps = mp.mp.dps
     ten = mp.mpf(10)
-    return _Backend(mp.mpmathify, mp.exp, mp.log, mp.pi, rho=16.0, N=44,
+    return _Backend(mp.mpmathify, mp.exp, mp.log, mp.fdot, mp.pi, rho=16.0,
+                    N=44,
                     defect_cap=ten ** -max(18, dps - 28),
-                    tol=ten ** -(dps - 16), det_tol=ten ** -(dps - 24))
+                    tol=ten ** -(dps - 16), det_tol=ten ** -(dps - 24),
+                    ray_order=56, ray_tol=ten ** -(dps - 8))
 
 
 def _backend_of(x) -> _Backend:
@@ -113,12 +118,6 @@ class LinearSystemState:
     def x(self) -> complex:
         return cmath.exp(1j * self.phi) * self.t
 
-    @property
-    def uhat(self) -> complex:
-        varpi = cmath.exp(1j * self.phi) * self.t / 4.0 \
-            + 0.5 * self.theta.thetaInf * (1j * self.phi + math.log(2.0))
-        return cmath.exp(self.log_u - 2.0 * varpi)
-
     def coefficient_matrix(self, lam: complex) -> Mat2C:
         b0, b1 = residue_matrices(self.theta, self.y, self.zfrak)
         e = _unit(self)
@@ -154,9 +153,6 @@ class LoopSpec:
 @dataclass(frozen=True)
 class ODETrajectory:
     samples: Tuple[Tuple[complex, complex, complex, complex], ...]
-    rtol: float
-    atol: float
-    seed_ref: str
 
 
 # ---------------------------------------------------------------------------
@@ -210,73 +206,141 @@ def yprime_from_y_zfrak(theta: ThetaTriple, x: complex, y: complex,
     return fy / x
 
 
+_RAY_GUARD = 1e-6       # a ray leg stops when y comes this close to 0 or 1
+_RAY_STEPS = 500        # Taylor steps of one ray leg before it gives up
+_RAY_COLLAPSE = 1e-6    # a shorter step, relative to max(1, t), is a failure
+
+
+def _ray_start(theta: ThetaTriple, seed: Dict[str, complex],
+               num: Callable) -> Tuple[float, Tuple[Any, Any, Any, Any]]:
+    """(phi, (|x|, y, zfrak, log u)) of a seed, the values passed through num.
+
+    Rejects a seed at x = 0 and one whose y already lies in the guard band.
+    """
+    x = complex(seed["x"])
+    if x == 0:
+        raise ValueError("seed must sit at nonzero x")
+    _, y, z, lu = _seed_values(theta, seed, num)
+    if min(abs(y), abs(y - 1)) < _RAY_GUARD:
+        raise HitSingularity(
+            f"seed y={complex(y)} already inside the guard band")
+    return cmath.phase(x), (abs(x), y, z, lu)
+
+
+def _ray_coeffs(theta: ThetaTriple, phi: float, t0, y0, z0,
+                lu0) -> Tuple[List, List, List]:
+    """Taylor coefficients in u = t - t0 of (y, zfrak, log u) along the ray.
+
+    They run in the scalars of y0, up to the backend's ray order.  The ray
+    system reads t Y' = F(t, Y) with F = pv_rhs_first_order, so
+    t0 (k+1) Y_{k+1} = F_k - k Y_k.  With w = y - 1, p = y (z + a) and
+    q = (z + c)/y it is F_y = e t y - (2z + a) w^2 - (a - bq) w,
+    F_z = z p - (z + theta0) q and F_u = p + q - 2z - theta0, so each
+    order takes seven Cauchy products: w^2, (2z + a) w^2, 1/y, p, z p, q
+    and (z + theta0) q (the automatic-differentiation Taylor method of
+    Jorba & Zou, Exp. Math. 14 (2005)).
+    """
+    bk = _backend_of(y0)
+    th0, th1, thi = _thetas(theta, bk)
+    e, dot = bk.exp(1j * bk.num(phi)), bk.dot
+    a, c = (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2
+    amb = a - (3 * th0 + th1 + thi) / 2
+    ys, zs, lus = [y0], [z0], [lu0]
+    w, ww, r, p, q = [y0 - 1], [], [1 / y0], [], []
+    for k in range(bk.ray_order):
+        zrev = zs[::-1]
+        if k:
+            w.append(ys[k])
+            r.append(-dot(ys[1:], r[::-1]) * r[0])
+        ww.append(dot(w, w[::-1]))
+        p.append(dot(zrev, ys) + a * ys[k])
+        q.append(dot(zrev, r) + c * r[k])
+        fy = e * (t0 * ys[k] + (ys[k - 1] if k else 0)) \
+            - 2 * dot(zrev, ww) - a * ww[k] - amb * w[k]
+        fz = dot(zrev, p) - dot(zrev, q) - th0 * q[k]
+        fu = p[k] + q[k] - 2 * zs[k] - (th0 if k == 0 else 0)
+        den = t0 * (k + 1)
+        ys.append((fy - k * ys[k]) / den)
+        zs.append((fz - k * zs[k]) / den)
+        lus.append((fu - k * lus[k]) / den)
+    return ys, zs, lus
+
+
+def _horner(coeffs: Sequence, h):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * h + c
+    return acc
+
+
+def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
+             t_end: float) -> Tuple:
+    """Carry state = (t, y, zfrak, log u) along the ray to |x| = t_end.
+
+    Taylor steps (_ray_coeffs) in the scalars of y, of the backend's ray
+    order.  A step starts from the Jorba-Zou guess on the last two terms,
+    at most 0.45 t, and is halved until the last four terms fall below the
+    backend's ray_tol relative to max(1, |y|, |zfrak|).  ToleranceFailure
+    when a step collapses below _RAY_COLLAPSE max(1, t), which only a pole
+    on or right next to the ray forces, or the leg takes more than
+    _RAY_STEPS steps; HitSingularity when y comes within _RAY_GUARD of 0
+    or 1 after a step.
+    """
+    t, y, z, lu = state
+    bk = _backend_of(y)
+    order = bk.ray_order
+    tail_terms = range(order - 3, order + 1)
+    tc, target = bk.num(t), bk.num(t_end)
+    steps = 0
+    while tc != target:
+        ys, zs, lus = _ray_coeffs(theta, phi, tc, y, z, lu)
+        size = {j: abs(ys[j]) + abs(zs[j]) + abs(lus[j]) for j in tail_terms}
+        cut = bk.ray_tol * max(1, abs(y), abs(z))
+        reach = 0.45 * tc
+        for j in (order - 1, order):
+            if size[j]:
+                reach = min(reach, (cut / size[j]) ** (1.0 / j))
+        rem = target - tc
+        h = rem if abs(rem) <= reach else (reach if rem > 0 else -reach)
+        floor = _RAY_COLLAPSE * max(1, tc)
+        while True:
+            if abs(h) < floor and h != rem:
+                raise ToleranceFailure(
+                    "ray Taylor step collapsed; solution pole nearby?")
+            if max(size[j] * abs(h) ** j for j in tail_terms) <= cut:
+                break
+            h = h / 2
+        y, z, lu = _horner(ys, h), _horner(zs, h), _horner(lus, h)
+        tc = target if h == rem else tc + h
+        if min(abs(y), abs(y - 1)) < _RAY_GUARD:
+            raise HitSingularity(f"y reached a guard band near t={float(tc)}")
+        steps += 1
+        if steps > _RAY_STEPS:
+            raise ToleranceFailure("ray Taylor stepping did not converge")
+    return t_end, y, z, lu
+
+
 def integrate_pv(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
-                 n_samples: int = 33, rtol: float = 1e-12, atol: float = 1e-13,
-                 guard: float = 1e-6) -> ODETrajectory:
+                 n_samples: int = 33) -> ODETrajectory:
     """Integrate the ray system from the seed's |x| to t_end (either way).
 
-    seed as read by _seed_values. Terminates with HitSingularity when y
-    approaches 0 or 1.
+    seed as read by _seed_values.  Taylor steps (_ray_leg) carry the state
+    leg by leg through n_samples evenly spaced |x| from the seed to t_end,
+    in doubles.  Raises HitSingularity when y comes within _RAY_GUARD of 0
+    or 1.
     """
-    x0, y0, z0, lu0 = _seed_values(theta, seed, complex)
-    if x0 == 0:
-        raise ValueError("seed must sit at nonzero x")
-    phi = cmath.phase(x0)
-    t_start = abs(x0)
-    if min(abs(y0), abs(y0 - 1.0)) < guard:
-        raise HitSingularity(f"seed y={y0} already inside the guard band")
-
+    phi, state = _ray_start(theta, seed, complex)
+    t_start = state[0]
     eiphi = cmath.exp(1j * phi)
-    ref = f"x0={x0!r} y0={y0!r}"
     if abs(t_end - t_start) < 1e-15 * max(1.0, t_start):
-        # zero-length span: scipy returns an empty solution, so short-circuit
-        return ODETrajectory(((x0, y0, z0, lu0),), rtol, atol, ref)
-
-    def rhs(t, v):
-        y = complex(v[0], v[1])
-        z = complex(v[2], v[3])
-        x = eiphi * t
-        fy, fz, fu = pv_rhs_first_order(theta, x, y, z)
-        out = np.empty(6)
-        dy = fy / t
-        dz = fz / t
-        du = fu / t
-        out[0], out[1] = dy.real, dy.imag
-        out[2], out[3] = dz.real, dz.imag
-        out[4], out[5] = du.real, du.imag
-        return out
-
-    def ev_zero(t, v):
-        return math.hypot(v[0], v[1]) - guard
-
-    def ev_one(t, v):
-        return math.hypot(v[0] - 1.0, v[1]) - guard
-
-    ev_zero.terminal = True
-    ev_one.terminal = True
-
-    t_eval = np.linspace(t_start, t_end, max(2, n_samples))
-    sol = solve_ivp(rhs, (t_start, t_end),
-                    [y0.real, y0.imag, z0.real, z0.imag, lu0.real, lu0.imag],
-                    method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval,
-                    events=[ev_zero, ev_one], dense_output=False)
-    if sol.status == 1:
-        hit_t = None
-        for arr in sol.t_events:
-            if len(arr):
-                hit_t = arr[0] if hit_t is None else min(hit_t, arr[0])
-        raise HitSingularity(f"y reached a guard band near t={hit_t}")
-    if not sol.success:
-        raise ToleranceFailure(f"ray integration failed: {sol.message}")
-
+        return ODETrajectory(((eiphi * t_start,) + state[1:],))
+    n = max(2, n_samples)
     samples = []
-    ts = np.asarray(sol.t)
-    for k in range(ts.shape[0]):
-        t = float(ts[k])
-        v = sol.y[:, k]
-        samples.append((eiphi * t, complex(v[0], v[1]),
-                        complex(v[2], v[3]), complex(v[4], v[5])))
-    return ODETrajectory(tuple(samples), rtol, atol, ref)
+    for k in range(n):
+        t = t_end if k == n - 1 else t_start + (t_end - t_start) * k / (n - 1)
+        state = _ray_leg(theta, phi, state, t)
+        samples.append((eiphi * t,) + state[1:])
+    return ODETrajectory(tuple(samples))
 
 
 def pv_residual(xs: Sequence[complex], ys: Sequence[complex],
@@ -738,8 +802,8 @@ def direct_monodromy(state: LinearSystemState,
     default (16) lets the seed sit at |lambda| = 10 (see _seed_frame); a
     smaller N still works, with the seed pushed further out.
 
-    dps runs the frobenius chain in mpmath at that many digits, with the
-    mp seed order (44) and tolerances (see _highprec.direct_monodromy_mp).
+    dps runs the same frobenius chain in mpmath at that many digits, with
+    the mp seed order (44) and tolerances of _mp_backend.
     """
     if method not in ("frobenius", "transport"):
         raise ValueError(f"unknown method {method!r}")
@@ -799,24 +863,23 @@ def _normalized_drift(raw_pairs: Sequence[MonodromyPair], zero_tol: float
     return worst, pairs
 
 
-def _ray_pairs(t_list: Sequence[float], t_seed: float, start: Any,
-               leg: Callable[[Any, float], Any],
-               solve: Callable[[float, Any], MonodromyPair]
+def _ray_pairs(theta: ThetaTriple, phi: float, t_list: Sequence[float],
+               start: Tuple, solve: Callable[[float, Tuple], MonodromyPair]
                ) -> Tuple[List[float], List[MonodromyPair]]:
     """Raw pairs at the sorted bases of one trajectory, its legs chained.
 
-    Bases at or below the seed's |x| are reached leg by leg going down
-    from the seed state start, bases above it leg by leg going up;
-    leg(state, t) carries a state to |x| = t and solve(t, state) reads the
-    pair off it.  Both precisions run this loop with their own legs.
+    Bases at or below the seed's |x| (start[0]) are reached leg by leg
+    (_ray_leg) going down from the seed state start, bases above it leg by
+    leg going up; solve(t, state) reads the pair off the state at |x| = t.
+    Both precisions run this loop, in the scalars of start.
     """
     t_sorted = sorted(float(t) for t in t_list)
-    states: Dict[float, Any] = {}
-    for part in ([t for t in reversed(t_sorted) if t <= t_seed],
-                 [t for t in t_sorted if t > t_seed]):
+    states: Dict[float, Tuple] = {}
+    for part in ([t for t in reversed(t_sorted) if t <= start[0]],
+                 [t for t in t_sorted if t > start[0]]):
         cur = start
         for t in part:
-            cur = states[t] = leg(cur, t)
+            cur = states[t] = _ray_leg(theta, phi, cur, t)
     return t_sorted, [solve(t, states[t]) for t in t_sorted]
 
 
@@ -836,12 +899,13 @@ def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
     data leaves the original trajectory, so the reported drift blows up;
     this is the negative control for the metric.
 
-    dps switches the whole chain (ray integration included) to the
-    arbitrary-precision path (_highprec.drift_pairs_mp).  Seeds of the
-    truncated families need this: their distinguishing solution mode
-    scales like exp(-|x|), far below double roundoff at |x| ~ 60, so the
-    double-precision drift of such a seed is meaningless noise in the
-    subdominant entries.
+    dps runs the whole chain, ray legs included, in mpmath at that many
+    digits (_highprec.drift_pairs_mp): the same ray stepper and monodromy
+    chain in mp scalars, with the mp ray order and tolerances of
+    _mp_backend.  Seeds of the truncated families need this: their
+    distinguishing solution mode scales like exp(-|x|), far below double
+    roundoff at |x| ~ 60, so the double-precision drift of such a seed is
+    meaningless noise in the subdominant entries.
     """
     if dps is not None:
         if perturb is not None:
@@ -849,18 +913,14 @@ def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
         from . import _highprec
         t_sorted, raw = _highprec.drift_pairs_mp(theta, seed, t_list, dps=dps)
     else:
-        def leg(start: Dict[str, complex], t: float) -> Dict[str, complex]:
-            x, y, z, lu = integrate_pv(theta, start, t, n_samples=2).samples[-1]
-            return {"x": x, "y": y, "zfrak": z, "log_u": lu}
+        phi, start = _ray_start(theta, seed, complex)
 
-        def solve(t: float, end: Dict[str, complex]) -> MonodromyPair:
-            x, y = end["x"], end["y"]
+        def solve(t: float, end: Tuple) -> MonodromyPair:
+            _, y, z, lu = end
             if perturb is not None and abs(t - perturb[0]) < 1e-12 * max(1.0, t):
                 y = y + perturb[1]
-            return direct_monodromy(LinearSystemState(
-                abs(x), cmath.phase(x), y, end["zfrak"], end["log_u"], theta))
+            return direct_monodromy(LinearSystemState(t, phi, y, z, lu, theta))
 
-        t_sorted, raw = _ray_pairs(t_list, abs(complex(seed["x"])), seed,
-                                   leg, solve)
+        t_sorted, raw = _ray_pairs(theta, phi, t_list, start, solve)
     worst, pairs = _normalized_drift(raw, zero_tol)
     return DriftReport(worst, tuple(t_sorted), tuple(pairs))

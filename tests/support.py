@@ -10,6 +10,8 @@ import math
 import random
 
 import mpmath
+import numpy as np
+from scipy.integrate import solve_ivp
 
 from pvrh.asymptotics import formal_series_pv
 from pvrh.boutroux_elliptic import _quarter_periods, reduce_mod_lattice
@@ -21,6 +23,7 @@ from pvrh.mono_core import (
     ThetaTriple,
     product_from_stokes,
 )
+from pvrh.oracle import _seed_values, pv_rhs_first_order
 
 THETA_DESK = ThetaTriple(1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0)
 
@@ -87,6 +90,29 @@ def trunc00_y_yprime(theta: ThetaTriple, c0: complex, x: complex, order: int = 8
     yp = series.eval_deriv(x) + big_l * c0 * (
         (mu - 1.0) * x ** (mu - 2.0) - x ** (mu - 1.0)) * expo
     return y, yp
+
+
+def ray_reference(theta: ThetaTriple, seed: dict, t_end: float):
+    """(y, zfrak, log u) at |x| = t_end by scipy's DOP853 (rtol 1e-12).
+
+    An integrator independent of the oracle's Taylor stepper: the ray
+    system t Y' = pv_rhs_first_order, packed into six reals.
+    """
+    x0, y0, z0, lu0 = _seed_values(theta, seed, complex)
+    eiphi = cmath.exp(1j * cmath.phase(x0))
+
+    def rhs(t, v):
+        fy, fz, fu = pv_rhs_first_order(theta, eiphi * t, complex(v[0], v[1]),
+                                        complex(v[2], v[3]))
+        return np.array([fy.real, fy.imag, fz.real, fz.imag,
+                         fu.real, fu.imag]) / t
+
+    sol = solve_ivp(rhs, (abs(x0), t_end),
+                    [y0.real, y0.imag, z0.real, z0.imag, lu0.real, lu0.imag],
+                    method="DOP853", rtol=1e-12, atol=1e-13)
+    assert sol.success, sol.message
+    v = sol.y[:, -1]
+    return complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])
 
 
 def r2_0_pair() -> MonodromyPair:

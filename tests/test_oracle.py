@@ -1,8 +1,12 @@
 import cmath
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from pvrh.oracle import (
     _local_frame,
     _normalized_drift,
     _pair_distance,
+    _ray_coeffs,
     _seed_frame,
     canonical_frame,
     default_loops,
@@ -35,6 +40,7 @@ from pvrh.oracle import (
     integrate_pv,
     isomonodromy_drift,
     pv_residual,
+    pv_rhs_first_order,
     residue_matrices,
     yprime_from_y_zfrak,
     zfrak_from_y_yprime,
@@ -48,6 +54,7 @@ from support import (
     r2_0_pair,
     r2_1_pair,
     random_valid_pair,
+    ray_reference,
     trunc00_y_yprime,
 )
 
@@ -67,11 +74,11 @@ def const_seed(t: float) -> dict:
     return {"x": t, "y": -1.0, "zfrak": st_.zfrak}
 
 
-def desk_series_seed(x: float) -> dict:
-    ser = formal_series_pv("minus_one", THETA_DESK, 8)
+def desk_series_seed(x: float, theta: ThetaTriple = THETA_DESK) -> dict:
+    ser = formal_series_pv("minus_one", theta, 8)
     y = ser.eval(x)
     return {"x": x, "y": y,
-            "zfrak": zfrak_from_y_yprime(THETA_DESK, x, y, ser.eval_deriv(x))}
+            "zfrak": zfrak_from_y_yprime(theta, x, y, ser.eval_deriv(x))}
 
 
 def desk_series_state(t: float) -> LinearSystemState:
@@ -226,12 +233,63 @@ def test_drift_small_on_trajectory_large_off_it():
     assert bad.drift > 1e-3
 
 
-def test_mp_ray_leg_matches_double_integration():
-    seed = desk_series_seed(60.0)
-    y_mp, z_mp, _ = ray_final_mp(THETA_DESK, seed, 55.0, dps=40)
-    traj = integrate_pv(THETA_DESK, seed, 55.0, n_samples=2)
-    assert abs(traj.samples[-1][1] - y_mp) < 1e-11
-    assert abs(traj.samples[-1][2] - z_mp) < 1e-11
+@pytest.mark.parametrize("theta", [THETA_DESK,
+                                   ThetaTriple(0.2 + 0.1j, -0.15, 0.1)],
+                         ids=["desk", "complex"])
+def test_mp_ray_leg_matches_double_integration(theta):
+    seed = desk_series_seed(60.0, theta)
+    y_mp, z_mp, _ = ray_final_mp(theta, seed, 55.0, dps=40)
+    traj = integrate_pv(theta, seed, 55.0, n_samples=2)
+    assert abs(traj.samples[-1][1] - y_mp) < 1e-13
+    assert abs(traj.samples[-1][2] - z_mp) < 1e-13
+
+
+def test_ray_stepper_matches_independent_references(rng):
+    # both precisions share one Taylor stepper, so it is checked against
+    # scipy's DOP853 on the ray system and, order by order, against the
+    # right-hand side it expands
+    seeds = [(THETA_DESK, desk_series_seed(60.0), 30.0)]
+    pair = random_valid_pair(rng)
+    for phi in (0.2, 0.5, -0.5):
+        d = solve_rh(pair, phi)
+        assert d.variant == "Elliptic"
+        x = 30.0 * cmath.exp(1j * phi)
+        y, _, z = _eval_family("elliptic", d, x, 8)
+        seeds.append((pair.theta, {"x": x, "y": y, "zfrak": z}, 20.0))
+    for theta, seed, t_end in seeds:
+        got = integrate_pv(theta, seed, t_end, n_samples=2).samples[-1][1:]
+        want = ray_reference(theta, seed, t_end)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
+
+    def dyadic():
+        return complex(rng.randint(-64, 64), rng.randint(-64, 64)) / 128
+
+    theta = ThetaTriple(dyadic(), dyadic(), dyadic())
+    t0, phi = rng.uniform(10.0, 40.0), rng.uniform(-1.0, 1.0)
+    state = (dyadic() + 2.0, dyadic(), dyadic())
+
+    def check(e, args, bound):
+        coeffs = _ray_coeffs(theta, phi, t0, *args)
+        rhs = pv_rhs_first_order(theta, e * t0, *args[:2])
+        for series, f in zip(coeffs, rhs):
+            assert abs(series[1] - f / t0) <= bound * max(1, abs(f / t0))
+
+    check(cmath.exp(1j * phi), state, 1e-13)
+    with mpmath.workdps(30):
+        check(mpmath.exp(1j * mpmath.mpf(phi)),
+              [mpmath.mpc(v) for v in state], 1e-25)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the ray stepper needs no ODE library, and importing one costs about
+    # a third of a second and 25 MiB at every CLI start
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, pvrh.cli, pvrh._highprec; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"
 
 
 def test_mp_monodromy_matches_double_route():
