@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
-import scipy.special as sp
 
 from .boutroux_elliptic import BoutrouxSolution, reduce_mod_lattice, sn_cn_dn
 from .errors import (
@@ -39,6 +37,32 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+# Lanczos's approximation with g = 7 and n = 9 (C. Lanczos, SIAM J. Numer.
+# Anal. B 1, 1964), for Re z >= 1/2; the reflection formula covers the rest.
+_LANCZOS_G = 7.0
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def _lanczos_gamma(z: complex) -> complex:
+    """Gamma(z) for Re z >= 1/2."""
+    z -= 1.0
+    x = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        x += _LANCZOS[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return SQRT_2PI * cmath.exp((z + 0.5) * cmath.log(t) - t) * x
+
+
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z), reduced by the nearest integer first, so that it keeps
+    its relative accuracy near its zeros."""
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
 def complex_gamma(z: complex) -> complex:
     """Gamma function for complex argument, guarded at its poles."""
     z = complex(z)
@@ -46,7 +70,9 @@ def complex_gamma(z: complex) -> complex:
         n = round(z.real)
         if n <= 0 and abs(z.real - n) < 1e-12:
             raise PoleOfGamma(f"Gamma pole at {n}")
-    return complex(sp.gamma(z))
+    if z.real < 0.5:
+        return math.pi / (_sin_pi(z) * _lanczos_gamma(1.0 - z))
+    return _lanczos_gamma(z)
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -56,7 +82,9 @@ def reciprocal_gamma(z: complex) -> complex:
         n = round(z.real)
         if n <= 0 and abs(z.real - n) < 1e-12:
             return 0.0 + 0.0j
-    return complex(sp.rgamma(z))
+    if z.real < 0.5:
+        return _sin_pi(z) * _lanczos_gamma(1.0 - z) / math.pi
+    return 1.0 / _lanczos_gamma(z)
 
 
 # ---------------------------------------------------------------------------
@@ -219,47 +247,71 @@ def eval_trig(x: complex, d: AsymptoticDescriptor, mode: Optional[str] = None) -
 # ---------------------------------------------------------------------------
 # formal series
 
-def _pv_residual(coeffs: np.ndarray, min_exp: int, th: ThetaTriple,
-                 lo: int, hi: int) -> np.ndarray:
-    """Coefficients of x^-lo ... x^-hi in the cleared PV residual of a series.
+class _ClearedResidual:
+    """The polynomial-cleared PV residual of a series, grown order by order.
 
-    The series is y = sum_k coeffs[k] x^-(min_exp + k). The cleared residual
+    The series is y = sum_k y[k] x^-(base + k), base = min(min_exp, 0),
+    with y[k] = 0 past the coefficients set so far. The cleared residual
 
         2 x^2 y (y-1) y'' - x^2 (3y-1) (y')^2 + 2 x y (y-1) y'
         - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1)
 
-    is summed as 2 y (y-1) E - (3y-1) D^2 - 2 (y-1)^3 (a y^2 - b)
-    - 2 c x y^2 (y-1) + x^2 y^2 (y+1) with D = x y' and E = x^2 y'' + x y',
-    which scale x^-e by -e and e^2. Every array holds x^-floor ...
-    x^-(hi - floor), where floor = 5 min(min_exp, 0) - 2: no product of up
-    to five factors of y and x^2 grows faster than x^-floor, and products
-    cut at x^-(hi - floor) stay exact up to x^-hi.
+    is summed as 2 (yy - y) E - (3y - 1) dd - 2 m3 (a yy - b)
+    - 2 c x (y3 - yy) + x^2 (y3 + yy) from six Cauchy products: yy = y^2,
+    y3 = yy y, dd = D^2, (3y - 1) dd, (yy - y) E and m3 (a yy - b), with
+    m3 = (y - 1)^3 = y3 - 3 yy + 3 y - 1, D = x y' and E = x^2 y'' + x y',
+    which scale x^-e by -e and e^2. Entry k of every list is its
+    coefficient of x^-(j base + k), where j base is the lowest power the
+    list can start at: j = 1 for y, D, E and 3y - 1, 2 for yy, dd, yy - y
+    and a yy - b, 3 for y3, m3 and the triple products, 5 for the m3
+    product. So entry k depends on y[0..k] alone: when y[k] changes,
+    `reset(k)` drops the entries from k on, and `at` grows each list only
+    as far as the coefficient it returns reads.
     """
-    floor = 5 * min(min_exp, 0) - 2
-    n = hi - 2 * floor + 1
-    e = floor + np.arange(n)
-    y = np.zeros(n, dtype=complex)
-    k = min(len(coeffs), n - (min_exp - floor))
-    y[min_exp - floor:min_exp - floor + k] = coeffs[:k]
 
-    def mul(*factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.convolve(out, f)[-floor:n - floor]
-        return out
+    def __init__(self, y: List[complex], base: int, th: ThetaTriple):
+        self.y, self.base = y, base
+        self.abc = complex(th.a_theta), complex(th.b_theta), complex(th.c_theta)
+        # yy, y3; D, E, 3y - 1, yy - y, dd, (yy - y) E, (3y - 1) dd;
+        # a yy - b, m3, m3 (a yy - b)
+        self.lists = tuple([] for _ in range(12))
 
-    def times_x(f):
-        return np.append(f[1:], 0.0)
+    def reset(self, k: int) -> None:
+        for f in self.lists:
+            del f[k:]
 
-    one = (e == 0).astype(complex)
-    ym1 = y - one
-    d = -e * y
-    yy = mul(y, y)
-    res = (2.0 * mul(y, ym1, e * e * y) - mul(3.0 * y - one, d, d)
-           - 2.0 * mul(ym1, ym1, ym1, th.a_theta * yy - th.b_theta * one)
-           - 2.0 * th.c_theta * times_x(mul(yy, ym1))
-           + times_x(times_x(mul(yy, y + one))))
-    return res[lo - floor:hi - floor + 1]
+    def at(self, t: int) -> complex:
+        """Coefficient of x^-t."""
+        y, B = self.y, self.base
+        a, b, c = self.abc
+        yy, y3, d, e2, v, u, dd, p1, p2, w, m3, p3 = self.lists
+        mul = operator.mul
+        for k in range(len(yy), max(t + 2 - 3 * B, t - 5 * B) + 1):
+            yy.append(sum(map(mul, y[:k + 1], y[k::-1])))
+            y3.append(sum(map(mul, yy[:k + 1], y[k::-1])))
+        for k in range(len(d), t - 3 * B + 1):
+            e = B + k
+            d.append(-e * y[k])
+            e2.append(e * e * y[k])
+            v.append(3.0 * y[k] - (1.0 if e == 0 else 0.0))
+            u.append(yy[k] - (y[k + B] if k + B >= 0 else 0.0))
+            dd.append(sum(map(mul, d[:k + 1], d[k::-1])))
+            p1.append(sum(map(mul, u[:k + 1], e2[k::-1])))
+            p2.append(sum(map(mul, v[:k + 1], dd[k::-1])))
+        for k in range(len(w), t - 5 * B + 1):
+            w.append(a * yy[k] - (b if k + 2 * B == 0 else 0.0))
+            m3.append(y3[k] - 3.0 * (yy[k + B] if k + B >= 0 else 0.0)
+                      + 3.0 * (y[k + 2 * B] if k + 2 * B >= 0 else 0.0)
+                      - (1.0 if k + 3 * B == 0 else 0.0))
+            p3.append(sum(map(mul, m3[:k + 1], w[k::-1])))
+
+        def entry(f, j, e):
+            k = e - j * B
+            return f[k] if k >= 0 else 0.0
+
+        return (2.0 * entry(p1, 3, t) - entry(p2, 3, t) - 2.0 * entry(p3, 5, t)
+                - 2.0 * c * (entry(y3, 3, t + 1) - entry(yy, 2, t + 1))
+                + entry(y3, 3, t + 2) + entry(yy, 2, t + 2))
 
 
 # Series kind: (min_exp, s, slope sigma of the leading coefficient a0).
@@ -285,11 +337,16 @@ def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeri
         small*      s = -1   sigma = 2 a0
         large*      s = -4   sigma = -2 a0^2
 
-    One residual evaluation with a_m = 0 gives the coefficient rho_m there,
-    and a_m = -rho_m / sigma. No later coefficient reaches x^-(m + s), so a
-    final pass with every coefficient set rechecks all solved orders at
-    once, and raises ResonanceFailure where the residual at x^-(m + s)
-    exceeds 1e-8 max(1, |rho_m|, |sigma a_m|) or is not a number.
+    The residual's coefficient at x^-(m + s) with a_m = 0 is rho_m, and
+    a_m = -rho_m / sigma. The residual is kept as incremental Cauchy
+    products (`_ClearedResidual`, the Taylor method of Jorba and Zou, Exp.
+    Math. 14, 2005): each order appends one entry or a few to each
+    product, and setting a_m drops the entries a_m reaches, to be summed
+    again. No later coefficient reaches x^-(m + s), so a final pass, which
+    re-expands the dropped entries with every coefficient set, rechecks
+    all solved orders at once, and raises ResonanceFailure where the
+    residual at x^-(m + s) exceeds 1e-8 max(1, |rho_m|, |sigma a_m|) or is
+    not a number.
 
     L = 0: on the small rows y = 0 solves the equation (b_theta = L^2/2 = 0);
     sigma = 0 leaves every a_m at 0 and the final pass confirms it. The large
@@ -313,23 +370,26 @@ def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeri
             raise ResonanceFailure(f"{leading_tag} series starts at 1/L, and L = 0")
         a0 = 1.0 / a0
     sigma = slope(a0)
-    coeffs = np.zeros(N - min_exp + 1, dtype=complex)
-    coeffs[0] = a0
+    B = min(min_exp, 0)
+    # y[k] is a_(B + k), zero past a_N as far as the final pass reads
+    y = [0j] * (max(N + s - 5 * B, N + s + 2 - 3 * B, N - B) + 1)
+    y[min_exp - B] = a0
+    residual = _ClearedResidual(y, B, theta)
     rho = []
     for m in range(min_exp + 1, N + 1):
-        rho.append(complex(_pv_residual(coeffs, min_exp, theta, m + s, m + s)[0]))
+        rho.append(residual.at(m + s))
         if sigma != 0:
-            coeffs[m - min_exp] = -rho[-1] / sigma
-    left = _pv_residual(coeffs, min_exp, theta, min_exp + 1 + s, N + s)
-    tol = 1e-8 * np.maximum(1.0, np.maximum(np.abs(rho), np.abs(sigma * coeffs[1:])))
-    bad = np.flatnonzero(~(np.abs(left) <= tol))  # NaN fails too
-    if bad.size:
-        i = bad[0]
-        raise ResonanceFailure(
-            f"order-{min_exp + 1 + i} solve left residual {abs(left[i]):.3e} "
-            "(resonant theta?)")
+            y[m - B] = -rho[-1] / sigma
+            residual.reset(m - B)
+    for m, r in zip(range(min_exp + 1, N + 1), rho):
+        left = residual.at(m + s)
+        if not abs(left) <= 1e-8 * max(1.0, abs(r), abs(sigma * y[m - B])):
+            # NaN fails too
+            raise ResonanceFailure(
+                f"order-{m} solve left residual {abs(left):.3e} (resonant theta?)")
     return FormalSeries(leading_tag=leading_tag, theta=theta, order=N,
-                        min_exp=min_exp, coeffs=tuple(complex(c) for c in coeffs))
+                        min_exp=min_exp,
+                        coeffs=tuple(complex(c) for c in y[min_exp - B:N - B + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ a complete elliptic integral in closed form,
 
 for dz/w and for the Boutroux integrand sqrt((A-z^2)/(1-z^2)) dz, so
 the periods are exactly the sn period lattice used downstream. K and E
-come from Carlson's symmetric integrals R_F and R_D (B. C. Carlson,
-Numer. Algorithms 10, 1995), principal branch, valid for complex A in
-the strip 0 <= Re A <= 1. Each balance integral has half its period as
+come from the arithmetic-geometric mean, E by Gauss's sum over the AGM
+steps, principal branch (cut m in [1, oo)), valid for complex A in the
+strip 0 <= Re A <= 1. Each balance integral has half its period as
 derivative in A, which gives the Newton solve of the Boutroux conditions
 its exact Jacobian. The test suite checks the closed forms against a
 plain quadrature over both cycles.
@@ -28,8 +28,6 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, NamedTuple, Optional, Tuple
-
-from scipy.special import elliprd, elliprf
 
 from .errors import (DegenerateCurve, DegenerateLattice, DomainViolation,
                      NearPole, NoConvergence)
@@ -82,14 +80,18 @@ class PoleLattice:
 
 
 def _complete_ke(m: complex) -> Tuple[complex, complex]:
-    """Complete elliptic integrals K(m), E(m) from Carlson's R_F and R_D.
+    """Complete elliptic integrals K(m), E(m) from the AGM, principal branch.
 
-    K(m) = R_F(0, 1-m, 1) and E(m) = K(m) - (m/3) R_D(0, 1-m, 1), principal
-    branch; complex arguments keep scipy on its complex kernels.
+    K = pi / (2 M(1, k')) with k' = sqrt(1 - m), Re k' >= 0, and Gauss's
+    E = K (1 - sum_n 2^(n-1) c_n^2) over the same AGM steps, c_0^2 = m.
+    At m = 1 the mean is 0: K is infinite there and E(1) = 1.
     """
-    y = complex(1.0 - m)
-    big_k = complex(elliprf(0.0, y, 1.0))
-    return big_k, big_k - m * complex(elliprd(0.0, y, 1.0)) / 3.0
+    kp = cmath.sqrt(1.0 - m)
+    if kp == 0:
+        return complex(math.inf), 1.0 + 0.0j
+    mean, gauss = _agm_gauss(1.0, kp, m)
+    big_k = 0.5 * math.pi / mean
+    return big_k, big_k * (1.0 - gauss)
 
 
 def _legendre_defect(ke: Tuple[complex, complex],
@@ -214,21 +216,35 @@ def solve_boutroux(phi: float) -> BoutrouxSolution:
     return _solve_rounded(round(phi, 12))
 
 
-def _agm(a: complex, b: complex) -> complex:
-    """Arithmetic-geometric mean with the standard branch choice.
+def _agm_gauss(a: complex, b: complex, csq: complex) -> Tuple[complex, complex]:
+    """Arithmetic-geometric mean of a, b and Gauss's sum sum_n 2^(n-1) c_n^2.
 
-    Stops once a and b agree to a few ulps; the mean converges
-    quadratically, so that takes at most a handful of square roots.
+    The standard branch choice keeps |a_n - b_n| <= |a_n + b_n|. c_0^2 =
+    csq = a^2 - b^2, and c_(n+1) = (a_n - b_n)/2 = c_n^2 / (4 a_(n+1)),
+    which has no cancellation. Stops once a and b agree to a few ulps; the
+    mean converges quadratically, so that takes at most a handful of
+    square roots.
     """
+    weight = 0.5
+    gauss = weight * csq
     for _ in range(64):
         if abs(a - b) <= 4.0 * _EPS * abs(a):
-            return 0.5 * (a + b)
+            return 0.5 * (a + b), gauss
         a1 = 0.5 * (a + b)
         b1 = cmath.sqrt(a * b)
         if abs(a1 - b1) > abs(a1 + b1):
             b1 = -b1
+        c = csq / (4.0 * a1)
+        csq = c * c
+        weight *= 2.0
+        gauss += weight * csq
         a, b = a1, b1
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), gauss
+
+
+def _agm(a: complex, b: complex) -> complex:
+    """Arithmetic-geometric mean with the standard branch choice."""
+    return _agm_gauss(a, b, a * a - b * b)[0]
 
 
 def _quarter_periods(k: complex) -> Tuple[complex, complex]:

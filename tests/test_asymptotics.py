@@ -2,11 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as scipy_gamma
 
+from pvrh import asymptotics
 from pvrh.asymptotics import (
     AsymptoticDescriptor,
     GeneralSolutionParams,
@@ -66,6 +68,19 @@ def test_reciprocal_gamma_vanishes_at_poles():
     for n in range(0, 6):
         assert reciprocal_gamma(-float(n)) == 0.0
     assert abs(reciprocal_gamma(0.5) - 1.0 / math.sqrt(math.pi)) < 1e-14
+
+
+def test_gamma_matches_mpmath():
+    from pvrh.asymptotics import reciprocal_gamma
+    # both sides of Re z = 1/2, where the reflection formula takes over
+    grid = [complex(0.25 * i + 0.01, 0.5 * j) for i in range(-16, 17)
+            for j in range(-8, 9)]
+    with mpmath.workdps(30):
+        for z in grid:
+            ref = complex(mpmath.gamma(z))
+            assert abs(complex_gamma(z) - ref) <= 1e-13 * abs(ref), z
+            ref = complex(mpmath.rgamma(z))
+            assert abs(reciprocal_gamma(z) - ref) <= 1e-13 * abs(ref), z
 
 
 # formal series
@@ -149,6 +164,18 @@ def test_series_final_check_rejects_non_finite_residual():
     for tag in ("minus_one", "small0", "large1"):
         with pytest.raises(ResonanceFailure):
             formal_series_pv(tag, theta, 8)
+
+
+@pytest.mark.parametrize("kind,tag", [("minus_one", "minus_one"),
+                                      ("small", "small0"), ("large", "large1")])
+def test_series_final_check_reexpands_residual(monkeypatch, kind, tag):
+    # with the slope off by half, a_m = -rho_m / (1.5 sigma) leaves rho_m / 3
+    # at x^-(m + s); only a real re-expansion of the residual sees it
+    min_exp, s, slope = asymptotics._SERIES_KINDS[kind]
+    monkeypatch.setitem(asymptotics._SERIES_KINDS, kind,
+                        (min_exp, s, lambda a0: 1.5 * slope(a0)))
+    with pytest.raises(ResonanceFailure):
+        formal_series_pv(tag, THETA_DESK, 8)
 
 
 # oscillatory family

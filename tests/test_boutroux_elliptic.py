@@ -151,6 +151,25 @@ def test_sn_quarter_and_full_periods():
     assert abs(jacobi_sn(u + 2j * big_kp, k) - base) < 1e-10
 
 
+def test_complete_ke_matches_mpmath():
+    # principal branch: a grid over [-3, 3]^2 off the cut m in [1, oo),
+    # both sides of that cut and the negative real axis
+    grid = [complex(0.5 * i, 0.5 * j) for i in range(-6, 7)
+            for j in range(-6, 7) if j != 0 or i < 2]
+    grid += [complex(r, side * 1e-12) for r in (1.01, 1.5, 2.0, 2.5, 3.0)
+             for side in (1, -1)]
+    grid += [complex(-r, 0.0) for r in (0.1, 1.0, 2.0, 3.0)]
+    with mpmath.workdps(30):
+        for m in grid:
+            big_k, big_e = boutroux_elliptic._complete_ke(m)
+            ref_k = complex(mpmath.ellipk(m))
+            ref_e = complex(mpmath.ellipe(m))
+            assert abs(big_k - ref_k) <= 1e-14 * abs(ref_k), m
+            assert abs(big_e - ref_e) <= 1e-14 * abs(ref_e), m
+    # K diverges at m = 1, where E = 1
+    assert boutroux_elliptic._complete_ke(1.0) == (complex(math.inf), 1.0)
+
+
 def test_agm_matches_mpmath():
     rng = random.Random(7)
     with mpmath.workdps(30):

@@ -297,6 +297,19 @@ def test_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_out_numpy_and_scipy():
+    # Gamma, K/E and the formal series are plain Python, so importing the
+    # library pulls in neither; together they cost about half a second and
+    # 40 MiB at every CLI start
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, pvrh.cli, pvrh._highprec; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
+
+
 def test_mp_monodromy_matches_double_route():
     st_ = const_state(8.0)
     doubles = gauge_normalize(direct_monodromy(st_)).pair
