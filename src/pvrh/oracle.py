@@ -390,7 +390,7 @@ _SERIES_CAP = 700       # terms of one local series
 class CanonicalFrame:
     frame: Mat2C
     defect: float
-    coeffs: Tuple[Mat2C, ...]
+    poly: Mat2C     # the polynomial part P(lambda) = frame e^{-g sigma3}
 
 
 def _times_sigma3(m: Mat2C) -> Mat2C:
@@ -413,40 +413,52 @@ def _series_coefficients(state: LinearSystemState, N: int) -> List[Mat2C]:
 
     Matching powers after substituting (I + sum Y_m L^-m) e^{g sigma3} into
     the system gives K_m = (m-1) Y_{m-1} + (thetaInf/2) Y_{m-1} sigma3
-    + sum_{j=1..m} C_j Y_{m-j}; the off-diagonal of Y_m comes from the
-    off-diagonal of K_m, the diagonal of Y_{m-1} from requiring the
-    diagonal of K_m to vanish.  That diagonal is linear in diag(Y_{m-1})
-    with slope exactly m-1 (never zero): the +-thetaInf/2 of the sigma3
-    term cancels against diag(C_1) = diag(b0 + b1) = (-thetaInf/2,
-    +thetaInf/2), so it is solved directly and checked afterwards.
+    + C_1 Y_{m-1} + R_m, with C_j = b0 (-e)^{j-1} + b1 e^{j-1} and
+    R_m = sum_{j=2..m} C_j Y_{m-j} = b0 S-_m + b1 S+_m.  The sums obey
+    S+-_m = +-e (Y_{m-2} + S+-_{m-1}) from S+-_1 = 0, so each order takes
+    two matrix products, in scalars as _taylor_step does.  The off-diagonal
+    of Y_m comes from the off-diagonal of K_m, the diagonal of Y_{m-1} from
+    requiring the diagonal of K_m to vanish.  That diagonal is linear in
+    diag(Y_{m-1}) with slope exactly m-1 (never zero): the +-thetaInf/2 of
+    the sigma3 term cancels against diag(C_1) = diag(b0 + b1) =
+    (-thetaInf/2, +thetaInf/2), so it is solved directly and checked
+    afterwards.
     """
     t = state.t
     half_ti = _backend_of(t).num(state.theta.thetaInf) / 2
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
     e = _unit(state)
-    c_mats = [None] + [b0.scale((-e) ** (m - 1)).add(b1.scale(e ** (m - 1)))
-                       for m in range(1, N + 2)]
-    ys = [Mat2C.identity()]  # Y_0 = I
+    a11, a12, a21, a22 = b0.m11, b0.m12, b0.m21, b0.m22
+    b11, b12, b21, b22 = b1.m11, b1.m12, b1.m21, b1.m22
+    c11, c12, c21, c22 = a11 + b11, a12 + b12, a21 + b21, a22 + b22  # C_1
+    y11, y12, y21, y22 = 1.0, 0.0, 0.0, 1.0  # Y_{m-1}, from Y_0 = I
+    z11 = z12 = z21 = z22 = 0.0              # Y_{m-2}, from Y_{-1} = 0
+    n11 = n12 = n21 = n22 = 0.0              # S-
+    p11 = p12 = p21 = p22 = 0.0              # S+
+    ys = []
     for m in range(1, N + 2):
-        rest = Mat2C(0.0, 0.0, 0.0, 0.0)  # the part blind to Y_{m-1}
-        for j in range(2, m + 1):
-            rest = rest.add(c_mats[j] @ ys[m - j])
-
-        def k_of(prev: Mat2C) -> Mat2C:
-            return rest.add(prev.scale(m - 1)) \
-                .add(_times_sigma3(prev).scale(half_ti)).add(c_mats[1] @ prev)
-
-        prev = ys[m - 1]
-        if m >= 2:
-            k0 = k_of(prev)  # diag(Y_{m-1}) is still zero here
-            prev = ys[m - 1] = Mat2C(-k0.m11 / (m - 1), prev.m12, prev.m21,
-                                     -k0.m22 / (m - 1))
-        k = k_of(prev)
-        if m >= 2 and max(abs(k.m11), abs(k.m22)) > 1e-8 * (1 + k.norm_inf()):
+        n11, n12 = -e * (z11 + n11), -e * (z12 + n12)
+        n21, n22 = -e * (z21 + n21), -e * (z22 + n22)
+        p11, p12 = e * (z11 + p11), e * (z12 + p12)
+        p21, p22 = e * (z21 + p21), e * (z22 + p22)
+        r11 = a11 * n11 + a12 * n21 + b11 * p11 + b12 * p21
+        r12 = a11 * n12 + a12 * n22 + b11 * p12 + b12 * p22
+        r21 = a21 * n11 + a22 * n21 + b21 * p11 + b22 * p21
+        r22 = a21 * n12 + a22 * n22 + b21 * p12 + b22 * p22
+        if m >= 2:  # diag(Y_{m-1}) from diag(K_m) = 0
+            y11 = -(r11 + c12 * y21) / (m - 1)
+            y22 = -(r22 + c21 * y12) / (m - 1)
+            ys.append(Mat2C(y11, y12, y21, y22))
+        k11 = r11 + (m - 1) * y11 + half_ti * y11 + (c11 * y11 + c12 * y21)
+        k12 = r12 + (m - 1) * y12 - half_ti * y12 + (c11 * y12 + c12 * y22)
+        k21 = r21 + (m - 1) * y21 + half_ti * y21 + (c21 * y11 + c22 * y21)
+        k22 = r22 + (m - 1) * y22 - half_ti * y22 + (c21 * y12 + c22 * y22)
+        if m >= 2 and max(abs(k11), abs(k22)) > 1e-8 * (
+                1 + max(abs(k11), abs(k12), abs(k21), abs(k22))):
             raise ToleranceFailure(f"diagonal matching failed at order {m}")
-        if m <= N:
-            ys.append(Mat2C(0.0, -2 * k.m12 / t, 2 * k.m21 / t, 0.0))
-    return ys[1:]
+        z11, z12, z21, z22 = y11, y12, y21, y22
+        y11, y12, y21, y22 = 0.0, -2 * k12 / t, 2 * k21 / t, 0.0
+    return ys
 
 
 def _poly_part(coeffs: Sequence[Mat2C], lam) -> Tuple[Mat2C, Mat2C]:
@@ -477,7 +489,7 @@ def canonical_frame(state: LinearSystemState, lam: complex,
         .sub(state.coefficient_matrix(lam) @ p).norm_inf()
     g = _canonical_g(state, lam)
     return CanonicalFrame(_scale_columns(p, bk.exp(g), bk.exp(-g)),
-                          float(defect), tuple(coeffs))
+                          float(defect), p)
 
 
 def _seed_frame(state: LinearSystemState, N: int,
@@ -499,13 +511,13 @@ def _seed_frame(state: LinearSystemState, N: int,
             raise SeedDefectTooLarge(
                 f"seed defect {cf.defect:.2e} above "
                 f"{float(bk.defect_cap):.0e} at {lam}")
-        return lam, _poly_part(cf.coeffs, lam)[0], cf.defect
+        return lam, cf.poly, cf.defect
     rho = bk.rho
     while True:
         lam = bk.num(1j * rho)
         cf = canonical_frame(state, lam, N)
         if cf.defect <= bk.defect_cap:
-            return lam, _poly_part(cf.coeffs, lam)[0], cf.defect
+            return lam, cf.poly, cf.defect
         rho *= 1.5
         if rho > _RHO_MAX:
             raise SeedDefectTooLarge(
@@ -593,6 +605,8 @@ def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
         ahk = ahk * ah
         s11, s12 = s11 + v11 * hk, s12 + v12 * hk
         s21, s22 = s21 + v21 * hk, s22 + v22 * hk
+        if k < kmin - 2:
+            continue  # a return needs three quiet terms ending at k >= kmin
         if max(abs(v11), abs(v21)) * ahk < cut0 \
                 and max(abs(v12), abs(v22)) * ahk < cut1:
             quiet += 1
@@ -627,29 +641,12 @@ def _check_clearance(state: LinearSystemState, path: Sequence[complex]) -> None:
 # ---------------------------------------------------------------------------
 # local Frobenius frames at the two finite singular points
 
-def _solve_order(k: int, r_self: Mat2C, th, rhs: Mat2C) -> Mat2C:
-    """G with k G + G D - R G = rhs, D = diag(th/2, -th/2), by columns."""
-    cols = []
-    for d, top, bottom in ((th / 2, rhs.m11, rhs.m21),
-                           (-th / 2, rhs.m12, rhs.m22)):
-        m11, m22 = k + d - r_self.m11, k + d - r_self.m22
-        det = m11 * m22 - r_self.m12 * r_self.m21
-        if abs(det) < 1e-20 * k * k:
-            raise ToleranceFailure(
-                f"resonant local exponents at order {k} (integer theta?)")
-        cols.append(((m22 * top + r_self.m12 * bottom) / det,
-                     (r_self.m21 * top + m11 * bottom) / det))
-    return Mat2C(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
-
-
 def _local_frame(state: LinearSystemState, which: int,
                  lam_match: complex) -> Tuple[Mat2C, Any]:
     """Fundamental local solution Phi = (sum G_k w^k) w^{D} at lam_match.
 
     which = 0 for the point s carrying theta0 (-e^{i phi}), 1 for theta1.
-    Returns (Phi(lam_match), theta_local).  The order-k coefficient comes
-    from U_k = (G_{k-1} - U_{k-1})/(s - s_other), the expansion of
-    R_other/(lam - s_other) convolved with G.  The terms grow like
+    Returns (Phi(lam_match), theta_local).  The terms grow like
     e^{t|w|/4} before they cancel, so the series is summed toward
     lam_match at |w| = min(|lam_match - s|, 4/t), where no term is large,
     and the transport carries it the rest of the way, gauged by e^{-+g}.
@@ -679,18 +676,41 @@ def _local_frame(state: LinearSystemState, which: int,
                    / abs(w_match))
     inv_dist = 1 / (s_self - s_other)
     quarter_t = state.t / 4
-    g_prev, u, acc = g0, Mat2C(0.0, 0.0, 0.0, 0.0), g0
+    d0, d1 = th / 2, -th / 2
+    o11, o12, o21, o22 = r_other.m11, r_other.m12, r_other.m21, r_other.m22
+    s11, s12, s21, s22 = r_self.m11, r_self.m12, r_self.m21, r_self.m22
+    g11, g12, g21, g22 = g0.m11, g0.m12, g0.m21, g0.m22
+    acc11, acc12, acc21, acc22 = g11, g12, g21, g22
+    u11 = u12 = u21 = u22 = 0.0
     wk = 1
     quiet = 0
     for k in range(1, _SERIES_CAP + 1):
-        u = g_prev.sub(u).scale(inv_dist)
-        rhs = Mat2C(quarter_t * g_prev.m11, quarter_t * g_prev.m12,
-                    -quarter_t * g_prev.m21, -quarter_t * g_prev.m22) \
-            .add(r_other @ u)
-        g_prev = _solve_order(k, r_self, th, rhs)
+        # U_k = (G_{k-1} - U_{k-1})/(s - s_other) is the expansion of
+        # 1/(lam - s_other) convolved with G; H = (t/4) sigma3 G + R_other U
+        u11, u12 = (g11 - u11) * inv_dist, (g12 - u12) * inv_dist
+        u21, u22 = (g21 - u21) * inv_dist, (g22 - u22) * inv_dist
+        h11 = quarter_t * g11 + (o11 * u11 + o12 * u21)
+        h12 = quarter_t * g12 + (o11 * u12 + o12 * u22)
+        h21 = -quarter_t * g21 + (o21 * u11 + o22 * u21)
+        h22 = -quarter_t * g22 + (o21 * u12 + o22 * u22)
+        # G_k solves k G + G D - R_self G = H, D = diag(th/2, -th/2), by
+        # columns
+        m11, m22 = k + d0 - s11, k + d0 - s22
+        det0 = m11 * m22 - s12 * s21
+        n11, n22 = k + d1 - s11, k + d1 - s22
+        det1 = n11 * n22 - s12 * s21
+        if abs(det0) < 1e-20 * k * k or abs(det1) < 1e-20 * k * k:
+            raise ToleranceFailure(
+                f"resonant local exponents at order {k} (integer theta?)")
+        g11 = (m22 * h11 + s12 * h21) / det0
+        g21 = (s21 * h11 + m11 * h21) / det0
+        g12 = (n22 * h12 + s12 * h22) / det1
+        g22 = (s21 * h12 + n11 * h22) / det1
         wk = wk * w
-        acc = acc.add(g_prev.scale(wk))
-        if g_prev.norm_inf() * abs(wk) < bk.tol * max(1, acc.norm_inf()):
+        acc11, acc12 = acc11 + g11 * wk, acc12 + g12 * wk
+        acc21, acc22 = acc21 + g21 * wk, acc22 + g22 * wk
+        if max(abs(g11), abs(g12), abs(g21), abs(g22)) * abs(wk) < bk.tol \
+                * max(1, abs(acc11), abs(acc12), abs(acc21), abs(acc22)):
             quiet += 1
             if quiet >= 3 and k > 8:
                 break
@@ -700,7 +720,8 @@ def _local_frame(state: LinearSystemState, which: int,
         raise ToleranceFailure(
             f"local series tail still large at {_SERIES_CAP} terms")
     logw = bk.log(w)
-    phi = _scale_columns(acc, bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw))
+    phi = _scale_columns(Mat2C(acc11, acc12, acc21, acc22),
+                         bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw))
     lam_s = s_self + w
     g_s, g_m = _canonical_g(state, lam_s), _canonical_g(state, lam_match)
     v = _transport(state, (lam_s, lam_match),

@@ -279,3 +279,30 @@ def test_phase_shift_success_shape(rng, capsys):
     assert body["route"] == "x0"
     assert len(body["shift"]) == 2
     assert len(body["A"]) == 2
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # main parses every call with one parser; a call must not leave state
+    # in it that the next call sees (--bases, a failed parse)
+    _, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
+    verify = ["verify", "--seed", solved.strip(), "--at", "12"]
+    argvs = [verify + ["--bases", "10,12"], verify,
+             verify + ["--bogus"], ["classify", dtc_json()]]
+    built = []
+    real = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, argv) for argv in argvs]
+    assert len(built) == 1
+    assert [status for status, _ in shared] == [0, 0, 1, 0]
+    assert json.loads(shared[1][1])["bases"] == [0.8 * 12, 0.9 * 12, 12.0]
+    assert json.loads(shared[2][1])["code"] == "bad-arguments"
+    for argv, want in zip(argvs, shared):
+        cli._parser.cache_clear()
+        assert run_cli(capsys, argv) == want
+    assert len(built) == 1 + len(argvs)

@@ -34,6 +34,7 @@ from pvrh.oracle import (
     _pair_distance,
     _ray_coeffs,
     _seed_frame,
+    _series_coefficients,
     canonical_frame,
     default_loops,
     direct_monodromy,
@@ -327,6 +328,64 @@ def test_seed_frame_defect_near_the_singular_points(t):
     assert lam0 == 10.0j and defect <= 1e-12
 
 
+def _series_coefficients_direct(state: LinearSystemState, N: int, e, half_ti):
+    """O(N^2) reference: R_m = sum_{j=2..m} C_j Y_{m-j} term by term."""
+    b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
+    c = [None] + [b0.scale((-e) ** (j - 1)).add(b1.scale(e ** (j - 1)))
+                  for j in range(1, N + 2)]
+    ys = [Mat2C.identity()]
+    for m in range(1, N + 2):
+        rest = Mat2C(0.0, 0.0, 0.0, 0.0)
+        for j in range(2, m + 1):
+            rest = rest.add(c[j] @ ys[m - j])
+
+        def k_of(p: Mat2C) -> Mat2C:
+            return rest.add(p.scale(m - 1)) \
+                .add(Mat2C(p.m11, -p.m12, p.m21, -p.m22).scale(half_ti)) \
+                .add(c[1] @ p)
+
+        if m >= 2:
+            k0 = k_of(ys[m - 1])  # diag(Y_{m-1}) is still zero here
+            ys[m - 1] = Mat2C(-k0.m11 / (m - 1), ys[m - 1].m12,
+                              ys[m - 1].m21, -k0.m22 / (m - 1))
+        k = k_of(ys[m - 1])
+        if m <= N:
+            ys.append(Mat2C(0.0, -2 * k.m12 / state.t, 2 * k.m21 / state.t,
+                            0.0))
+    return ys[1:]
+
+
+# at t = 12 the order-16 coefficient loses about 7e-14 to cancellation in
+# either summation (both double results against a 40-digit one)
+@pytest.mark.parametrize("theta, t, phi", [
+    (THETA_DESK, 12.0, 0.0), (THETA_DESK, 30.0, 0.0), (THETA_DESK, 60.0, 0.0),
+    (ThetaTriple(0.3 + 0.1j, -0.2 + 0.05j, 0.15 - 0.1j), 30.0, 0.4),
+], ids=["desk12", "desk30", "desk60", "complex30"])
+@pytest.mark.parametrize("dps, bound", [(None, 1e-13), (30, 1e-25)],
+                         ids=["double", "dps30"])
+def test_series_coefficients_match_direct_sum(theta, t, phi, dps, bound):
+    # the seed series takes any (y, zfrak); the desk series seed gives
+    # values of the right size at each t
+    seed = desk_series_seed(t)
+
+    def check(state, e, half_ti):
+        got = _series_coefficients(state, 16)
+        want = _series_coefficients_direct(state, 16, e, half_ti)
+        assert len(got) == 16
+        for a, b in zip(got, want):
+            assert a.sub(b).norm_inf() <= bound * max(1, b.norm_inf())
+
+    if dps is None:
+        check(LinearSystemState(t, phi, seed["y"], seed["zfrak"], 0.0, theta),
+              cmath.exp(1j * phi), theta.thetaInf / 2)
+        return
+    with mpmath.workdps(dps):
+        check(LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(seed["y"]),
+                                mpmath.mpc(seed["zfrak"]), 0.0, theta),
+              mpmath.exp(1j * mpmath.mpf(phi)),
+              mpmath.mpmathify(theta.thetaInf) / 2)
+
+
 def _far_seed(state: LinearSystemState):
     # the order-3 seed at |lambda| = max(120, 2t), climbing by 1.5 until
     # the defect cap holds
@@ -465,6 +524,55 @@ def test_double_pair_matches_mp_pair_on_r2_states(pair, t):
     st_ = _family_state(pair, t)
     assert _pair_distance(direct_monodromy(st_),
                           direct_monodromy(st_, dps=40)) < 1e-12
+
+
+# gauge-normalised double pairs of R2 states on verify_double rays, frozen
+# from the chain before its seed series took the O(N) recurrence; a change
+# that keeps every answer to roundoff keeps them to 1e-13
+R2_PINNED_PAIRS = {
+    "R2_01": (
+        ((-3.312929263143971e-07 - 8.674023626031868e-07j),
+         (-1.00000038945755 - 1.019693207759964e-06j),
+         (1 - 0j),
+         (1.1755708358778727 + 8.674023624921645e-07j)),
+        ((9.860826943874912e-08 + 9.232650226564942e-07j),
+         (0.8910065241875982 - 0.45399049973914907j),
+         (-0.8910070602315422 - 0.4539890962531885j),
+         (1.6180338901416256 - 9.232650227120054e-07j)),
+    ),
+    "R2_0": (
+        ((0.40584070137752476 - 0.1962200524620773j),
+         (-0.6491100078068954 - 0.07140233865144047j),
+         (1 - 0j),
+         (0.7697298032074216 + 0.19622005246207724j)),
+        ((-0.008232531907390761 + 0.012906439443167494j),
+         (0.8918151184871359 - 0.4608438460182133j),
+         (-0.9063391905829618 - 0.4446944967878637j),
+         (1.6262665206572853 - 0.012906439443167328j)),
+    ),
+    "R2_1": (
+        ((-0.010123859195729223 - 0.03597397192199803j),
+         (-1.0107096761322403 - 0.0430183311771668j),
+         (1 - 0j),
+         (1.1856943637806754 + 0.03597397192199803j)),
+        ((0.7852670644014781 + 0.3606417100973427j),
+         (0.885982742626434 - 0.4220902385203295j),
+         (-0.2062002771067477 - 0.07890073932937945j),
+         (0.8327669243484168 - 0.36064171009734275j)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, pair, t", [
+    ("R2_01", doubly_truncated_pair(r2_0_pair().theta), 28.0),
+    ("R2_0", r2_0_pair(), 19.0),
+    ("R2_1", r2_1_pair(), 36.0),
+], ids=["R2_01", "R2_0", "R2_1"])
+def test_double_pair_matches_pinned_pair(name, pair, t):
+    got = gauge_normalize(direct_monodromy(_family_state(pair, t))).pair
+    for m, want in zip((got.m0, got.m1), R2_PINNED_PAIRS[name]):
+        for a, b in zip(m.rows()[0] + m.rows()[1], want):
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
 
 # gauge-normalised dps=50 pair of the criterion 09 Trunc00 state at t = 60,
