@@ -116,17 +116,22 @@ class FormalSeries:
     coeffs: Tuple[complex, ...]
 
     def eval(self, x: complex) -> complex:
+        """sum_i a_i x^-(min_exp + i), by Horner's rule in 1/x."""
+        r = 1.0 / x
         total = 0.0 + 0.0j
-        for i, c in enumerate(self.coeffs):
-            total += c * x ** (-(self.min_exp + i))
-        return total
+        for c in reversed(self.coeffs):
+            total = total * r + c
+        return total * x ** -self.min_exp
 
     def eval_deriv(self, x: complex) -> complex:
+        """d/dx of `eval`, by Horner's rule in 1/x on -(min_exp + i) a_i."""
+        r = 1.0 / x
         total = 0.0 + 0.0j
-        for i, c in enumerate(self.coeffs):
-            e = self.min_exp + i
-            total += -e * c * x ** (-e - 1)
-        return total
+        e = self.min_exp + len(self.coeffs)
+        for c in reversed(self.coeffs):
+            e -= 1
+            total = total * r - e * c
+        return total * x ** (-self.min_exp - 1)
 
     @property
     def leading_coeff(self) -> complex:

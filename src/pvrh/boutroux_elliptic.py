@@ -27,7 +27,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (DegenerateCurve, DegenerateLattice, DomainViolation,
                      NearPole, NoConvergence)
@@ -256,80 +256,126 @@ def _quarter_periods(k: complex) -> Tuple[complex, complex]:
     return K, Kp
 
 
-def _theta_quads(v: complex, q: complex, half: Dict[int, complex],
-                 square: Dict[int, complex]):
-    """theta_1..theta_4 at argument v and nome q, series cut at 1e-16 terms.
+def _theta_quads(v: complex, half: Tuple[complex, ...],
+                 square: Tuple[complex, ...]):
+    """theta_1..theta_4 at argument v from the nome powers of one modulus.
 
-    half and square map n to q^((n + 1/2)^2) and q^(n^2); a power missing
-    from them is computed and stored on first use.
+    half[n] = q^((n + 1/2)^2) and square[n - 1] = q^(n^2). With z = e^{iv},
+    the odd series sum q^((n + 1/2)^2) z^(+-(2n + 1)) and the even ones
+    q^(n^2) (z^(2n) + z^(-2n)), each split by the parity of n, which
+    carries the sign (-1)^n of theta_1 and theta_4. z is the only
+    exponential; every higher power is one product by z^2 or z^-2 away.
+    The series run over the whole tables, which `_modulus` cuts where the
+    terms drop below 1e-16 anywhere in the reduced cell.
     """
-    t1 = 0.0 + 0.0j
-    t2 = 0.0 + 0.0j
-    for n in range(0, 64):
-        qn = half.get(n)
-        if qn is None:
-            qn = half[n] = q ** ((n + 0.5) ** 2)
-        a1 = qn * cmath.sin((2 * n + 1) * v)
-        a2 = qn * cmath.cos((2 * n + 1) * v)
-        t1 += (-1) ** n * a1
-        t2 += a2
-        if n > 2 and abs(a1) < 1e-16 and abs(a2) < 1e-16:
-            break
-    t3 = 1.0 + 0.0j
-    t4 = 1.0 + 0.0j
-    for n in range(1, 64):
-        qn = square.get(n)
-        if qn is None:
-            qn = square[n] = q ** (n * n)
-        c = qn * cmath.cos(2 * n * v)
-        t3 += 2.0 * c
-        t4 += 2.0 * (-1) ** n * c
-        if abs(c) < 1e-16:
-            break
-    return 2.0 * t1, 2.0 * t2, t3, t4
+    z = cmath.exp(1j * v)
+    zi = 1.0 / z
+    z2 = z * z
+    zi2 = zi * zi
+    # z^(2n + 1) and z^-(2n + 1) summed over even and over odd n
+    even_p = even_m = odd_p = odd_m = 0j
+    p, m = z, zi
+    odd = False
+    for qn in half:
+        if odd:
+            odd_p += qn * p
+            odd_m += qn * m
+        else:
+            even_p += qn * p
+            even_m += qn * m
+        odd = not odd
+        p *= z2
+        m *= zi2
+    # z^(2n) + z^(-2n) summed over even and over odd n
+    cos_even = cos_odd = 0j
+    p, m = z2, zi2
+    odd = True
+    for qn in square:
+        if odd:
+            cos_odd += qn * (p + m)
+        else:
+            cos_even += qn * (p + m)
+        odd = not odd
+        p *= z2
+        m *= zi2
+    return (-1j * ((even_p - even_m) - (odd_p - odd_m)),
+            even_p + even_m + odd_p + odd_m,
+            1.0 + cos_even + cos_odd, 1.0 + cos_even - cos_odd)
 
 
 class _Modulus(NamedTuple):
     """What sn, cn, dn need of the modulus k alone.
 
-    The power tables of `_theta_quads` fill as its series first reach n, at
-    most 64 entries each. An entry is the power the series would compute in
-    place, so sharing the tables between points changes no result, and two
-    threads that fill one entry store the same value.
+    The period lattice 4K Z + 2iK' Z with its determinant, the scale
+    pi/(2K) that takes a reduced u to the theta argument v, the nome
+    powers that `_theta_quads` reads and the theta-null ratios.
     """
-    K: complex
-    Kp: complex
-    q: complex
-    half_powers: Dict[int, complex]
-    square_powers: Dict[int, complex]
+    p1: complex
+    p2: complex
+    det: float
+    scale: complex
+    half_powers: Tuple[complex, ...]
+    square_powers: Tuple[complex, ...]
     z3_z2: complex
     z4_z2: complex
     z4_z3: complex
 
 
+def _theta_terms(aq: float, power: int) -> int:
+    """Length of a theta series in z^(+-power), z^(+-(power + 2)), ...
+
+    A reduced u has |Im v| <= (pi/2) Re(K'/K), so |z^(+-1)| <= |q|^(-1/2)
+    and the term q^(j^2/4) z^(+-j) is at most |q|^(j(j - 2)/4): the odd
+    term n at most |q|^(n^2 - 1/4), the even term n at most |q|^(n^2 - n).
+    The series ends with the first term that bound puts below 1e-16 / 2
+    (the half spares the roundoff of the lattice reduction, which can take
+    |Im v| a hair past the cell) and has at most 64 terms.
+    """
+    for n in range(64):
+        if aq ** (power * (power - 2) / 4) < 0.5e-16:
+            return n + 1
+        power += 2
+    return 64
+
+
 @functools.lru_cache(maxsize=128)
 def _modulus(k: complex, re_sign: float, im_sign: float) -> _Modulus:
-    """Quarter periods, nome, its powers and the theta-null ratios of k.
+    """Periods, lattice data, nome powers and theta-null ratios of k.
+
+    Each power table holds the terms its series needs anywhere in the
+    reduced cell (`_theta_terms`), and `_theta_quads` reads it whole.
 
     re_sign and im_sign, the signs of k's parts, only key the cache:
     -0.5 + 0j and -0.5 - 0j compare equal but sit on two sides of the cut
     of the square root in the AGM, so they get different K'. An exception
-    is not cached, so NoConvergence is raised on every call.
+    is not cached, so NoConvergence and DomainViolation are raised on
+    every call.
     """
     K, Kp = _quarter_periods(k)
     q = cmath.exp(-math.pi * Kp / K)
-    if abs(q) >= 0.999:
+    aq = abs(q)
+    if aq >= 0.999:
         raise NoConvergence("nome too close to the unit circle")
-    half, square = {}, {}
-    _, z2, z3, z4 = _theta_quads(0.0, q, half, square)
-    return _Modulus(K, Kp, q, half, square, z3 / z2, z4 / z2, z4 / z3)
+    p1, p2 = 4.0 * K, 2j * Kp
+    det = _lattice_det(p1, p2)
+    half = tuple(q ** ((n + 0.5) ** 2) for n in range(_theta_terms(aq, 1)))
+    square = tuple(q ** (n * n) for n in range(1, _theta_terms(aq, 2) + 1))
+    _, z2, z3, z4 = _theta_quads(0.0, half, square)
+    return _Modulus(p1, p2, det, 0.5 * math.pi / K, half, square,
+                    z3 / z2, z4 / z2, z4 / z3)
+
+
+def _lattice_det(p1: complex, p2: complex) -> float:
+    """Determinant of the generators p1, p2; DomainViolation if parallel."""
+    det = p1.real * p2.imag - p1.imag * p2.real
+    if abs(det) < 1e-14 * max(1.0, abs(p1) * abs(p2)):
+        raise DomainViolation("lattice generators are numerically parallel")
+    return det
 
 
 def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
     """Representative of v modulo Z p1 + Z p2 with coefficients in [-1/2, 1/2)."""
-    det = p1.real * p2.imag - p1.imag * p2.real
-    if abs(det) < 1e-14 * max(1.0, abs(p1) * abs(p2)):
-        raise DomainViolation("lattice generators are numerically parallel")
+    det = _lattice_det(p1, p2)
     a = (v.real * p2.imag - v.imag * p2.real) / det
     b = (p1.real * v.imag - p1.imag * v.real) / det
     return v - math.floor(a + 0.5) * p1 - math.floor(b + 0.5) * p2
@@ -338,10 +384,11 @@ def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
 def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
     """Jacobi sn, cn, dn for complex argument and complex modulus k.
 
-    Quotients of theta functions. Everything that depends on k alone (K,
-    K', the nome, its powers and the theta nulls) is computed once per
-    modulus and kept in a bounded LRU cache, so the points of a ray pay
-    only for the lattice reduction and one theta evaluation each.
+    Quotients of theta functions. Everything that depends on k alone (the
+    period lattice and its determinant, the nome powers and the theta
+    nulls) is computed once per modulus and kept in a bounded LRU cache,
+    so a point of a ray pays for its lattice reduction, one exponential
+    and the products of the theta series.
     """
     ksq = k * k
     if abs(ksq) < 1e-8:
@@ -351,10 +398,12 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
         c = 1.0 / cmath.cosh(u)
         return s, c, c
     m = _modulus(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
-    K = m.K
-    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * m.Kp)
-    v = 0.5 * math.pi * u_red / K
-    t1, t2, t3, t4 = _theta_quads(v, m.q, m.half_powers, m.square_powers)
+    p1, p2, det = m.p1, m.p2, m.det
+    a = (u.real * p2.imag - u.imag * p2.real) / det
+    b = (p1.real * u.imag - p1.imag * u.real) / det
+    u_red = u - math.floor(a + 0.5) * p1 - math.floor(b + 0.5) * p2
+    t1, t2, t3, t4 = _theta_quads(m.scale * u_red, m.half_powers,
+                                  m.square_powers)
     if abs(t4) < 1e-12 * max(abs(t1), 1.0):
         raise NearPole("argument sits on the sn pole lattice")
     sn = m.z3_z2 * (t1 / t4)

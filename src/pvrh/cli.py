@@ -313,28 +313,41 @@ def _ray_derivative(f: Callable[[complex], complex], x: complex) -> complex:
         / (12.0 * he)
 
 
-def _eval_family(kind: str, d: AsymptoticDescriptor, x: complex,
-                 order: int) -> Tuple[complex, complex, complex]:
+def _family_y(kind: str, d: AsymptoticDescriptor,
+              order: int) -> Callable[[complex], complex]:
+    """y of the family along any point, the formal series built once."""
     if kind == "elliptic":
         if d.variant != "Elliptic":
             raise CliFailure(_VALIDATION, "kind-mismatch",
                              f"descriptor variant {d.variant!r} is not elliptic",
                              "--kind")
-        sol = solve_boutroux(cmath.phase(x))
-        return eval_elliptic(x, d, sol)
+        return lambda xx: eval_elliptic(xx, d, solve_boutroux(cmath.phase(xx)))[0]
     if kind == "trig":
         if d.variant != "Trig":
             raise CliFailure(_VALIDATION, "kind-mismatch",
                              f"descriptor variant {d.variant!r} is not trig",
                              "--kind")
-        f: Callable[[complex], complex] = lambda xx: eval_trig(xx, d)
-    else:
-        series = formal_series_pv(series_tag_for(d), d.theta, order)
-        f = lambda xx: eval_trunc(xx, d, series)
-    y = f(x)
-    yp = _ray_derivative(f, x)
+        return lambda xx: eval_trig(xx, d)
+    series = formal_series_pv(series_tag_for(d), d.theta, order)
+    return lambda xx: eval_trunc(xx, d, series)
+
+
+def _envelope_at(kind: str, d: AsymptoticDescriptor, x: complex,
+                 y_of: Callable[[complex], complex]
+                 ) -> Tuple[complex, complex, complex]:
+    """(y, y', zfrak) at x; y' is the elliptic closed form or, for the
+    other kinds, the difference quotient of y_of along the ray."""
+    if kind == "elliptic":
+        return eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
+    y = y_of(x)
+    yp = _ray_derivative(y_of, x)
     z = zfrak_from_y_yprime(d.theta, x, y, yp)
     return y, yp, z
+
+
+def _eval_family(kind: str, d: AsymptoticDescriptor, x: complex,
+                 order: int) -> Tuple[complex, complex, complex]:
+    return _envelope_at(kind, d, x, _family_y(kind, d, order))
 
 
 def _kind_for(d: AsymptoticDescriptor) -> str:
@@ -412,7 +425,8 @@ def _cmd_eval(args) -> int:
     if x == 0:
         raise CliFailure(_VALIDATION, "bad-point",
                          "evaluation point must be nonzero", "--at")
-    y, yp, z = _eval_family(args.kind, d, x, args.order)
+    y_of = _family_y(args.kind, d, args.order)
+    y, yp, z = _envelope_at(args.kind, d, x, y_of)
     if args.emit_plot:
         grid = max(2, args.grid)
         t0 = abs(x)
@@ -421,7 +435,7 @@ def _cmd_eval(args) -> int:
         for i in range(grid):
             xi = (t0 + args.plot_span * i / (grid - 1)) * e
             try:
-                yi = _eval_family(args.kind, d, xi, args.order)[0]
+                yi = y_of(xi)
             except (errors.InsidePoleDisk, errors.NearPole):
                 continue
             rows.append((xi.real, xi.imag, yi.real, yi.imag))

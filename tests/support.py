@@ -151,35 +151,50 @@ def pair_diff(p: MonodromyPair, q: MonodromyPair) -> float:
 
 
 def _theta_quads_reference(v: complex, q: complex):
-    """theta_1..theta_4 with every power of the nome computed in place."""
-    t1 = 0.0 + 0.0j
-    t2 = 0.0 + 0.0j
-    for n in range(0, 64):
+    """theta_1..theta_4 with every power of the nome computed in place.
+
+    z = e^{iv}; the odd series sum q^((n + 1/2)^2) z^(+-(2n + 1)), the even
+    ones q^(n^2) (z^(2n) + z^(-2n)), each split by the parity of n. The
+    series stop at the first term whose bound on the reduced cell,
+    |q|^(n^2 - 1/4) odd and |q|^(n^2 - n) even, is below 1e-16 / 2.
+    """
+    aq = abs(q)
+    z = cmath.exp(1j * v)
+    zi = 1.0 / z
+    z2 = z * z
+    zi2 = zi * zi
+    sums = [0j, 0j, 0j, 0j]  # z^(2n+1), z^-(2n+1) for even n, then odd n
+    p, m = z, zi
+    for n in range(64):
         qn = q ** ((n + 0.5) ** 2)
-        a1 = qn * cmath.sin((2 * n + 1) * v)
-        a2 = qn * cmath.cos((2 * n + 1) * v)
-        t1 += (-1) ** n * a1
-        t2 += a2
-        if n > 2 and abs(a1) < 1e-16 and abs(a2) < 1e-16:
+        sums[2 * (n % 2)] += qn * p
+        sums[2 * (n % 2) + 1] += qn * m
+        p *= z2
+        m *= zi2
+        if aq ** (n * n - 0.25) < 0.5e-16:
             break
-    t3 = 1.0 + 0.0j
-    t4 = 1.0 + 0.0j
-    for n in range(1, 64):
-        qn = q ** (n * n)
-        c = qn * cmath.cos(2 * n * v)
-        t3 += 2.0 * c
-        t4 += 2.0 * (-1) ** n * c
-        if abs(c) < 1e-16:
+    even_p, even_m, odd_p, odd_m = sums
+    cos_sums = [0j, 0j]  # z^(2n) + z^(-2n) for even n, then odd n
+    p, m = z2, zi2
+    for n in range(1, 65):
+        cos_sums[n % 2] += q ** (n * n) * (p + m)
+        p *= z2
+        m *= zi2
+        if aq ** (n * n - n) < 0.5e-16:
             break
-    return 2.0 * t1, 2.0 * t2, t3, t4
+    cos_even, cos_odd = cos_sums
+    return (-1j * ((even_p - even_m) - (odd_p - odd_m)),
+            even_p + even_m + odd_p + odd_m,
+            1.0 + cos_even + cos_odd, 1.0 + cos_even - cos_odd)
 
 
 def sn_cn_dn_reference(u: complex, k: complex):
     """`sn_cn_dn` with nothing kept between calls, the check on its cache.
 
     The same theta quotients in the same floating-point order, with K, K',
-    the nome, its powers and the theta nulls computed afresh at every
-    point, so the cached kernel must agree with it bit for bit.
+    the nome, its powers, the lattice data and the theta nulls computed
+    afresh at every point, so the cached kernel must agree with it bit for
+    bit.
     """
     ksq = k * k
     if abs(ksq) < 1e-8:
@@ -193,7 +208,7 @@ def sn_cn_dn_reference(u: complex, k: complex):
     if abs(q) >= 0.999:
         raise NoConvergence("nome too close to the unit circle")
     u_red = reduce_mod_lattice(u, 4.0 * K, 2j * Kp)
-    v = 0.5 * math.pi * u_red / K
+    v = (0.5 * math.pi / K) * u_red
     t1, t2, t3, t4 = _theta_quads_reference(v, q)
     _, z2, z3, z4 = _theta_quads_reference(0.0, q)
     if abs(t4) < 1e-12 * max(abs(t1), 1.0):

@@ -147,6 +147,22 @@ def test_series_matches_reference(tag, theta):
             assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
 
 
+@pytest.mark.parametrize("tag", ["minus_one", "small0", "small1", "large0", "large1"])
+def test_series_eval_by_horner(tag):
+    series = formal_series_pv(tag, THETA_DESK, 20)
+    ref = formal_series_reference(tag, THETA_DESK, 20)
+    exps = range(series.min_exp, series.order + 1)
+    for x in (20.0, 40.0, 60.0, 30.0 * cmath.exp(0.6j)):
+        y = sum(c * x ** -e for c, e in zip(series.coeffs, exps))
+        yp = sum(-e * c * x ** (-e - 1) for c, e in zip(series.coeffs, exps))
+        assert abs(series.eval(x) - y) <= 1e-14 * abs(y), x
+        assert abs(series.eval_deriv(x) - yp) <= 1e-14 * abs(yp), x
+        with mpmath.workdps(40):
+            want = complex(mpmath.fsum(mpmath.mpc(c) * mpmath.mpc(x) ** -e
+                                       for c, e in zip(ref, exps)))
+        assert abs(series.eval(x) - want) <= 1e-14 * abs(want), x
+
+
 def test_series_at_zero_L():
     # b_theta = L^2/2 = 0, so y = 0 solves the equation on the small rows
     zero_small = ThetaTriple(Fraction(3, 10), Fraction(1, 10), Fraction(1, 5))

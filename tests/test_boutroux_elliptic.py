@@ -211,6 +211,56 @@ def test_agm_square_roots_on_ray_table_moduli(monkeypatch):
             assert len(roots) <= 8, (phi, b)
 
 
+def test_theta_quads_match_mpmath(rng):
+    moduli = [_sn_modulus(phi) for phi in RAY_TABLE_PHIS]
+    moduli += [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+               for _ in range(8)]
+    for k in moduli:
+        m = boutroux_elliptic._modulus(k, math.copysign(1.0, k.real),
+                                       math.copysign(1.0, k.imag))
+        assert len(m.half_powers) <= 64 and len(m.square_powers) <= 64
+        big_k, big_kp = boutroux_elliptic._quarter_periods(k)
+        tau = 1j * big_kp / big_k
+        q = cmath.exp(1j * math.pi * tau)
+        # v = 2 pi a + pi b tau over the reduced cell, b = +-1/2 its |Im v| edge
+        cell = [(a / 4.0, b / 4.0) for a in range(-2, 2) for b in range(-2, 3)]
+        cell += [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                 for _ in range(6)]
+        for a, b in cell:
+            v = 2.0 * math.pi * a + math.pi * b * tau
+            got = boutroux_elliptic._theta_quads(v, m.half_powers,
+                                                 m.square_powers)
+            with mpmath.workdps(30):
+                ref = [complex(mpmath.jtheta(n, v, q)) for n in (1, 2, 3, 4)]
+            scale = max(abs(r) for r in ref)
+            for n, (g, r) in enumerate(zip(got, ref), 1):
+                assert abs(g - r) <= 2e-15 * scale, (k, a, b, n)
+
+
+def test_sn_point_makes_one_exponential(monkeypatch):
+    # a cached modulus leaves a point one cmath.exp, for z = e^{iv}
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            f = getattr(cmath, name)
+
+            def counted(*args):
+                calls.append(name)
+                return f(*args)
+            return counted
+
+    for phi in RAY_TABLE_PHIS:
+        k = _sn_modulus(phi)
+        sn_cn_dn(0.3 + 0.2j, k)
+        for u in (0.0, 1.7 - 2.9j, -13.1 + 6.4j):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(boutroux_elliptic, "cmath", Counting())
+                sn_cn_dn(u, k)
+            assert calls == ["exp"], (phi, u)
+
+
 def test_sn_cn_dn_match_mpmath():
     for u, k in ((0.31 - 0.12j, 0.6 + 0.1j), (1.7 + 0.4j, 0.3 - 0.5j),
                  (-0.9 + 0.8j, 0.85 + 0.05j)):

@@ -5,8 +5,19 @@ import math
 import pytest
 
 from pvrh import cli
-from pvrh.asymptotics import FormalSeries, build_trunc_family, formal_series_pv
+from pvrh.asymptotics import (
+    FormalSeries,
+    build_trunc_family,
+    eval_elliptic,
+    eval_trig,
+    eval_trunc,
+    formal_series_pv,
+    series_tag_for,
+)
+from pvrh.boutroux_elliptic import solve_boutroux
+from pvrh.errors import InsidePoleDisk
 from pvrh.mono_core import pair_to_json_obj
+from pvrh.rh_dispatch import solve_rh
 
 from support import (
     THETA_DESK,
@@ -118,6 +129,50 @@ def test_eval_plot_csv(tmp_path, capsys):
     assert len(lines) == 5
     row = [float(v) for v in lines[1].split(",")]
     assert abs(row[0] - 25.0) < 1e-12 and row[1] == 0.0
+
+
+@pytest.mark.parametrize("kind,phi", [("trunc", 0.0), ("trig", 0.0),
+                                      ("elliptic", 0.7)])
+def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
+                                         kind, phi):
+    # one series per command, and each row the family's value at its point
+    if kind == "trunc":
+        _, d = build_trunc_family("TruncInf1", 0.7 - 0.4j, THETA_DESK, 1.0)
+    else:
+        d = solve_rh(random_valid_pair(rng), phi)
+    built = []
+
+    def counted_series(*args):
+        built.append(args)
+        return formal_series_pv(*args)
+
+    monkeypatch.setattr(cli, "formal_series_pv", counted_series)
+    csv = tmp_path / "ray.csv"
+    x = 22.0 * cmath.exp(1j * phi)
+    status, _ = run_cli(capsys, [
+        "eval", cli.dumps_canonical(cli.descriptor_to_json_obj(d)),
+        "--kind", kind, "--at", f"{x.real!r},{x.imag!r}", "--grid", "33",
+        "--plot-span", "8", "--emit-plot", str(csv)])
+    assert status == 0
+    assert len(built) == (kind == "trunc")
+    series = formal_series_pv(series_tag_for(d), d.theta, 8) \
+        if kind == "trunc" else None
+    lines = ["x_re,x_im,y_re,y_im"]
+    e = x / abs(x)
+    for i in range(33):
+        xi = (abs(x) + 8.0 * i / 32) * e
+        if kind == "trunc":
+            yi = eval_trunc(xi, d, series)
+        elif kind == "trig":
+            yi = eval_trig(xi, d)
+        else:
+            try:
+                yi = eval_elliptic(xi, d, solve_boutroux(cmath.phase(xi)))[0]
+            except InsidePoleDisk:
+                continue
+        lines.append(",".join(cli._num(v) for v in
+                              (xi.real, xi.imag, yi.real, yi.imag)))
+    assert csv.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_verify_closes_the_loop_and_plots(tmp_path, capsys):
