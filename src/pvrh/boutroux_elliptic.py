@@ -401,7 +401,8 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
     p1, p2, det = m.p1, m.p2, m.det
     a = (u.real * p2.imag - u.imag * p2.real) / det
     b = (p1.real * u.imag - p1.imag * u.real) / det
-    u_red = u - math.floor(a + 0.5) * p1 - math.floor(b + 0.5) * p2
+    nb = math.floor(b + 0.5)
+    u_red = u - math.floor(a + 0.5) * p1 - nb * p2
     t1, t2, t3, t4 = _theta_quads(m.scale * u_red, m.half_powers,
                                   m.square_powers)
     if abs(t4) < 1e-12 * max(abs(t1), 1.0):
@@ -411,6 +412,8 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
     dn = m.z4_z3 * (t3 / t4)
     if abs(sn) > 1e8:
         raise NearPole("sn overflow guard tripped")
+    if nb % 2:  # cn(u + 2iK') = -cn(u), dn(u + 2iK') = -dn(u)
+        return sn, -cn, -dn
     return sn, cn, dn
 
 

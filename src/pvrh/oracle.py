@@ -44,14 +44,18 @@ from .mono_core import (
 
 @dataclass(frozen=True)
 class _Backend:
-    """Scalar context of the chain and the constants of its precision."""
+    """Scalar context of the chain and the constants of its precision.
+
+    The seed ladder starts at |lambda| = max(rho, _SEED_RUNG / t): 5 and
+    order 32 in doubles, 16 and order 44 in mp.
+    """
 
     num: Callable[[Any], Any]   # a Python number as a scalar of the backend
     exp: Callable[[Any], Any]
     log: Callable[[Any], Any]
     dot: Callable[[Sequence, Sequence], Any]   # sum of a[j] b[j]
     pi: Any
-    rho: float          # |lambda| of the first rung of the seed ladder
+    rho: float          # least |lambda| of the first rung of the seed ladder
     N: int              # order of the large-lambda series of the seed frame
     defect_cap: Any     # seed defect the ladder accepts
     tol: Any            # relative tail of a Taylor step or a local series
@@ -61,8 +65,8 @@ class _Backend:
 
 
 _DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log,
-                   lambda a, b: sum(map(mul, a, b)), cmath.pi, rho=10.0,
-                   N=16, defect_cap=1e-8, tol=1e-16, det_tol=1e-9,
+                   lambda a, b: sum(map(mul, a, b)), cmath.pi, rho=5.0,
+                   N=32, defect_cap=1e-8, tol=1e-16, det_tol=1e-9,
                    ray_order=24, ray_tol=1e-16)
 
 
@@ -379,8 +383,10 @@ def pv_residual(xs: Sequence[complex], ys: Sequence[complex],
 # canonical frame at large lambda
 
 _RHO_MAX = 2000.0       # top of the seed ladder
+_SEED_RUNG = 80.0       # t times the least |lambda| of its first rung
 _MATCH_HEIGHT = 0.3     # the matching point sits at i * _MATCH_HEIGHT
-_STEP_REACH = 24.0      # t times the longest Taylor step in lambda
+_STEP_REACH = 24.0      # t times the longest Taylor step h in lambda
+_DICHOTOMY = 6.0        # t times the largest |Re h| of such a step
 _TAYLOR_CAP = 170       # terms of one Taylor step before it is halved
 _FROBENIUS_REACH = 4.0  # t times the largest |w| a local series is summed at
 _SERIES_CAP = 700       # terms of one local series
@@ -402,10 +408,23 @@ def _scale_columns(m: Mat2C, a, b) -> Mat2C:
     return Mat2C(m.m11 * a, m.m12 * b, m.m21 * a, m.m22 * b)
 
 
-def _canonical_g(state: LinearSystemState, lam: complex) -> complex:
+def _exp_gauge(state: LinearSystemState, m: Mat2C, lam) -> Mat2C:
+    """m e^{(t/4) lam sigma3}."""
     bk = _backend_of(state.t)
-    return (state.t * lam
-            - 2 * bk.num(state.theta.thetaInf) * bk.log(lam)) / 4
+    f = bk.exp(state.t * lam / 4)
+    return _scale_columns(m, f, 1 / f)
+
+
+def _seed_gauge(state: LinearSystemState, p: Mat2C, lam0) -> Mat2C:
+    """P(lam0) lam0^{-(thetaInf/2) sigma3}: V of _transport at the seed.
+
+    The canonical frame is P e^{g sigma3}, g = t lam/4 - (thetaInf/2) log
+    lam with the principal log at lam0, so V = Y e^{-(t/4) lam sigma3}
+    starts from P scaled by lam0^{-+thetaInf/2}.
+    """
+    bk = _backend_of(state.t)
+    f = bk.exp(bk.num(state.theta.thetaInf) / 2 * bk.log(lam0))
+    return _scale_columns(p, 1 / f, f)
 
 
 def _series_coefficients(state: LinearSystemState, N: int) -> List[Mat2C]:
@@ -462,16 +481,22 @@ def _series_coefficients(state: LinearSystemState, N: int) -> List[Mat2C]:
 
 
 def _poly_part(coeffs: Sequence[Mat2C], lam) -> Tuple[Mat2C, Mat2C]:
-    """P(lam) = I + sum Y_m lam^-m and its lambda-derivative."""
+    """P(lam) = I + sum Y_m lam^-m and its lambda-derivative.
+
+    Horner's rule in li = 1/lam on scalars: P = I + li (Y_1 + li (Y_2 +
+    ...)) and P' = -li^2 (Y_1 + li (2 Y_2 + li (3 Y_3 + ...))).
+    """
     li = 1 / lam
-    p = Mat2C.identity()
-    pprime = Mat2C(0.0, 0.0, 0.0, 0.0)
-    lpow = li
-    for m, ym in enumerate(coeffs, start=1):
-        p = p.add(ym.scale(lpow))
-        pprime = pprime.add(ym.scale(-m * lpow * li))
-        lpow = lpow * li
-    return p, pprime
+    p11 = p12 = p21 = p22 = d11 = d12 = d21 = d22 = 0
+    for m in range(len(coeffs), 0, -1):
+        ym = coeffs[m - 1]
+        p11, p12 = ym.m11 + li * p11, ym.m12 + li * p12
+        p21, p22 = ym.m21 + li * p21, ym.m22 + li * p22
+        d11, d12 = m * ym.m11 + li * d11, m * ym.m12 + li * d12
+        d21, d22 = m * ym.m21 + li * d21, m * ym.m22 + li * d22
+    dl = -li * li
+    return (Mat2C(1 + li * p11, li * p12, li * p21, 1 + li * p22),
+            Mat2C(dl * d11, dl * d12, dl * d21, dl * d22))
 
 
 def canonical_frame(state: LinearSystemState, lam: complex,
@@ -487,7 +512,7 @@ def canonical_frame(state: LinearSystemState, lam: complex,
     gprime = state.t / 4 - bk.num(state.theta.thetaInf) / (2 * lam)
     defect = pprime.add(_times_sigma3(p).scale(gprime)) \
         .sub(state.coefficient_matrix(lam) @ p).norm_inf()
-    g = _canonical_g(state, lam)
+    g = (state.t * lam - 2 * bk.num(state.theta.thetaInf) * bk.log(lam)) / 4
     return CanonicalFrame(_scale_columns(p, bk.exp(g), bk.exp(-g)),
                           float(defect), p)
 
@@ -496,13 +521,16 @@ def _seed_frame(state: LinearSystemState, N: int,
                 lam: Optional[complex] = None) -> Tuple[Any, Mat2C, float]:
     """Base point on the upper imaginary axis with an acceptable defect.
 
-    Returns (lambda0, P(lambda0), defect).  The ladder starts close to the
-    singular points, at the backend's |lambda| (10 in doubles, 16 in mp),
-    and climbs by factors of 1.5 until the order-N frame meets the
-    backend's defect cap; at the default orders the first rung already
-    passes for t up to 60, so the transport down to the matching point
-    stays short.  With lam fixed (a caller-chosen base point) no
-    adaptation happens and an excessive defect is an error right away.
+    Returns (lambda0, P(lambda0), defect).  The ladder starts at |lambda|
+    = max(rho, _SEED_RUNG / t), rho being the backend's (5 in doubles, 16
+    in mp), and climbs by factors of 1.5 until the order-N frame meets the
+    backend's defect cap.  The order-N series there is accurate to about
+    e^{-t|lambda|/2} from its divergent part and to about |lambda|^{-N}
+    from the singular points at +-e^{i phi}, so at the default orders the
+    first rung passes for every t and the transport down to the matching
+    point stays short.  A smaller N starts at the same rung and may climb.
+    With lam fixed (a caller-chosen base point) no adaptation happens and
+    an excessive defect is an error right away.
     """
     bk = _backend_of(state.t)
     if lam is not None:
@@ -512,7 +540,7 @@ def _seed_frame(state: LinearSystemState, N: int,
                 f"seed defect {cf.defect:.2e} above "
                 f"{float(bk.defect_cap):.0e} at {lam}")
         return lam, cf.poly, cf.defect
-    rho = bk.rho
+    rho = max(bk.rho, _SEED_RUNG / float(state.t))
     while True:
         lam = bk.num(1j * rho)
         cf = canonical_frame(state, lam, N)
@@ -530,27 +558,32 @@ def _seed_frame(state: LinearSystemState, N: int,
 
 def _transport(state: LinearSystemState, path: Sequence[complex],
                v: Mat2C) -> Mat2C:
-    """Carry the column-gauged frame V = Y e^{-g sigma3} along a polyline.
+    """Carry the gauged frame V = Y e^{-(t/4) lambda sigma3} along a polyline.
 
-    g is the canonical exponent, so V' = (t/4)(sigma3 V - V sigma3)
-    + B0 V/(lam+e) + B1 V/(lam-e) + (thetaInf/2)(V/lam) sigma3 keeps
-    entries of moderate size where Re(lambda) stays small.  Taylor steps
-    of at most 24/t, and at most half the distance to +-e^{i phi} and 0,
-    go from path[0] through the other points; a step is halved until the
-    last three terms of each column fall below tol times that column.
+    V' = (t/4)(sigma3 V - V sigma3) + B0 V/(lam+e) + B1 V/(lam-e) keeps
+    entries of moderate size where Re(lambda) stays small, and is singular
+    only at +-e^{i phi}.  Taylor steps h go from path[0] through the other
+    points: |h| at most _STEP_REACH/t and half the distance to +-e^{i phi},
+    and |Re h| at most _DICHOTOMY/t, since the e^{+-t lambda/4} modes
+    change their ratio by e^{t |Re h|/2} over a step, which sets the digits
+    it can lose.  A step is halved until the last three terms of each
+    column fall below tol times that column.
     """
     bk = _backend_of(state.t)
     e = _unit(state)
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
-    coef = (state.t / 2, bk.num(state.theta.thetaInf) / 2, e, b0, b1,
-            bk.tol)
-    hmax = _STEP_REACH / max(state.t, 1)
+    coef = (state.t / 2, e, b0, b1, bk.tol)
+    t = max(state.t, 1)
+    hmax = _STEP_REACH / t
     pos = path[0]
     for target in path[1:]:
         while pos != target:
             rem = target - pos
-            reach = min(hmax, min(abs(pos - e), abs(pos + e), abs(pos)) / 2)
-            h = rem if abs(rem) <= reach else rem * (reach / abs(rem))
+            arem = abs(rem)
+            reach = min(hmax, min(abs(pos - e), abs(pos + e)) / 2)
+            if t * abs(rem.real) * reach > _DICHOTOMY * arem:
+                reach = _DICHOTOMY * arem / (t * abs(rem.real))
+            h = rem if arem <= reach else rem * (reach / arem)
             while True:
                 stepped = _taylor_step(coef, pos, v, h)
                 if stepped is not None:
@@ -566,12 +599,12 @@ def _transport(state: LinearSystemState, path: Sequence[complex],
 def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
     """V(pos + h) from the Taylor series at pos; None to retry shorter.
 
-    The Cauchy products of V with 1/(lam+e), 1/(lam-e) and 1/lam are the
-    first-order recurrences P_k = c (V_k - P_{k-1}) with c = 1/(pos+e),
-    1/(pos-e), 1/pos.
+    The Cauchy products of V with 1/(lam+e) and 1/(lam-e) are the
+    first-order recurrences P_k = c (V_k - P_{k-1}) with c = 1/(pos+e)
+    and 1/(pos-e).
     """
-    t_half, half_ti, e, b0, b1, tol = coef
-    c0, c1, cz = 1 / (pos + e), 1 / (pos - e), 1 / pos
+    t_half, e, b0, b1, tol = coef
+    c0, c1 = 1 / (pos + e), 1 / (pos - e)
     a11, a12, a21, a22 = b0.m11, b0.m12, b0.m21, b0.m22
     b11, b12, b21, b22 = b1.m11, b1.m12, b1.m21, b1.m22
     v11, v12, v21, v22 = v.m11, v.m12, v.m21, v.m22
@@ -579,7 +612,6 @@ def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
     cut0 = tol * max(abs(v11), abs(v21))
     cut1 = tol * max(abs(v12), abs(v22))
     p11 = p12 = p21 = p22 = q11 = q12 = q21 = q22 = 0
-    r11 = r12 = r21 = r22 = 0
     hk = 1
     ah = abs(h)
     ahk = 1
@@ -590,17 +622,13 @@ def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
         p21, p22 = c0 * (v21 - p21), c0 * (v22 - p22)
         q11, q12 = c1 * (v11 - q11), c1 * (v12 - q12)
         q21, q22 = c1 * (v21 - q21), c1 * (v22 - q22)
-        r11, r12 = cz * (v11 - r11), cz * (v12 - r12)
-        r21, r22 = cz * (v21 - r21), cz * (v22 - r22)
         v11, v12, v21, v22 = (
-            (a11 * p11 + a12 * p21 + b11 * q11 + b12 * q21
-             + half_ti * r11) / k,
-            (t_half * v12 + a11 * p12 + a12 * p22 + b11 * q12 + b12 * q22
-             - half_ti * r12) / k,
-            (-t_half * v21 + a21 * p11 + a22 * p21 + b21 * q11 + b22 * q21
-             + half_ti * r21) / k,
-            (a21 * p12 + a22 * p22 + b21 * q12 + b22 * q22
-             - half_ti * r22) / k)
+            (a11 * p11 + a12 * p21 + b11 * q11 + b12 * q21) / k,
+            (t_half * v12 + a11 * p12 + a12 * p22 + b11 * q12 + b12 * q22)
+            / k,
+            (-t_half * v21 + a21 * p11 + a22 * p21 + b21 * q11 + b22 * q21)
+            / k,
+            (a21 * p12 + a22 * p22 + b21 * q12 + b22 * q22) / k)
         hk = hk * h
         ahk = ahk * ah
         s11, s12 = s11 + v11 * hk, s12 + v12 * hk
@@ -649,11 +677,9 @@ def _local_frame(state: LinearSystemState, which: int,
     Returns (Phi(lam_match), theta_local).  The terms grow like
     e^{t|w|/4} before they cancel, so the series is summed toward
     lam_match at |w| = min(|lam_match - s|, 4/t), where no term is large,
-    and the transport carries it the rest of the way, gauged by e^{-+g}.
-    Where that segment crosses the negative real axis the principal log in
-    g leaves a constant diagonal factor on the right of Phi, which the
-    connection solve does not see.  Resonant integer theta makes the
-    order-k operator singular and is reported, not patched.
+    and the transport carries it the rest of the way, gauged by
+    e^{-+(t/4) lambda}.  Resonant integer theta makes the order-k operator
+    singular and is reported, not patched.
     """
     bk = _backend_of(state.t)
     t0, t1, ti = _thetas(state.theta, bk)
@@ -723,10 +749,8 @@ def _local_frame(state: LinearSystemState, which: int,
     phi = _scale_columns(Mat2C(acc11, acc12, acc21, acc22),
                          bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw))
     lam_s = s_self + w
-    g_s, g_m = _canonical_g(state, lam_s), _canonical_g(state, lam_match)
-    v = _transport(state, (lam_s, lam_match),
-                   _scale_columns(phi, bk.exp(-g_s), bk.exp(g_s)))
-    return _scale_columns(v, bk.exp(g_m), bk.exp(-g_m)), th
+    v = _transport(state, (lam_s, lam_match), _exp_gauge(state, phi, -lam_s))
+    return _exp_gauge(state, v, lam_match), th
 
 
 # ---------------------------------------------------------------------------
@@ -746,30 +770,39 @@ def default_loops(phi: float, base_point: complex) -> Tuple[LoopSpec, LoopSpec]:
     return specs[0], specs[1]
 
 
-def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
-                         p_seed: Mat2C) -> Tuple[Mat2C, Mat2C]:
-    """(M0, M1) from the canonical frame seeded at lam0 with part p_seed.
+def _match_frame(state: LinearSystemState, lam0, p_seed: Mat2C) -> Mat2C:
+    """Canonical frame Y at i*_MATCH_HEIGHT, seeded at lam0 with part p_seed.
 
-    Transports the frame down the imaginary axis to i*_MATCH_HEIGHT and
-    connects it there to the local Frobenius frames of both singular
-    points: C = Phi_loc^{-1} Y and M = C^{-1} e^{i pi theta sigma3} C.
+    Transports V down the imaginary axis and checks its determinant, which
+    the traceless residues keep constant.
     """
     bk = _backend_of(state.t)
     lam_m = bk.num(1j * _MATCH_HEIGHT)
     path = (lam0, lam_m)
     _check_clearance(state, path)
-    v = _transport(state, path, p_seed)
+    v = _transport(state, path, _seed_gauge(state, p_seed, lam0))
     det_p = p_seed.det()
     det_drift = abs(v.det() - det_p) / max(1, abs(det_p))
     if det_drift > bk.det_tol:
         raise ToleranceFailure(
             f"transport det drift {float(det_drift):.2e} exceeds "
             f"{float(bk.det_tol):.0e}")
-    g = _canonical_g(state, lam_m)
-    y_m = _scale_columns(v, bk.exp(g), bk.exp(-g))
+    return _exp_gauge(state, v, lam_m)
+
+
+def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
+                         p_seed: Mat2C) -> Tuple[Mat2C, Mat2C]:
+    """(M0, M1) from the canonical frame seeded at lam0 with part p_seed.
+
+    Connects the frame at the matching point (_match_frame) to the local
+    Frobenius frames of both singular points: C = Phi_loc^{-1} Y and
+    M = C^{-1} e^{i pi theta sigma3} C.
+    """
+    bk = _backend_of(state.t)
+    y_m = _match_frame(state, lam0, p_seed)
     out = []
     for which in (0, 1):
-        phi_loc, th = _local_frame(state, which, lam_m)
+        phi_loc, th = _local_frame(state, which, bk.num(1j * _MATCH_HEIGHT))
         c = phi_loc.inv() @ y_m
         turn = bk.exp(1j * bk.pi * th)
         out.append(c.inv() @ Mat2C(turn, 0.0, 0.0, 1 / turn) @ c)
@@ -791,14 +824,14 @@ def _monodromy(state: LinearSystemState,
     if method == "transport":
         if loops is None:
             loops = default_loops(state.phi, lam0)
-        g0 = _canonical_g(state, lam0)
-        y_base_inv = _scale_columns(p_seed, bk.exp(g0), bk.exp(-g0)).inv()
+        v0 = _seed_gauge(state, p_seed, lam0)
+        y_base_inv = _exp_gauge(state, v0, lam0).inv()
         out = []
         for spec in loops:
             path = (lam0,) + tuple(spec.polyline)
             _check_clearance(state, path)
-            v = _transport(state, path, p_seed)
-            out.append(y_base_inv @ _scale_columns(v, bk.exp(g0), bk.exp(-g0)))
+            v = _transport(state, path, v0)
+            out.append(y_base_inv @ _exp_gauge(state, v, lam0))
         m0, m1 = out
     else:
         m0, m1 = _frobenius_monodromy(state, lam0, p_seed)
@@ -820,8 +853,10 @@ def direct_monodromy(state: LinearSystemState,
     cross-check and for loop-homotopy experiments).
 
     N is the order of the large-lambda series of the seed frame.  The
-    default (16) lets the seed sit at |lambda| = 10 (see _seed_frame); a
-    smaller N still works, with the seed pushed further out.
+    default (32) lets the seed sit at the first rung of the ladder,
+    |lambda| = max(5, 80/t) (see _seed_frame).  A smaller N starts at the
+    same rung; it climbs from there until its defect falls below the cap
+    (1e-8), so it may accept a seed less accurate than the default's.
 
     dps runs the same frobenius chain in mpmath at that many digits, with
     the mp seed order (44) and tolerances of _mp_backend.

@@ -207,7 +207,8 @@ def sn_cn_dn_reference(u: complex, k: complex):
     q = cmath.exp(-math.pi * Kp / K)
     if abs(q) >= 0.999:
         raise NoConvergence("nome too close to the unit circle")
-    u_red = reduce_mod_lattice(u, 4.0 * K, 2j * Kp)
+    p1, p2 = 4.0 * K, 2j * Kp
+    u_red = reduce_mod_lattice(u, p1, p2)
     v = (0.5 * math.pi / K) * u_red
     t1, t2, t3, t4 = _theta_quads_reference(v, q)
     _, z2, z3, z4 = _theta_quads_reference(0.0, q)
@@ -218,6 +219,10 @@ def sn_cn_dn_reference(u: complex, k: complex):
     dn = (z4 / z3) * (t3 / t4)
     if abs(sn) > 1e8:
         raise NearPole("sn overflow guard tripped")
+    # an odd multiple of 2iK' taken off u flips the signs of cn and dn
+    det = p1.real * p2.imag - p1.imag * p2.real
+    if math.floor((p1.real * u.imag - p1.imag * u.real) / det + 0.5) % 2:
+        return sn, -cn, -dn
     return sn, cn, dn
 
 

@@ -273,6 +273,25 @@ def test_sn_cn_dn_match_mpmath():
         assert sn_derivative(u, k) == got[1] * got[2]
 
 
+def test_sn_cn_dn_match_mpmath_over_lattice_cells():
+    # u + 4K n + 2iK' m for m odd and even: cn and dn change sign under
+    # 2iK', so a reduction that drops an odd multiple must flip them
+    for k in (0.6 + 0.1j, 0.3 - 0.5j, _sn_modulus(RAY_TABLE_PHIS[2])):
+        m = boutroux_elliptic._modulus(k, math.copysign(1.0, k.real),
+                                       math.copysign(1.0, k.imag))
+        for u0 in (0.31 - 0.12j, -0.9 + 0.8j):
+            for n in (-1, 1):
+                for j in (-1, 0, 1, 2, 3):
+                    u = u0 + n * m.p1 + j * m.p2
+                    got = sn_cn_dn(u, k)
+                    with mpmath.workdps(20):
+                        want = [complex(mpmath.ellipfun(name, u, m=k * k))
+                                for name in ("sn", "cn", "dn")]
+                    for name, g, w in zip(("sn", "cn", "dn"), got, want):
+                        assert abs(g - w) < 1e-12 * max(1.0, abs(w)), \
+                            (name, k, u0, n, j)
+
+
 def _sn_or_error(f, u, k):
     try:
         return f(u, k)

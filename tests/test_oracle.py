@@ -25,16 +25,20 @@ from pvrh.mono_core import (
     stokes_from_pair,
     validate_pair,
 )
+from pvrh import oracle
 from pvrh.oracle import (
     LinearSystemState,
     LoopSpec,
     _frobenius_monodromy,
     _local_frame,
+    _match_frame,
     _normalized_drift,
     _pair_distance,
+    _poly_part,
     _ray_coeffs,
     _seed_frame,
     _series_coefficients,
+    _taylor_step as taylor_step,
     canonical_frame,
     default_loops,
     direct_monodromy,
@@ -320,12 +324,110 @@ def test_mp_monodromy_matches_double_route():
 
 @pytest.mark.parametrize("t", [12.0, 30.0, 60.0])
 def test_seed_frame_defect_near_the_singular_points(t):
-    # the default order-16 frame is already accurate at |lambda| = 10,
-    # so the ladder of _seed_frame stops at its first rung
+    # the order-16 frame is already accurate at |lambda| = 10, and the
+    # default order-32 frame at the first rung, |lambda| = max(5, 80/t),
+    # so the ladder of _seed_frame stops there
     st_ = desk_series_state(t)
     assert canonical_frame(st_, 10.0j, 16).defect <= 1e-12
-    lam0, _, defect = _seed_frame(st_, 16)
-    assert lam0 == 10.0j and defect <= 1e-12
+    lam0, _, defect = _seed_frame(st_, 32)
+    assert lam0 == 1j * max(5.0, 80.0 / t) and defect <= 1e-12
+
+
+@pytest.mark.parametrize("t", [3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 60.0, 90.0,
+                               120.0])
+def test_seed_ladder_defect_over_t(t):
+    # the first rung scales with 1/t, so the divergent part of the series,
+    # about e^{-t|lambda|/2}, stays small at small t, and at large t the
+    # order-32 series is accurate close to the singular points
+    _, _, defect = _seed_frame(desk_series_state(t), 32)
+    assert defect <= 1e-13
+
+
+@pytest.mark.parametrize("t, steps", [(12.0, 11), (30.0, 18), (60.0, 34)])
+def test_transport_step_counts(monkeypatch, t, steps):
+    # the Taylor steps of one solve (the axis and both local-frame paths),
+    # retries included; a step rule or gauge that costs more steps shows
+    # here without a timer
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return taylor_step(*args)
+
+    monkeypatch.setattr(oracle, "_taylor_step", counting)
+    direct_monodromy(desk_series_state(t))
+    assert len(calls) == steps
+
+
+def _column_error(got: Mat2C, want: Mat2C) -> float:
+    worst = 0.0
+    for g, w in (((got.m11, got.m21), (want.m11, want.m21)),
+                 ((got.m12, got.m22), (want.m12, want.m22))):
+        w = [complex(v) for v in w]
+        worst = max(worst, max(abs(a - b) for a, b in zip(g, w))
+                    / max(abs(v) for v in w))
+    return worst
+
+
+def _desk_state_on_ray(t: float, phi: float) -> LinearSystemState:
+    seed = desk_series_seed(t * cmath.exp(1j * phi))
+    return LinearSystemState(t, phi, seed["y"], seed["zfrak"], 0.0,
+                             THETA_DESK)
+
+
+@pytest.mark.parametrize("t, phi", [(12.0, 0.0), (30.0, 0.0), (60.0, 0.0),
+                                    (30.0, 0.6)])
+def test_match_and_local_frames_match_mp_chain(t, phi):
+    # Y at the matching point and both local frames there, in doubles,
+    # against the same chain at dps 34, each column relative to its size
+    st_ = _desk_state_on_ray(t, phi)
+    lam0, p_seed, _ = _seed_frame(st_, 32)
+    frames = [_match_frame(st_, lam0, p_seed)] \
+        + [_local_frame(st_, which, 0.3j)[0] for which in (0, 1)]
+    with mpmath.workdps(34):
+        mst = LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(st_.y),
+                                mpmath.mpc(st_.zfrak), 0.0, THETA_DESK)
+        lam0, p_seed, _ = _seed_frame(mst, 44)
+        lam_m = mpmath.mpc(0.3j)
+        want = [_match_frame(mst, lam0, p_seed)] \
+            + [_local_frame(mst, which, lam_m)[0] for which in (0, 1)]
+    for got, ref in zip(frames, want):
+        assert _column_error(got, ref) <= 1e-13
+
+
+def _poly_part_by_matrices(coeffs, lam):
+    """P and P' summed term by term on Mat2C."""
+    li = 1 / lam
+    p = Mat2C.identity()
+    pprime = Mat2C(0.0, 0.0, 0.0, 0.0)
+    lpow = li
+    for m, ym in enumerate(coeffs, start=1):
+        p = p.add(ym.scale(lpow))
+        pprime = pprime.add(ym.scale(-m * lpow * li))
+        lpow = lpow * li
+    return p, pprime
+
+
+@pytest.mark.parametrize("t", [3.0, 12.0, 60.0])
+@pytest.mark.parametrize("dps, bound", [(None, 1e-15), (30, 1e-25)],
+                         ids=["double", "dps30"])
+def test_poly_part_matches_matrix_sum(t, dps, bound):
+    seed = desk_series_seed(t)
+
+    def check(state, lam):
+        coeffs = _series_coefficients(state, 32)
+        for got, want in zip(_poly_part(coeffs, lam),
+                             _poly_part_by_matrices(coeffs, lam)):
+            assert got.sub(want).norm_inf() <= bound * want.norm_inf()
+
+    if dps is None:
+        check(LinearSystemState(t, 0.0, seed["y"], seed["zfrak"], 0.0,
+                                THETA_DESK), 1j * max(5.0, 80.0 / t))
+        return
+    with mpmath.workdps(dps):
+        check(LinearSystemState(mpmath.mpf(t), 0.0, mpmath.mpc(seed["y"]),
+                                mpmath.mpc(seed["zfrak"]), 0.0, THETA_DESK),
+              mpmath.mpc(1j * max(16.0, 80.0 / t)))
 
 
 def _series_coefficients_direct(state: LinearSystemState, N: int, e, half_ti):
