@@ -31,7 +31,7 @@ from .errors import (
     UnderdeterminedCompletion,
     WrongSector,
 )
-from .mono_core import Mat2C, MonodromyPair, StokesMatrices, ThetaTriple, stokes_from_pair
+from .mono_core import Mat2C, MonodromyPair, ThetaTriple, conjugate_pair, stokes_from_pair
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -663,6 +663,18 @@ def _resonant_fixed(case: int, j: int, nu: int, theta: ThetaTriple,
         * reciprocal_gamma(g + nu)
 
 
+def _completed(j: int, f11: complex, off: complex, theta: ThetaTriple) -> Mat2C:
+    """M_j from its (1,1) entry and its off-entry in the product constraint.
+
+    That entry is m0_21 for j = 0 and m1_12 for j = 1, and must be nonzero;
+    (2,2) follows from the trace 2cos(pi theta_j), the other off-entry from
+    det = 1.
+    """
+    f22 = 2.0 * cmath.cos(cmath.pi * (theta.theta1 if j else theta.theta0)) - f11
+    other = (f11 * f22 - 1.0) / off
+    return Mat2C(f11, off, other, f22) if j else Mat2C(f11, other, off, f22)
+
+
 # ---------------------------------------------------------------------------
 # truncated families: build and recover
 
@@ -685,11 +697,9 @@ def build_trunc_family(variant: str, c0: complex, theta: ThetaTriple,
     e = row.carrier_eg(t0, t1, ti)[0]
     f11 = cmath.exp(-1j * cmath.pi * (e + ti))
     if row.carrier == "m1_21":
-        f22 = 2.0 * cmath.cos(cmath.pi * t0) - f11
-        m0, m1 = Mat2C(f11, (f11 * f22 - 1.0) / fixed, fixed, f22), carrier
+        m0, m1 = _completed(0, f11, fixed, theta), carrier
     else:
-        f22 = 2.0 * cmath.cos(cmath.pi * t1) - f11
-        m0, m1 = carrier, Mat2C(f11, fixed, (f11 * f22 - 1.0) / fixed, f22)
+        m0, m1 = carrier, _completed(1, f11, fixed, theta)
     return MonodromyPair(m0, m1, theta), \
         _family_descriptor(row, c0, theta, abs(c0) < 1e-300)
 
@@ -828,20 +838,24 @@ def phase_shift_x0(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) -> co
         if abs(anchor) < 1e-12 * scale:
             raise DomainViolation("m1_11 vanishes for phi > 0")
         frak_m = cmath.exp(-0.5j * cmath.pi * th.thetaInf) / anchor
+    return _phase_shift(cmath.exp(1j * cmath.pi * th.thetaInf) * prod,
+                        frak_m, sol)
+
+
+def _phase_shift(b: complex, frak_m: complex, sol: BoutrouxSolution) -> complex:
+    """x0 from the elliptic monodromy coordinates b and frak_m, reduced
+    modulo the period lattice."""
     oa, ob = sol.omegaA, sol.omegaB
     if oa is None or ob is None:
         raise DomainViolation("degenerate periods at this phi")
-    log_b = cmath.log(cmath.exp(1j * cmath.pi * th.thetaInf) * prod)
-    x0 = -(ob * log_b + oa * cmath.log(frak_m)) / (1j * cmath.pi) - oa - ob
+    x0 = -(ob * cmath.log(b) + oa * cmath.log(frak_m)) / (1j * cmath.pi) - oa - ob
     return reduce_mod_lattice(x0, 2.0 * oa, 2.0 * ob)
 
 
 def breve_pair(pair: MonodromyPair) -> MonodromyPair:
-    """Conjugate both matrices by the first upper Stokes factor."""
-    st = stokes_from_pair(pair)
-    s2 = StokesMatrices(st.s1, st.s2, pair.theta.thetaInf).matrix(2)
-    s2i = s2.inv()
-    return MonodromyPair(s2i @ pair.m0 @ s2, s2i @ pair.m1 @ s2, pair.theta)
+    """Conjugate both matrices by the first upper Stokes factor: S2^-1 M S2."""
+    s2 = stokes_from_pair(pair).matrix(2)
+    return conjugate_pair(pair, s2.inv(), pair.theta)
 
 
 def phase_shift_breve(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) -> complex:
@@ -866,12 +880,8 @@ def phase_shift_breve(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) ->
         if abs(anchor) < 1e-12 * scale:
             raise DomainViolation("breve m1_22 vanishes for pi < phi < 3pi/2")
         frak_m = cmath.exp(-0.5j * cmath.pi * th.thetaInf) * anchor
-    oa, ob = sol.omegaA, sol.omegaB
-    if oa is None or ob is None:
-        raise DomainViolation("degenerate periods at this phi")
-    log_b = cmath.log(cmath.exp(1j * cmath.pi * th.thetaInf) / prod)
-    x0 = -(ob * log_b + oa * cmath.log(frak_m)) / (1j * cmath.pi) - oa - ob
-    return reduce_mod_lattice(x0, 2.0 * oa, 2.0 * ob)
+    return _phase_shift(cmath.exp(1j * cmath.pi * th.thetaInf) / prod,
+                        frak_m, sol)
 
 
 def eval_elliptic(x: complex, d: AsymptoticDescriptor,
@@ -923,21 +933,12 @@ def general_solution_monodromy(p: GeneralSolutionParams,
         raise UnderdeterminedCompletion("a constructed off-entry vanished")
     ew = cmath.exp(-1j * pi * ti)
     if p.side == "upper":
-        m1_11 = cmath.exp(-0.5j * pi * (s + ti))
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12
-        m0_11 = (ew - m0_21 * m1_12) / m1_11
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
+        m1 = _completed(1, cmath.exp(-0.5j * pi * (s + ti)), m1_12, theta)
+        m0 = _completed(0, (ew - m0_21 * m1_12) / m1.m11, m0_21, theta)
     else:
-        m0_11 = cmath.exp(0.5j * pi * (s - ti))
-        m0_22 = 2.0 * cmath.cos(pi * t0) - m0_11
-        m0_12 = (m0_11 * m0_22 - 1.0) / m0_21
-        m1_11 = (ew - m0_21 * m1_12) / m0_11
-        m1_22 = 2.0 * cmath.cos(pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12
-    return MonodromyPair(Mat2C(m0_11, m0_12, m0_21, m0_22),
-                         Mat2C(m1_11, m1_12, m1_21, m1_22), theta)
+        m0 = _completed(0, cmath.exp(0.5j * pi * (s - ti)), m0_21, theta)
+        m1 = _completed(1, (ew - m0_21 * m1_12) / m0.m11, m1_12, theta)
+    return MonodromyPair(m0, m1, theta)
 
 
 # The generic variant whose series each boundary family follows.
@@ -970,17 +971,16 @@ def trunc_boundary_families(which: str, params: Dict[str, complex],
     if row.carrier == "m1_21":
         m1_12 = _TWO_PI_I * c * ut / complex_gamma(1.0 - g)
         m1 = Mat2C(d, m1_12, 0.0, 1.0 / d)
-        m0_11 = (w - fixed * m1_12) / d
-        m0_22 = 2.0 * cmath.cos(cmath.pi * t0) - m0_11
-        m0 = Mat2C(m0_11, (m0_11 * m0_22 - 1.0) / fixed, fixed, m0_22)
+        m0 = _completed(0, (w - fixed * m1_12) / d, fixed, theta)
     else:
         m0_21 = _TWO_PI_I * w / (complex_gamma(1.0 - g) * ut)
         m0 = Mat2C(d, 0.0, m0_21, 1.0 / d)
         m1_12 = c * fixed
-        m1_11 = (w - m0_21 * m1_12) / d
-        m1_22 = 2.0 * cmath.cos(cmath.pi * t1) - m1_11
-        m1_21 = (m1_11 * m1_22 - 1.0) / m1_12 if abs(m1_12) > 0 else 0.0
-        m1 = Mat2C(m1_11, m1_12, m1_21, m1_22)
+        if abs(m1_12) < 1e-300:
+            # M1 would be lower triangular with m1_11 fixed by the product
+            # constraint, and its determinant is then not 1
+            raise UnderdeterminedCompletion(f"c = 0 leaves no {which} pair")
+        m1 = _completed(1, (w - m0_21 * m1_12) / d, m1_12, theta)
     mu = -row.mu(t0, t1, ti)
     if row.tag.startswith("small"):
         corr_coeff, corr_exp = 1.0 + 0.0j, mu - 1.0

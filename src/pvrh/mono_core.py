@@ -102,11 +102,6 @@ def exp_sigma3(a: complex) -> Mat2C:
     return Mat2C(cmath.exp(a), 0.0, 0.0, cmath.exp(-a))
 
 
-def sigma1_flip(m: Mat2C) -> Mat2C:
-    """Conjugation by the first Pauli matrix (swaps rows and columns)."""
-    return Mat2C(m.m22, m.m21, m.m12, m.m11)
-
-
 @dataclass(frozen=True)
 class ThetaTriple:
     """Parameter triple of the fifth Painleve equation."""
@@ -318,7 +313,8 @@ def classify_region(pair: MonodromyPair, zero_tol: float = 0.0) -> Region:
         return Region("R2_1", {"m1_11": m1.m11})
 
     if z_m0_21 and z_m1_12:
-        _check_sign(m1.m11, pair.theta.theta1, sign_tol)
+        # AmbiguousSign when m1_11 matches neither e^{+-i pi theta1}
+        _resolve_sign(m1.m11, pair.theta.theta1, sign_tol)
         return Region("R5", {"m0_12m1_21": m0.m12 * m1.m21})
 
     if z_m1_12:
@@ -348,10 +344,6 @@ def _resolve_sign(entry: complex, theta: complex, tol: float) -> Optional[int]:
     )
 
 
-def _check_sign(entry: complex, theta: complex, tol: float) -> None:
-    _resolve_sign(entry, theta, tol)
-
-
 def stokes_from_pair(pair: MonodromyPair) -> StokesMatrices:
     """Stokes multipliers determined by the pair.
 
@@ -373,58 +365,19 @@ def product_from_stokes(stokes: StokesMatrices) -> Mat2C:
     return s1m.inv() @ core @ s2m.inv()
 
 
+def conjugate_pair(pair: MonodromyPair, g: Mat2C,
+                   theta: ThetaTriple) -> MonodromyPair:
+    """g M g^-1 for both matrices, labelled with theta."""
+    gi = g.inv()
+    return MonodromyPair(g @ pair.m0 @ gi, g @ pair.m1 @ gi, theta, pair.tol)
+
+
 def monodromy_shift(pair: MonodromyPair, p: int) -> MonodromyPair:
     """Conjugate both matrices by the p-th power of the composite loop."""
-    g = pair.product().power(p)
-    gi = g.inv()
-    return MonodromyPair(g @ pair.m0 @ gi, g @ pair.m1 @ gi, pair.theta, pair.tol)
+    return conjugate_pair(pair, pair.product().power(p), pair.theta)
 
 
-def _hat_conjugators(pair: MonodromyPair):
-    stokes = stokes_from_pair(pair)
-    s2m = stokes.matrix(2)
-    half = exp_sigma3(-0.5j * cmath.pi * pair.theta.thetaInf)
-    return half, s2m
-
-
-def stokes_hat(pair: MonodromyPair) -> MonodromyPair:
-    """Image pair under the upper-triangular Stokes twist, row-flipped.
-
-    The output realizes the parameters (theta0, theta1, -thetaInf).
-    """
-    half, s2m = _hat_conjugators(pair)
-    half_i = half.inv()
-    s2i = s2m.inv()
-
-    def push(m: Mat2C) -> Mat2C:
-        return sigma1_flip(half @ s2i @ m @ s2m @ half_i)
-
-    return MonodromyPair(
-        push(pair.m0), push(pair.m1), pair.theta.negate_inf(), pair.tol
-    )
-
-
-def stokes_check(pair: MonodromyPair) -> MonodromyPair:
-    """Image pair under the lower-triangular Stokes twist, row-flipped.
-
-    Mirror of stokes_hat with the lower factor and the opposite diagonal
-    twist; also lands at (theta0, theta1, -thetaInf).
-    """
-    stokes = stokes_from_pair(pair)
-    s1m = stokes.matrix(1)
-    s1i = s1m.inv()
-    half = exp_sigma3(0.5j * cmath.pi * pair.theta.thetaInf)
-    half_i = half.inv()
-
-    def push(m: Mat2C) -> Mat2C:
-        return sigma1_flip(half @ s1m @ m @ s1i @ half_i)
-
-    return MonodromyPair(
-        push(pair.m0), push(pair.m1), pair.theta.negate_inf(), pair.tol
-    )
-
-
-def _theta_twist_conjugators(base: MonodromyPair):
+def _theta_twist_conjugators(base: MonodromyPair) -> dict:
     """The two composite conjugators that implement the family operators.
 
     Built from the base pair's Stokes data:
@@ -433,62 +386,63 @@ def _theta_twist_conjugators(base: MonodromyPair):
     """
     stokes = stokes_from_pair(base)
     half = exp_sigma3(0.5j * cmath.pi * base.theta.thetaInf)
-    t2 = stokes.matrix(2) @ half @ SIGMA1
-    t1 = SIGMA1 @ half @ stokes.matrix(1)
-    return t1, t2
+    return {"T1": SIGMA1 @ half @ stokes.matrix(1),
+            "T2": stokes.matrix(2) @ half @ SIGMA1}
+
+
+# tag: (domain family, codomain family, index step, conjugator, power).  The
+# image of M is g M g^-1 with g = conjugator^power; "loop" is the composite
+# loop M1 M0 of the element's own pair, T1 and T2 come from the family base.
+_OPERATORS = {
+    "m": ("plain", "plain", 1, "loop", 1),
+    "m_inv": ("plain", "plain", -1, "loop", -1),
+    "s0": ("plain", "hat", 0, "T2", -1),
+    "s1": ("plain", "hat", -1, "T1", 1),
+    "shat0": ("hat", "plain", 0, "T2", 1),
+    "shat1": ("hat", "plain", 1, "T1", -1),
+}
 
 
 def apply_operator(op_tag: str, element: FamilyElement,
                    family_base: MonodromyPair) -> FamilyElement:
     """One step of the nonlinear monodromy/Stokes operator action.
 
-    op_tag is one of m, s0, s1 (domain: plain family) or shat0, shat1
-    (domain: hat family). Index bookkeeping: m shifts p to p+1 inside the
-    plain family; s0 maps p to hat-p; s1 maps p to hat-(p-1); shat0 maps
-    hat-p back to p; shat1 maps hat-p to p+1. The matrix content is the
-    corresponding conjugation by the base pair's twist conjugators.
+    op_tag is one of m, m_inv, s0, s1 (domain: plain family) or shat0,
+    shat1 (domain: hat family). Index bookkeeping: m and m_inv shift p to
+    p+1 and p-1 inside the plain family; s0 maps p to hat-p; s1 maps p to
+    hat-(p-1); shat0 maps hat-p back to p; shat1 maps hat-p to p+1. The
+    matrix content is the conjugation of _OPERATORS; the Stokes operators
+    negate thetaInf.
     """
-    t1, t2 = _theta_twist_conjugators(family_base)
-    pair, p = element.pair, element.index
-    theta = pair.theta
+    if op_tag not in _OPERATORS:
+        raise ValueError(f"unknown operator tag {op_tag!r}")
+    domain, codomain, step, conjugator, power = _OPERATORS[op_tag]
+    if element.family != domain:
+        raise WrongFamily(f"operator {op_tag} acts on the {domain} family")
+    pair = element.pair
+    if conjugator == "loop":
+        g = pair.product()
+    else:
+        g = _theta_twist_conjugators(family_base)[conjugator]
+    theta = pair.theta if domain == codomain else pair.theta.negate_inf()
+    return FamilyElement(conjugate_pair(pair, g.power(power), theta),
+                         element.index + step, codomain)
 
-    def conj(g: Mat2C, m: Mat2C) -> Mat2C:
-        return g @ m @ g.inv()
 
-    def repack(f0: Mat2C, f1: Mat2C, idx: int, fam: str,
-               new_theta: ThetaTriple) -> FamilyElement:
-        return FamilyElement(
-            MonodromyPair(f0, f1, new_theta, pair.tol), idx, fam
-        )
+def stokes_hat(pair: MonodromyPair) -> MonodromyPair:
+    """Image pair under the upper-triangular Stokes twist: s0 with the pair
+    as its own family base.
 
-    if op_tag == "m":
-        if element.family != "plain":
-            raise WrongFamily("operator m acts on the plain family")
-        shifted = monodromy_shift(pair, 1)
-        return FamilyElement(shifted, p + 1, "plain")
-    if op_tag == "s0":
-        if element.family != "plain":
-            raise WrongFamily("operator s0 acts on the plain family")
-        t2i = t2.inv()
-        return repack(t2i @ pair.m0 @ t2, t2i @ pair.m1 @ t2,
-                      p, "hat", theta.negate_inf())
-    if op_tag == "s1":
-        if element.family != "plain":
-            raise WrongFamily("operator s1 acts on the plain family")
-        return repack(conj(t1, pair.m0), conj(t1, pair.m1),
-                      p - 1, "hat", theta.negate_inf())
-    if op_tag == "shat0":
-        if element.family != "hat":
-            raise WrongFamily("operator shat0 acts on the hat family")
-        return repack(conj(t2, pair.m0), conj(t2, pair.m1),
-                      p, "plain", theta.negate_inf())
-    if op_tag == "shat1":
-        if element.family != "hat":
-            raise WrongFamily("operator shat1 acts on the hat family")
-        t1i = t1.inv()
-        return repack(t1i @ pair.m0 @ t1, t1i @ pair.m1 @ t1,
-                      p + 1, "plain", theta.negate_inf())
-    raise ValueError(f"unknown operator tag {op_tag!r}")
+    The output realizes the parameters (theta0, theta1, -thetaInf).
+    """
+    return apply_operator("s0", FamilyElement(pair, 0), pair).pair
+
+
+def stokes_check(pair: MonodromyPair) -> MonodromyPair:
+    """Image pair under the lower-triangular Stokes twist: s1 with the pair
+    as its own family base; also lands at (theta0, theta1, -thetaInf).
+    """
+    return apply_operator("s1", FamilyElement(pair, 0), pair).pair
 
 
 def u_p_matrix(stokes: StokesMatrices, p: int) -> Mat2C:

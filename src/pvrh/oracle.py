@@ -796,17 +796,28 @@ def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
 
     Connects the frame at the matching point (_match_frame) to the local
     Frobenius frames of both singular points: C = Phi_loc^{-1} Y and
-    M = C^{-1} e^{i pi theta sigma3} C.
+    M = C^{-1} e^{i pi theta sigma3} C.  ToleranceFailure when Phi_loc or C
+    is singular.
     """
     bk = _backend_of(state.t)
     y_m = _match_frame(state, lam0, p_seed)
     out = []
     for which in (0, 1):
         phi_loc, th = _local_frame(state, which, bk.num(1j * _MATCH_HEIGHT))
-        c = phi_loc.inv() @ y_m
+        c = _inverse(phi_loc, "local frame") @ y_m
         turn = bk.exp(1j * bk.pi * th)
-        out.append(c.inv() @ Mat2C(turn, 0.0, 0.0, 1 / turn) @ c)
+        ci = _inverse(c, "connection matrix")
+        out.append(ci @ Mat2C(turn, 0.0, 0.0, 1 / turn) @ c)
     return out[0], out[1]
+
+
+def _inverse(m: Mat2C, what: str) -> Mat2C:
+    """m^-1; ToleranceFailure when det m is zero or not finite."""
+    d = m.det()
+    # d - d is zero exactly for finite d, in doubles and in mp alike
+    if d == 0 or d - d != 0:
+        raise ToleranceFailure(f"{what} is singular (det {complex(d)})")
+    return m.inv()
 
 
 def _as_complex(m: Mat2C) -> Mat2C:

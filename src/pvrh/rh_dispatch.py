@@ -250,21 +250,6 @@ class ContinuationPlan:
     elliptic: Optional[Dict[str, complex]] = None
 
 
-def _execute_steps(pair: MonodromyPair, steps) -> MonodromyPair:
-    """Replay plan steps directly on a pair (m_inv handled inline)."""
-    elem = FamilyElement(pair, 0, "plain")
-    base = pair
-    for tag in steps:
-        if tag == "m_inv":
-            if elem.family != "plain":
-                raise DomainViolation("m_inv acts on the plain family")
-            elem = FamilyElement(monodromy_shift(elem.pair, -1),
-                                 elem.index - 1, "plain")
-        else:
-            elem = apply_operator(tag, elem, base)
-    return elem.pair
-
-
 def continuation_plan(pair: MonodromyPair, from_arg: float,
                       to_arg: float) -> ContinuationPlan:
     """Plan the rotation from_arg -> to_arg as pi-steps of the operators.
@@ -283,18 +268,18 @@ def continuation_plan(pair: MonodromyPair, from_arg: float,
         steps: List[str] = ["m"] * (n // 2) + ["s0"] * (n % 2)
     else:
         steps = ["m_inv"] * ((-n) // 2) + ["s1"] * ((-n) % 2)
-    resulting = _execute_steps(pair, steps)
-    sign = -1 if n % 2 else 1
-    plan = ContinuationPlan(
+    elem = FamilyElement(pair, 0, "plain")
+    for tag in steps:
+        elem = apply_operator(tag, elem, pair)
+    return ContinuationPlan(
         steps=tuple(steps),
         start_sheet=(from_arg - _HALF_PI, from_arg + _HALF_PI),
         end_sheet=(to_arg - _HALF_PI, to_arg + _HALF_PI),
-        resulting=resulting,
-        thetaInf_sign=sign,
+        resulting=elem.pair,
+        thetaInf_sign=-1 if n % 2 else 1,
         reciprocal=bool(n % 2),
         elliptic=_elliptic_attachment(pair, to_arg),
     )
-    return plan
 
 
 def _elliptic_attachment(pair: MonodromyPair,

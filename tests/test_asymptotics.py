@@ -32,14 +32,17 @@ from pvrh.asymptotics import (
     trunc_boundary_families,
 )
 from pvrh.boutroux_elliptic import solve_boutroux
+from pvrh.char_variety import char_coords, fricke_ok
 from pvrh.errors import (
     CaseGap,
     ConditionMismatch,
     DomainViolation,
     InsidePoleDisk,
     OutsideValidity,
+    PvrhError,
     ResonanceFailure,
     ThetaViolation,
+    UnderdeterminedCompletion,
     WrongSector,
 )
 from pvrh.mono_core import Mat2C, MonodromyPair, ThetaTriple, classify_region, validate_pair
@@ -331,6 +334,76 @@ def test_general_solution_completes_to_manifold(rng):
         pair = general_solution_monodromy(p, THETA_DESK)
         rep = validate_pair(pair.m0, pair.m1, THETA_DESK, tol=1e-10)
         assert rep.ok, rep.residuals
+
+
+_COMPONENT = st.floats(min_value=-1.4, max_value=1.4)
+_TILT = st.floats(min_value=-0.3, max_value=0.3)
+# a family constant: exactly 0, or of moderate size
+_CONSTANT = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=0.05,
+                                                      max_magnitude=2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(builder=st.sampled_from(("trunc", "nongeneric", "boundary", "general")),
+       index=st.integers(min_value=0, max_value=7),
+       nu=st.integers(min_value=1, max_value=3),
+       re=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+       im=st.tuples(_TILT, _TILT, _TILT),
+       c=_CONSTANT, cx=_CONSTANT,
+       sigma=st.complex_numbers(max_magnitude=0.5),
+       ut=st.complex_numbers(min_magnitude=0.3, max_magnitude=2.0))
+def test_pair_builders_land_on_manifold_or_raise(builder, index, nu, re, im,
+                                                 c, cx, sigma, ut):
+    theta = ThetaTriple(*(complex(a, b) for a, b in zip(re, im)))
+    if builder == "trunc":
+        def build():
+            return build_trunc_family(asymptotics._FAMILIES[index % 4].variant,
+                                      c, theta, ut)[0]
+    elif builder == "nongeneric":
+        # thetaInf solved from the resonance of case, branch and nu
+        case, j = 1 + index % 4, index // 4
+        row = asymptotics._FAMILIES[case - 1]
+        f0, f1, fi = row.second if j else row.first
+        target = 2 - 2 * nu if j else 2 * nu
+        theta = ThetaTriple(theta.theta0, theta.theta1,
+                            (target - f0 * theta.theta0 - f1 * theta.theta1) / fi)
+
+        def build():
+            return build_trunc_nongeneric(case, asymptotics._BRANCHES[j], nu,
+                                          c, theta, ut)[0]
+    elif builder == "boundary":
+        def build():
+            which = tuple(asymptotics._BOUNDARY_FAMILIES)[index % 4]
+            return trunc_boundary_families(which, {"c": c, "utilde": ut},
+                                           theta)[0]
+    else:
+        def build():
+            side = ("upper", "lower")[index % 2]
+            return general_solution_monodromy(
+                GeneralSolutionParams(sigma, c, cx, ut, side), theta)
+    try:
+        pair = build()
+    except PvrhError:
+        return
+    # rounding in det, trace and the product constraint grows with the
+    # square of the entries
+    tol = 1e-10 * (1.0 + pair.norm_inf()) ** 2
+    rep = validate_pair(pair.m0, pair.m1, theta, tol=tol)
+    assert rep.ok, rep.residuals
+    assert fricke_ok(char_coords(pair))
+
+
+def test_boundary_families_refuse_c_zero_off_the_manifold():
+    # with c = 0 the lower-ray families put no pair on the manifold: M1
+    # would be triangular with m1_11 fixed by the product constraint
+    for which in ("large1_lower", "small1_lower"):
+        with pytest.raises(UnderdeterminedCompletion):
+            trunc_boundary_families(which, {"c": 0.0, "utilde": 1.1},
+                                    THETA_DESK)
+    for which in ("small0_upper", "large0_upper"):
+        pair, _ = trunc_boundary_families(which, {"c": 0.0, "utilde": 1.1},
+                                          THETA_DESK)
+        assert validate_pair(pair.m0, pair.m1, THETA_DESK, tol=1e-12).ok
 
 
 # lattice reduction and phase shifts

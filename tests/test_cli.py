@@ -263,10 +263,12 @@ def test_malformed_inputs_exit_1(capsys):
     assert status == 1
     assert json.loads(out)["code"] == "unreadable-input"
 
-    status, out = run_cli(capsys, ["orbit", dtc_json(), "--ops", "zz",
-                                   "--steps", "1"])
-    assert status == 1
-    assert json.loads(out)["code"] == "bad-ops"
+    for ops in ("zz", "m_inv"):
+        # m_inv is a continuation step, not one of the five orbit operators
+        status, out = run_cli(capsys, ["orbit", dtc_json(), "--ops", ops,
+                                       "--steps", "1"])
+        assert status == 1
+        assert json.loads(out)["code"] == "bad-ops"
 
     status, out = run_cli(capsys, ["solve", dtc_json()])
     assert status == 1

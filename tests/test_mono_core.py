@@ -21,6 +21,7 @@ from pvrh.mono_core import (
     pair_to_json_obj,
     product_from_stokes,
     stokes_from_pair,
+    stokes_check,
     stokes_hat,
     u_p_matrix,
     validate_pair,
@@ -234,17 +235,69 @@ def test_apply_operator_rejects_wrong_family(rng):
     hat = apply_operator("s0", elem, pair)
     with pytest.raises(WrongFamily):
         apply_operator("m", hat, pair)
+    with pytest.raises(WrongFamily):
+        apply_operator("m_inv", hat, pair)
 
 
 def test_operator_index_bookkeeping(rng):
     pair = random_valid_pair(rng)
     elem = FamilyElement(pair, 2, "plain")
     assert apply_operator("m", elem, pair).index == 3
+    assert apply_operator("m_inv", elem, pair).index == 1
     assert apply_operator("s0", elem, pair).index == 2
     assert apply_operator("s1", elem, pair).index == 1
     hat = apply_operator("s0", elem, pair)
     assert apply_operator("shat0", hat, pair).index == 2
     assert apply_operator("shat1", hat, pair).index == 3
+
+
+def _written_out_twists(base):
+    # T1 = sigma1 e^{i pi thetaInf sigma3 / 2} S1 and
+    # T2 = S2 e^{i pi thetaInf sigma3 / 2} sigma1, from the base's Stokes data
+    stokes = stokes_from_pair(base)
+    half = cmath.exp(0.5j * cmath.pi * base.theta.thetaInf)
+    h = Mat2C(half, 0.0, 0.0, 1.0 / half)
+    sigma1 = Mat2C(0.0, 1.0, 1.0, 0.0)
+    t1 = sigma1 @ h @ Mat2C(1.0, 0.0, stokes.s1, 1.0)
+    t2 = Mat2C(1.0, stokes.s2, 0.0, 1.0) @ h @ sigma1
+    return t1, t2
+
+
+def _conjugated(pair, g, gi):
+    return MonodromyPair(g @ pair.m0 @ gi, g @ pair.m1 @ gi,
+                         pair.theta.negate_inf())
+
+
+@pytest.mark.parametrize("tag, family", [("s0", "plain"), ("s1", "plain"),
+                                         ("shat0", "hat"), ("shat1", "hat")])
+def test_stokes_operator_is_its_twist_conjugation(rng, tag, family):
+    for _ in range(10):
+        pair, base = random_valid_pair(rng), random_valid_pair(rng)
+        t1, t2 = _written_out_twists(base)
+        expected = {"s0": (t2.inv(), t2), "s1": (t1, t1.inv()),
+                    "shat0": (t2, t2.inv()), "shat1": (t1.inv(), t1)}[tag]
+        image = apply_operator(tag, FamilyElement(pair, 0, family), base).pair
+        assert pair_diff(image, _conjugated(pair, *expected)) \
+            < 1e-13 * pair.norm_inf() * base.norm_inf() ** 2
+        assert image.theta == pair.theta.negate_inf()
+
+
+def test_twists_are_s0_and_s1_at_their_own_base(rng):
+    for _ in range(25):
+        pair = random_valid_pair(rng)
+        elem = FamilyElement(pair, 0, "plain")
+        for twist, tag in ((stokes_hat, "s0"), (stokes_check, "s1")):
+            assert pair_diff(twist(pair),
+                             apply_operator(tag, elem, pair).pair) < 1e-13
+        # stokes_hat as the row-flipped conjugation by S2 and the half twist
+        s2 = stokes_from_pair(pair).matrix(2)
+        half = cmath.exp(-0.5j * cmath.pi * pair.theta.thetaInf)
+        g = Mat2C(half, 0.0, 0.0, 1.0 / half) @ s2.inv()
+        flipped = _conjugated(pair, g, g.inv())
+        hat = stokes_hat(pair)
+        for got, ref in ((hat.m0, flipped.m0), (hat.m1, flipped.m1)):
+            assert max_entry_diff(got, Mat2C(ref.m22, ref.m21, ref.m12,
+                                             ref.m11)) < 1e-13
 
 
 def test_pair_json_roundtrip(rng):

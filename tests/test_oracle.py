@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from pvrh._highprec import ray_final_mp
 from pvrh.asymptotics import formal_series_pv
-from pvrh.cli import _eval_family
+from pvrh.cli import _NUMERIC_ERRORS, _eval_family
 from pvrh.errors import GridTooCoarse, HitSingularity, SeedDefectTooLarge
 from pvrh.mono_core import (
     Mat2C,
@@ -290,29 +291,48 @@ def test_ray_stepper_matches_independent_references(rng):
               [mpmath.mpc(v) for v in state], 1e-25)
 
 
-def test_import_leaves_out_scipy_integrate():
+@pytest.fixture(scope="module")
+def modules_new_after_import():
+    # one fresh interpreter: the modules that `import pvrh.cli,
+    # pvrh._highprec` adds, by full name
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys; before = set(sys.modules); "
+            "import pvrh.cli, pvrh._highprec; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    return set(json.loads(out.stdout))
+
+
+def test_import_leaves_out_numpy_and_scipy(modules_new_after_import):
+    # Gamma, K/E, the formal series and the ray stepper are plain Python,
+    # so importing the library loads no third-party module but mpmath;
+    # numpy and scipy together cost about half a second and 40 MiB at
+    # every CLI start
+    top = {m.partition(".")[0] for m in modules_new_after_import}
+    assert top - set(sys.stdlib_module_names) - {"pvrh"} <= {"mpmath"}
+
+
+def test_import_leaves_out_scipy_integrate(modules_new_after_import):
     # the ray stepper needs no ODE library, and importing one costs about
     # a third of a second and 25 MiB at every CLI start
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, pvrh.cli, pvrh._highprec; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "False"
+    assert "scipy.integrate" not in modules_new_after_import
 
 
-def test_import_leaves_out_numpy_and_scipy():
-    # Gamma, K/E and the formal series are plain Python, so importing the
-    # library pulls in neither; together they cost about half a second and
-    # 40 MiB at every CLI start
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, pvrh.cli, pvrh._highprec; "
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]"
+def test_singular_connection_matrix_is_a_numeric_failure():
+    # a ray state whose frames make det C exactly 0; the inverse used to
+    # raise a bare ZeroDivisionError, which the CLI reports as a
+    # validation failure instead of a numeric one
+    theta = ThetaTriple(-0.08555927629462712,
+                        0.3365077972078151 + 0.06982978123112123j,
+                        0.3099796663725433)
+    state = LinearSystemState(40.0, 0.5,
+                              -1.5018368206120225 - 0.5110630799437784j,
+                              3.09753561193383 + 4.592880140340483j, 0.0,
+                              theta)
+    with pytest.raises(_NUMERIC_ERRORS):
+        direct_monodromy(state)
 
 
 def test_mp_monodromy_matches_double_route():
