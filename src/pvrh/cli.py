@@ -527,6 +527,9 @@ def _cmd_verify(args) -> int:
             raise CliFailure(_MALFORMED, "bad-bases",
                              "expected comma-separated |x| values",
                              "--bases") from None
+        if not all(math.isfinite(b) and b > 0 for b in bases):
+            raise CliFailure(_VALIDATION, "bad-bases",
+                             "bases must be finite and positive", "--bases")
         if not bases or bases[-1] > t + 1e-12:
             raise CliFailure(_VALIDATION, "bad-bases",
                              "bases must stay at or below |x| of the seed",

@@ -7,7 +7,8 @@ the base point moves (it should not).
 
 The Taylor ray stepper and the monodromy chain on Mat2C (residues,
 canonical series and seed ladder, Taylor lambda-transport, local
-Frobenius frames, connection solve) are written once and run in the scalars
+Frobenius frames carried by their holomorphic part, connection solve with
+a conditioning guard) are written once and run in the scalars
 of the state they are given: Python complex with cmath, or mpmath numbers
 at the working precision for a state built under mp.workdps (the dps
 arguments of the entry points do that).  Both use only arithmetic, abs,
@@ -282,13 +283,14 @@ def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
     """Carry state = (t, y, zfrak, log u) along the ray to |x| = t_end.
 
     Taylor steps (_ray_coeffs) in the scalars of y, of the backend's ray
-    order.  A step starts from the Jorba-Zou guess on the last two terms,
-    at most 0.45 t, and is halved until the last four terms fall below the
-    backend's ray_tol relative to max(1, |y|, |zfrak|).  ToleranceFailure
-    when a step collapses below _RAY_COLLAPSE max(1, t), which only a pole
-    on or right next to the ray forces, or the leg takes more than
-    _RAY_STEPS steps; HitSingularity when y comes within _RAY_GUARD of 0
-    or 1 after a step.
+    order.  A step passes when its last four terms fall below the
+    backend's ray_tol relative to max(1, |y|, |zfrak|); it starts at 0.999
+    times the least reach (cut / |term j|)^(1/j) of those four (the
+    Jorba-Zou guess), at most 0.45 t, and is halved while it fails, which
+    the 0.999 keeps rounding from causing.  ToleranceFailure when a step
+    collapses below _RAY_COLLAPSE max(1, t), which only a pole on or right
+    next to the ray forces, or the leg takes more than _RAY_STEPS steps;
+    HitSingularity when y comes within _RAY_GUARD of 0 or 1 after a step.
     """
     t, y, z, lu = state
     bk = _backend_of(y)
@@ -301,9 +303,9 @@ def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
         size = {j: abs(ys[j]) + abs(zs[j]) + abs(lus[j]) for j in tail_terms}
         cut = bk.ray_tol * max(1, abs(y), abs(z))
         reach = 0.45 * tc
-        for j in (order - 1, order):
+        for j in tail_terms:
             if size[j]:
-                reach = min(reach, (cut / size[j]) ** (1.0 / j))
+                reach = min(reach, 0.999 * (cut / size[j]) ** (1.0 / j))
         rem = target - tc
         h = rem if abs(rem) <= reach else (reach if rem > 0 else -reach)
         floor = _RAY_COLLAPSE * max(1, tc)
@@ -557,12 +559,15 @@ def _seed_frame(state: LinearSystemState, N: int,
 # linear transport
 
 def _transport(state: LinearSystemState, path: Sequence[complex],
-               v: Mat2C) -> Mat2C:
+               v: Mat2C, d0=0, d1=0) -> Mat2C:
     """Carry the gauged frame V = Y e^{-(t/4) lambda sigma3} along a polyline.
 
     V' = (t/4)(sigma3 V - V sigma3) + B0 V/(lam+e) + B1 V/(lam-e) keeps
     entries of moderate size where Re(lambda) stays small, and is singular
-    only at +-e^{i phi}.  Taylor steps h go from path[0] through the other
+    only at +-e^{i phi}.  With d0, d1 it carries V (lam+e)^{-d0 sigma3}
+    (lam-e)^{-d1 sigma3} instead, whose system has B0 - d0 I and B1 - d1 I
+    in column 1 and B0 + d0 I, B1 + d1 I in column 2 (_local_frame strips
+    its w^D that way).  Taylor steps h go from path[0] through the other
     points: |h| at most _STEP_REACH/t and half the distance to +-e^{i phi},
     and |Re h| at most _DICHOTOMY/t, since the e^{+-t lambda/4} modes
     change their ratio by e^{t |Re h|/2} over a step, which sets the digits
@@ -572,7 +577,7 @@ def _transport(state: LinearSystemState, path: Sequence[complex],
     bk = _backend_of(state.t)
     e = _unit(state)
     b0, b1 = residue_matrices(state.theta, state.y, state.zfrak)
-    coef = (state.t / 2, e, b0, b1, bk.tol)
+    coef = (state.t / 2, e, b0, b1, d0, d1, bk.tol)
     t = max(state.t, 1)
     hmax = _STEP_REACH / t
     pos = path[0]
@@ -599,23 +604,24 @@ def _transport(state: LinearSystemState, path: Sequence[complex],
 def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
     """V(pos + h) from the Taylor series at pos; None to retry shorter.
 
-    The Cauchy products of V with 1/(lam+e) and 1/(lam-e) are the
-    first-order recurrences P_k = c (V_k - P_{k-1}) with c = 1/(pos+e)
-    and 1/(pos-e).
+    The terms are carried as V_k h^k.  The Cauchy products of V with
+    1/(lam+e) and 1/(lam-e), as P_k h^(k+1), are the first-order
+    recurrences P_k = c (V_k - P_{k-1}) with c = h/(pos+e) and h/(pos-e).
+    Column 1 sees the diagonals of B0 and B1 lowered by d0 and d1, column 2
+    raised by them (see _transport).
     """
-    t_half, e, b0, b1, tol = coef
-    c0, c1 = 1 / (pos + e), 1 / (pos - e)
-    a11, a12, a21, a22 = b0.m11, b0.m12, b0.m21, b0.m22
-    b11, b12, b21, b22 = b1.m11, b1.m12, b1.m21, b1.m22
+    t_half, e, b0, b1, d0, d1, tol = coef
+    c0, c1 = h / (pos + e), h / (pos - e)
+    th = t_half * h
+    a12, a21, b12, b21 = b0.m12, b0.m21, b1.m12, b1.m21
+    a11, a22, b11, b22 = b0.m11 - d0, b0.m22 - d0, b1.m11 - d1, b1.m22 - d1
+    f11, f22, g11, g22 = b0.m11 + d0, b0.m22 + d0, b1.m11 + d1, b1.m22 + d1
     v11, v12, v21, v22 = v.m11, v.m12, v.m21, v.m22
     s11, s12, s21, s22 = v11, v12, v21, v22
     cut0 = tol * max(abs(v11), abs(v21))
     cut1 = tol * max(abs(v12), abs(v22))
     p11 = p12 = p21 = p22 = q11 = q12 = q21 = q22 = 0
-    hk = 1
-    ah = abs(h)
-    ahk = 1
-    kmin = int(float(t_half * ah)) + 8
+    kmin = int(float(t_half * abs(h))) + 8
     quiet = 0
     for k in range(1, _TAYLOR_CAP + 1):
         p11, p12 = c0 * (v11 - p11), c0 * (v12 - p12)
@@ -624,19 +630,15 @@ def _taylor_step(coef: tuple, pos, v: Mat2C, h) -> Optional[Mat2C]:
         q21, q22 = c1 * (v21 - q21), c1 * (v22 - q22)
         v11, v12, v21, v22 = (
             (a11 * p11 + a12 * p21 + b11 * q11 + b12 * q21) / k,
-            (t_half * v12 + a11 * p12 + a12 * p22 + b11 * q12 + b12 * q22)
-            / k,
-            (-t_half * v21 + a21 * p11 + a22 * p21 + b21 * q11 + b22 * q21)
-            / k,
-            (a21 * p12 + a22 * p22 + b21 * q12 + b22 * q22) / k)
-        hk = hk * h
-        ahk = ahk * ah
-        s11, s12 = s11 + v11 * hk, s12 + v12 * hk
-        s21, s22 = s21 + v21 * hk, s22 + v22 * hk
+            (th * v12 + f11 * p12 + a12 * p22 + g11 * q12 + b12 * q22) / k,
+            (-th * v21 + a21 * p11 + a22 * p21 + b21 * q11 + b22 * q21) / k,
+            (a21 * p12 + f22 * p22 + b21 * q12 + g22 * q22) / k)
+        s11, s12 = s11 + v11, s12 + v12
+        s21, s22 = s21 + v21, s22 + v22
         if k < kmin - 2:
             continue  # a return needs three quiet terms ending at k >= kmin
-        if max(abs(v11), abs(v21)) * ahk < cut0 \
-                and max(abs(v12), abs(v22)) * ahk < cut1:
+        if abs(v11) < cut0 and abs(v21) < cut0 \
+                and abs(v12) < cut1 and abs(v22) < cut1:
             quiet += 1
             if quiet >= 3 and k >= kmin:
                 return Mat2C(s11, s12, s21, s22)
@@ -671,15 +673,18 @@ def _check_clearance(state: LinearSystemState, path: Sequence[complex]) -> None:
 
 def _local_frame(state: LinearSystemState, which: int,
                  lam_match: complex) -> Tuple[Mat2C, Any]:
-    """Fundamental local solution Phi = (sum G_k w^k) w^{D} at lam_match.
+    """Fundamental local solution Phi = G(w) w^D at lam_match, w = lam - s.
 
-    which = 0 for the point s carrying theta0 (-e^{i phi}), 1 for theta1.
-    Returns (Phi(lam_match), theta_local).  The terms grow like
-    e^{t|w|/4} before they cancel, so the series is summed toward
-    lam_match at |w| = min(|lam_match - s|, 4/t), where no term is large,
-    and the transport carries it the rest of the way, gauged by
-    e^{-+(t/4) lambda}.  Resonant integer theta makes the order-k operator
-    singular and is reported, not patched.
+    which = 0 for the point s carrying theta0 (-e^{i phi}), 1 for theta1,
+    and D = diag(theta/2, -theta/2).  Returns (Phi(lam_match),
+    theta_local).  The terms of G = sum G_k w^k grow like e^{t|w|/4}
+    before they cancel, so the series is summed toward lam_match at |w| =
+    min(|lam_match - s|, _FROBENIUS_REACH/t), where no term is large.  The
+    transport carries W = G e^{-(t/4) lambda sigma3}, regular at s, the
+    rest of the way (_transport with d = theta/2 at s), and w_match^D goes
+    on at the end: w has the argument of w_match, so the principal log is
+    the branch of the series.  Resonant integer theta makes the order-k
+    operator singular and is reported, not patched.
     """
     bk = _backend_of(state.t)
     t0, t1, ti = _thetas(state.theta, bk)
@@ -745,12 +750,13 @@ def _local_frame(state: LinearSystemState, which: int,
     else:
         raise ToleranceFailure(
             f"local series tail still large at {_SERIES_CAP} terms")
-    logw = bk.log(w)
-    phi = _scale_columns(Mat2C(acc11, acc12, acc21, acc22),
-                         bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw))
     lam_s = s_self + w
-    v = _transport(state, (lam_s, lam_match), _exp_gauge(state, phi, -lam_s))
-    return _exp_gauge(state, v, lam_match), th
+    w_s = _exp_gauge(state, Mat2C(acc11, acc12, acc21, acc22), -lam_s)
+    d = (th / 2, 0) if which == 0 else (0, th / 2)
+    v = _transport(state, (lam_s, lam_match), w_s, *d)
+    logw = bk.log(w_match)
+    return _scale_columns(_exp_gauge(state, v, lam_match),
+                          bk.exp(th / 2 * logw), bk.exp(-th / 2 * logw)), th
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +802,11 @@ def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
 
     Connects the frame at the matching point (_match_frame) to the local
     Frobenius frames of both singular points: C = Phi_loc^{-1} Y and
-    M = C^{-1} e^{i pi theta sigma3} C.  ToleranceFailure when Phi_loc or C
-    is singular.
+    M = C^{-1} e^{i pi theta sigma3} C.  ToleranceFailure when Phi_loc is
+    singular or |det C| / |C|_max^2, about 1/cond(C), is at most tol^{3/2}
+    (1e-24 in doubles): it reads 1.9e-18 at the Trunc00 state of criterion
+    08, whose exponentially small mode is genuine, and 2e-30 where the
+    local frames lost every digit.
     """
     bk = _backend_of(state.t)
     y_m = _match_frame(state, lam0, p_seed)
@@ -805,6 +814,11 @@ def _frobenius_monodromy(state: LinearSystemState, lam0: complex,
     for which in (0, 1):
         phi_loc, th = _local_frame(state, which, bk.num(1j * _MATCH_HEIGHT))
         c = _inverse(phi_loc, "local frame") @ y_m
+        if abs(c.det()) <= bk.tol ** 1.5 * c.norm_inf() ** 2:
+            raise ToleranceFailure(
+                f"connection matrix is ill-conditioned (|det C| = "
+                f"{float(abs(c.det())):.1e}, |C|_max = "
+                f"{float(c.norm_inf()):.1e})")
         turn = bk.exp(1j * bk.pi * th)
         ci = _inverse(c, "connection matrix")
         out.append(ci @ Mat2C(turn, 0.0, 0.0, 1 / turn) @ c)

@@ -301,6 +301,14 @@ def test_validation_failures_exit_2(capsys):
     assert status == 2
     assert json.loads(out)["code"] == "bad-point"
 
+    # a NaN base used to escape as a bare KeyError, zero or negative ones
+    # as a collapsed ray step (exit 3)
+    for bases in ("nan,10", "0,10", "-5,10", "-inf,10"):
+        status, out = run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                       "--at", "12", f"--bases={bases}"])
+        assert status == 2
+        assert json.loads(out)["code"] == "bad-bases"
+
 
 def test_tolerance_env_and_flag(monkeypatch, capsys):
     softly_off = pair_to_json_obj(doubly_truncated_pair(THETA_DESK))

@@ -335,6 +335,24 @@ def test_singular_connection_matrix_is_a_numeric_failure():
         direct_monodromy(state)
 
 
+def test_connection_guard_margin_at_criterion_08_state():
+    # the exponentially small mode of the criterion 08 state (Trunc00,
+    # t = 60) gives the worst-conditioned connection of the states that
+    # must solve: |det C| / |C|_max^2 = 1.9e-18 for the theta1 frame, about
+    # 2e6 above the guard of _frobenius_monodromy at tol^{3/2} = 1e-24
+    y, yp = trunc00_y_yprime(THETA_DESK, 1.0, 60.0)
+    st_ = LinearSystemState(60.0, 0.0, y,
+                            zfrak_from_y_yprime(THETA_DESK, 60.0, y, yp),
+                            0.0, THETA_DESK)
+    lam0, p_seed, _ = _seed_frame(st_, 32)
+    y_m = _match_frame(st_, lam0, p_seed)
+    for which in (0, 1):
+        c = _local_frame(st_, which, 0.3j)[0].inv() @ y_m
+        assert abs(c.det()) \
+            >= 1e5 * oracle._DOUBLE.tol ** 1.5 * c.norm_inf() ** 2
+    direct_monodromy(st_)
+
+
 def test_mp_monodromy_matches_double_route():
     st_ = const_state(8.0)
     doubles = gauge_normalize(direct_monodromy(st_)).pair
@@ -379,6 +397,30 @@ def test_transport_step_counts(monkeypatch, t, steps):
     assert len(calls) == steps
 
 
+@pytest.mark.parametrize("leg, sets", [("desk", 2), ("R2_1", 10)])
+def test_ray_coefficient_sets_per_leg(monkeypatch, leg, sets):
+    # coefficient sets of one ray leg: 60 -> 50 from the desk series seed,
+    # and 35.83 -> 25.83 from an R2_1 seed, as pvrh verify runs it; a step
+    # rule that halves or wastes steps shows here without a timer
+    if leg == "desk":
+        seed = desk_series_seed(60.0)
+        theta, start = THETA_DESK, (60.0, seed["y"], seed["zfrak"], 0.0)
+        t_end = 50.0
+    else:
+        st_ = _family_state(r2_1_pair(), 35.83)
+        theta, start = st_.theta, (st_.t, st_.y, st_.zfrak, 0.0)
+        t_end = 25.83
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _ray_coeffs(*args)
+
+    monkeypatch.setattr(oracle, "_ray_coeffs", counting)
+    oracle._ray_leg(theta, 0.0, start, t_end)
+    assert len(calls) == sets
+
+
 def _column_error(got: Mat2C, want: Mat2C) -> float:
     worst = 0.0
     for g, w in (((got.m11, got.m21), (want.m11, want.m21)),
@@ -396,7 +438,7 @@ def _desk_state_on_ray(t: float, phi: float) -> LinearSystemState:
 
 
 @pytest.mark.parametrize("t, phi", [(12.0, 0.0), (30.0, 0.0), (60.0, 0.0),
-                                    (30.0, 0.6)])
+                                    (30.0, 0.6), (20.0, -0.6), (45.0, 0.3)])
 def test_match_and_local_frames_match_mp_chain(t, phi):
     # Y at the matching point and both local frames there, in doubles,
     # against the same chain at dps 34, each column relative to its size
@@ -413,6 +455,32 @@ def test_match_and_local_frames_match_mp_chain(t, phi):
             + [_local_frame(mst, which, lam_m)[0] for which in (0, 1)]
     for got, ref in zip(frames, want):
         assert _column_error(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.6, -0.6])
+@pytest.mark.parametrize("t", [12.0, 30.0, 60.0])
+def test_local_frame_matches_unstripped_transport(t, phi):
+    # _local_frame transports W = G e^{-(t/4) lambda sigma3} and puts w^D on
+    # at the end; the reference transports Phi = G w^D itself, singular at
+    # s, from the point where the series is summed.  It runs at dps 34:
+    # at t = 60 each double route sits 6-9e-14 from it, in different
+    # directions, so two double routes differ by up to 1.1e-13
+    st_ = _desk_state_on_ray(t, phi)
+    with mpmath.workdps(34):
+        mst = LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(st_.y),
+                                mpmath.mpc(st_.zfrak), 0.0, THETA_DESK)
+        e, lam_m = oracle._unit(mst), mpmath.mpc(0.3j)
+        want = []
+        for which, s in ((0, -e), (1, e)):
+            w = lam_m - s
+            lam_s = s + w * (oracle._FROBENIUS_REACH / mst.t / abs(w))
+            phi_s, _ = _local_frame(mst, which, lam_s)
+            v = oracle._transport(mst, (lam_s, lam_m),
+                                  oracle._exp_gauge(mst, phi_s, -lam_s))
+            want.append(oracle._exp_gauge(mst, v, lam_m))
+    for which in (0, 1):
+        got, _ = _local_frame(st_, which, 0.3j)
+        assert _column_error(got, want[which]) <= 1e-13
 
 
 def _poly_part_by_matrices(coeffs, lam):
