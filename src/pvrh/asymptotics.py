@@ -34,6 +34,8 @@ from .errors import (
 from .mono_core import Mat2C, MonodromyPair, ThetaTriple, conjugate_pair, stokes_from_pair
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+_EXP_QUARTER_PI_I = cmath.exp(0.25j * math.pi)
+_TWO_PI = 2.0 * math.pi
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -158,11 +160,9 @@ def in_sector(x: complex, d: AsymptoticDescriptor) -> bool:
     lo, hi = d.sector
     lo_closed, hi_closed = d.sector_closed
     ph = cmath.phase(x)
-    for k in (-1, 0, 1):
-        a = ph + 2.0 * math.pi * k
-        above = a > lo + 1e-12 or (lo_closed and a >= lo - 1e-12)
-        below = a < hi - 1e-12 or (hi_closed and a <= hi + 1e-12)
-        if above and below:
+    for a in (ph, ph - _TWO_PI, ph + _TWO_PI):
+        if (a > lo + 1e-12 or lo_closed and a >= lo - 1e-12) \
+                and (a < hi - 1e-12 or hi_closed and a <= hi + 1e-12):
             return True
     return False
 
@@ -252,73 +252,6 @@ def eval_trig(x: complex, d: AsymptoticDescriptor, mode: Optional[str] = None) -
 # ---------------------------------------------------------------------------
 # formal series
 
-class _ClearedResidual:
-    """The polynomial-cleared PV residual of a series, grown order by order.
-
-    The series is y = sum_k y[k] x^-(base + k), base = min(min_exp, 0),
-    with y[k] = 0 past the coefficients set so far. The cleared residual
-
-        2 x^2 y (y-1) y'' - x^2 (3y-1) (y')^2 + 2 x y (y-1) y'
-        - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1)
-
-    is summed as 2 (yy - y) E - (3y - 1) dd - 2 m3 (a yy - b)
-    - 2 c x (y3 - yy) + x^2 (y3 + yy) from six Cauchy products: yy = y^2,
-    y3 = yy y, dd = D^2, (3y - 1) dd, (yy - y) E and m3 (a yy - b), with
-    m3 = (y - 1)^3 = y3 - 3 yy + 3 y - 1, D = x y' and E = x^2 y'' + x y',
-    which scale x^-e by -e and e^2. Entry k of every list is its
-    coefficient of x^-(j base + k), where j base is the lowest power the
-    list can start at: j = 1 for y, D, E and 3y - 1, 2 for yy, dd, yy - y
-    and a yy - b, 3 for y3, m3 and the triple products, 5 for the m3
-    product. So entry k depends on y[0..k] alone: when y[k] changes,
-    `reset(k)` drops the entries from k on, and `at` grows each list only
-    as far as the coefficient it returns reads.
-    """
-
-    def __init__(self, y: List[complex], base: int, th: ThetaTriple):
-        self.y, self.base = y, base
-        self.abc = complex(th.a_theta), complex(th.b_theta), complex(th.c_theta)
-        # yy, y3; D, E, 3y - 1, yy - y, dd, (yy - y) E, (3y - 1) dd;
-        # a yy - b, m3, m3 (a yy - b)
-        self.lists = tuple([] for _ in range(12))
-
-    def reset(self, k: int) -> None:
-        for f in self.lists:
-            del f[k:]
-
-    def at(self, t: int) -> complex:
-        """Coefficient of x^-t."""
-        y, B = self.y, self.base
-        a, b, c = self.abc
-        yy, y3, d, e2, v, u, dd, p1, p2, w, m3, p3 = self.lists
-        mul = operator.mul
-        for k in range(len(yy), max(t + 2 - 3 * B, t - 5 * B) + 1):
-            yy.append(sum(map(mul, y[:k + 1], y[k::-1])))
-            y3.append(sum(map(mul, yy[:k + 1], y[k::-1])))
-        for k in range(len(d), t - 3 * B + 1):
-            e = B + k
-            d.append(-e * y[k])
-            e2.append(e * e * y[k])
-            v.append(3.0 * y[k] - (1.0 if e == 0 else 0.0))
-            u.append(yy[k] - (y[k + B] if k + B >= 0 else 0.0))
-            dd.append(sum(map(mul, d[:k + 1], d[k::-1])))
-            p1.append(sum(map(mul, u[:k + 1], e2[k::-1])))
-            p2.append(sum(map(mul, v[:k + 1], dd[k::-1])))
-        for k in range(len(w), t - 5 * B + 1):
-            w.append(a * yy[k] - (b if k + 2 * B == 0 else 0.0))
-            m3.append(y3[k] - 3.0 * (yy[k + B] if k + B >= 0 else 0.0)
-                      + 3.0 * (y[k + 2 * B] if k + 2 * B >= 0 else 0.0)
-                      - (1.0 if k + 3 * B == 0 else 0.0))
-            p3.append(sum(map(mul, m3[:k + 1], w[k::-1])))
-
-        def entry(f, j, e):
-            k = e - j * B
-            return f[k] if k >= 0 else 0.0
-
-        return (2.0 * entry(p1, 3, t) - entry(p2, 3, t) - 2.0 * entry(p3, 5, t)
-                - 2.0 * c * (entry(y3, 3, t + 1) - entry(yy, 2, t + 1))
-                + entry(y3, 3, t + 2) + entry(yy, 2, t + 2))
-
-
 # Series kind: (min_exp, s, slope sigma of the leading coefficient a0).
 # Linearising the cleared residual about a0 x^-min_exp, a_m first enters it
 # at x^-(m + s), linearly and with slope sigma, at every order m.
@@ -327,6 +260,121 @@ _SERIES_KINDS = {
     "small": (1, -1, lambda a0: 2.0 * a0),
     "large": (-1, -4, lambda a0: -2.0 * a0 * a0),
 }
+_SERIES_MAX_ORDER = 20
+
+
+def _series_kind(leading_tag: str) -> str:
+    if leading_tag == "minus_one":
+        return leading_tag
+    if leading_tag not in _BY_TAG:
+        raise ValueError(f"unknown leading_tag {leading_tag!r}")
+    return leading_tag[:5]
+
+
+def series_order_bounds(leading_tag: str) -> Tuple[int, int]:
+    """Lowest and highest order N that `formal_series_pv` takes for a tag."""
+    return _SERIES_KINDS[_series_kind(leading_tag)][0], _SERIES_MAX_ORDER
+
+
+def _cleared_residual_pass(y: List[complex], min_exp: int, s: int, N: int,
+                           sigma: complex, th: ThetaTriple) -> None:
+    """Solve a_(min_exp + 1)..a_N into y in one pass over the cleared residual.
+
+    The series is y = sum_k y[k] x^-(B + k), B = min(min_exp, 0), with
+    y[k] = 0 past the coefficients set so far. The cleared residual
+
+        2 x^2 y (y-1) y'' - x^2 (3y-1) (y')^2 + 2 x y (y-1) y'
+        - 2 (y-1)^3 (a y^2 - b) - 2 c x y^2 (y-1) + x^2 y^2 (y+1)
+
+    is summed as 2 (yy - y) E - (3y - 1) dd - 2 m3 (a yy - b)
+    - 2 c x (y3 - yy) + x^2 (y3 + yy) from six Cauchy products: yy = y^2,
+    y3 = yy y, dd = D^2, (3y - 1) dd, (yy - y) E and m3 (a yy - b), with
+    m3 = (y - 1)^3 = y3 - 3 (yy - y) - 1, D = x y' and E = x^2 y'' + x y',
+    which scale x^-e by -e and e^2. Entry k of every list is its
+    coefficient of x^-(j B + k), where j B is the lowest power the list can
+    start at: j = 1 for y, D, E and 3y - 1, 2 for yy, dd, yy - y and
+    a yy - b, 3 for y3, m3 and the triple products, 5 for the m3 product.
+    So entry k depends on y[0..k] alone, and the residual's coefficient of
+    x^-(q + 3B) reads the triple products at q, the m3 product at q - 2B,
+    and yy and y3 up to q + 2.
+
+    Step q appends one entry to each list: yy and y3 at q + 2, yy - y at
+    q - B, D to the triple products at q, and a yy - b, m3 and their
+    product at q - 2B. A product entry is one sum over an operand and the
+    other reversed: E, dd and a yy - b are kept newest first, y (shared by
+    yy and y3) and D are reversed by a slice. Once q + 3B = m + s, the
+    step solves a_m = -rho_m / sigma, which sits at y[p], p = m - B. The
+    top entries of yy and y3 (on the large rows also of a yy - b, m3 and
+    their product) were summed with a_m = 0; they are the only entries
+    that hold a_m, and they hold it linearly, so they get its exact linear
+    term from the products, not from sigma: yy[p + j] gains 2 y[j] a_m,
+    y3[p + j] is its inner sum plus the end terms yy[j] a_m and
+    yy[p + j] y[0], and the large rows' entries follow y3 and yy. Every
+    entry the residual at x^-(m + s) reads is then
+    final, so the check that reads it there is the one a pass over the
+    finished lists would make: ResonanceFailure where it exceeds
+    1e-8 max(1, |rho_m|) or is not a number.
+    """
+    B = min(min_exp, 0)
+    a, b, c2 = complex(th.a_theta), complex(th.b_theta), 2.0 * complex(th.c_theta)
+    # e2 holds 2 E, so p12 = 2 (yy - y) E - (3y - 1) dd is one list
+    yy, y3, u, d, e2, v, dd, p12, w, m3, p3 = [], [], [], [], [], [], [], [], [], [], []
+    mul = operator.mul
+    # a_m sits at p = q + 2 - j, j below the top of yy and y3: j = 1 on the
+    # small rows, where y[0] = 0, so yy[p] and y3 gain nothing, and 0
+    # elsewhere. The top of a yy - b, m3 and their product is q - 2B, which
+    # is p on the large rows alone.
+    j = 2 + s - 2 * B
+    m3_holds_am = -2 * B == 2 - j
+    solve_from = min_exp + 1 + s - 3 * B
+    for q in range(-2, N + s - 3 * B + 1):
+        rev = y[q + 2::-1]
+        inner = sum(map(mul, yy, rev))      # y3[q + 2] but its last term
+        yy.append(sum(map(mul, y, rev)))
+        y3.append(inner + yy[-1] * y[0])
+        if q >= B:
+            u.append(yy[q - B] - y[q] if q >= 0 else yy[q - B])
+        if q >= 0:
+            e = B + q
+            yk = y[q]
+            d.append(-e * yk)
+            e2.insert(0, 2 * e * e * yk)
+            v.append(3.0 * yk - 1.0 if e == 0 else 3.0 * yk)
+            dd.insert(0, sum(map(mul, d, d[::-1])))
+            p12.append(sum(map(mul, u, e2)) - sum(map(mul, v, dd)))
+        k = q - 2 * B
+        if k >= 0:
+            w.insert(0, a * yy[k] - b if q == 0 else a * yy[k])
+            t = y3[k] - 3.0 * u[-1] if q >= B else y3[k]
+            m3.append(t - 1.0 if q + B == 0 else t)
+            p3.append(sum(map(mul, m3, w)))
+        if q < solve_from:
+            continue
+        # the residual at x^-(m + s), m = q - s + 3B; a_m reaches none of
+        # the entries in rest
+        i = q + 1 + B
+        rest = (p12[q] if q >= 0 else 0.0) \
+            - c2 * (y3[q + 1] - (yy[i] if i >= 0 else 0.0))
+        rho = rest - 2.0 * (p3[-1] if p3 else 0.0) + y3[-1] + yy[i + 1]
+        if sigma != 0:
+            p = q + 2 - j
+            am = y[p] = -rho / sigma
+            g = 2.0 * y[j] * am
+            yy[-1] += g
+            y3_top = inner + yy[j] * am + yy[-1] * y[0]
+            if m3_holds_am:
+                dy3, dw = y3_top - y3[-1], a * g
+                w[0] += dw
+                m3[-1] += dy3
+                p3[-1] += dy3 * w[-1] + m3[0] * dw
+            y3[-1] = y3_top
+        # the same sum, over entries that are final now
+        left = rest - 2.0 * (p3[-1] if p3 else 0.0) + y3[-1] + yy[i + 1]
+        if not abs(left) <= 1e-8 * max(1.0, abs(rho)):
+            # NaN fails too
+            raise ResonanceFailure(
+                f"order-{q - s + 3 * B} solve left residual {abs(left):.3e}"
+                " (resonant theta?)")
 
 
 def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeries:
@@ -344,29 +392,26 @@ def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeri
 
     The residual's coefficient at x^-(m + s) with a_m = 0 is rho_m, and
     a_m = -rho_m / sigma. The residual is kept as incremental Cauchy
-    products (`_ClearedResidual`, the Taylor method of Jorba and Zou, Exp.
-    Math. 14, 2005): each order appends one entry or a few to each
-    product, and setting a_m drops the entries a_m reaches, to be summed
-    again. No later coefficient reaches x^-(m + s), so a final pass, which
-    re-expands the dropped entries with every coefficient set, rechecks
-    all solved orders at once, and raises ResonanceFailure where the
-    residual at x^-(m + s) exceeds 1e-8 max(1, |rho_m|, |sigma a_m|) or is
-    not a number.
+    products (the Taylor method of Jorba and Zou, Exp. Math. 14, 2005),
+    grown in one pass by `_cleared_residual_pass`: each order appends one
+    entry to each product and gives the few entries that already hold a_m
+    its exact linear term. No later coefficient reaches x^-(m + s), so the
+    entries the residual there reads are final once a_m is set, and the
+    check reads it off them: ResonanceFailure where it exceeds
+    1e-8 max(1, |rho_m|) (|sigma a_m| = |rho_m|) or is not a number.
 
     L = 0: on the small rows y = 0 solves the equation (b_theta = L^2/2 = 0);
-    sigma = 0 leaves every a_m at 0 and the final pass confirms it. The large
-    rows have no leading coefficient 1/L there and raise ResonanceFailure.
+    sigma = 0 leaves every a_m at 0 and the check confirms it. The
+    large rows have no leading coefficient 1/L there and raise
+    ResonanceFailure. N runs from min_exp to 20 (`series_order_bounds`).
     """
-    if leading_tag == "minus_one":
-        kind, a0 = leading_tag, -1.0
+    kind = _series_kind(leading_tag)
+    if kind == "minus_one":
+        a0 = -1.0
     else:
-        rows = [row for row in _FAMILIES if row.tag == leading_tag]
-        if not rows:
-            raise ValueError(f"unknown leading_tag {leading_tag!r}")
-        kind = leading_tag[:5]
-        a0 = rows[0].L(theta.theta0, theta.theta1, theta.thetaInf)
-    if N > 20:
-        raise ValueError("order capped at 20 (coefficient growth)")
+        a0 = _BY_TAG[leading_tag].L(theta.theta0, theta.theta1, theta.thetaInf)
+    if N > _SERIES_MAX_ORDER:
+        raise ValueError(f"order capped at {_SERIES_MAX_ORDER} (coefficient growth)")
     min_exp, s, slope = _SERIES_KINDS[kind]
     if N < min_exp:
         raise ValueError("order below the leading exponent")
@@ -374,27 +419,15 @@ def formal_series_pv(leading_tag: str, theta: ThetaTriple, N: int) -> FormalSeri
         if a0 == 0:
             raise ResonanceFailure(f"{leading_tag} series starts at 1/L, and L = 0")
         a0 = 1.0 / a0
-    sigma = slope(a0)
     B = min(min_exp, 0)
-    # y[k] is a_(B + k), zero past a_N as far as the final pass reads
-    y = [0j] * (max(N + s - 5 * B, N + s + 2 - 3 * B, N - B) + 1)
-    y[min_exp - B] = a0
-    residual = _ClearedResidual(y, B, theta)
-    rho = []
-    for m in range(min_exp + 1, N + 1):
-        rho.append(residual.at(m + s))
-        if sigma != 0:
-            y[m - B] = -rho[-1] / sigma
-            residual.reset(m - B)
-    for m, r in zip(range(min_exp + 1, N + 1), rho):
-        left = residual.at(m + s)
-        if not abs(left) <= 1e-8 * max(1.0, abs(r), abs(sigma * y[m - B])):
-            # NaN fails too
-            raise ResonanceFailure(
-                f"order-{m} solve left residual {abs(left):.3e} (resonant theta?)")
+    # y[k] is a_(B + k), zero past a_N as far as the last step reads
+    y = [0j] * (N + s - 3 * B + 3)
+    y[min_exp - B] = complex(a0)
+    if N > min_exp:
+        _cleared_residual_pass(y, min_exp, s, N, slope(a0), theta)
     return FormalSeries(leading_tag=leading_tag, theta=theta, order=N,
                         min_exp=min_exp,
-                        coeffs=tuple(complex(c) for c in y[min_exp - B:N - B + 1]))
+                        coeffs=tuple(y[min_exp - B:N - B + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +547,7 @@ _FAMILIES = (
             carrier_eg=lambda t0, t1, ti: (t0, t0)),
 )
 _BY_VARIANT = {row.variant: row for row in _FAMILIES}
+_BY_TAG = {row.tag: row for row in _FAMILIES}
 _BRANCHES = ("first", "second")
 
 
@@ -771,49 +805,47 @@ def series_tag_for(d: AsymptoticDescriptor) -> str:
 
 
 def eval_trunc(x: complex, d: AsymptoticDescriptor, series: FormalSeries) -> complex:
-    """Series value plus the family's single exponential correction."""
+    """Series value plus the family's single exponential correction.
+
+    The table rows carry c0 x^mu e^-x and TruncBoundary c0 x^mu e^x; that
+    factor is computed once, for the size guard |x^mu e^(-/+x)| <= |x|^-r
+    (when c0 != 0) and for the value. x = 0 is outside every family.
+    """
+    if x == 0:
+        raise OutsideValidity("x = 0 is outside every truncated family")
     if not in_sector(x, d):
         raise OutsideValidity(f"arg(x)={cmath.phase(x):.4f} outside sector {d.sector}")
     v = d.variant
+    params = d.params
     base = series.eval(x)
 
     if v == "DoublyTruncAK":
         return base
     if v == "TruncAK":
-        amp = d.params["amp"]
-        direction = d.params["direction"].real
-        return base + amp * TWO_SQRT2 * cmath.exp(0.25j * math.pi) \
-            * x ** (-0.5) * cmath.exp(direction * 0.5j * x)
-
-    row = _descriptor_row(d)
-    if row is not None:
-        c0 = d.params["c0"]
-        mu = d.params["mu"]
-        L = d.params["L"]
-        r = complex(d.params.get("r", 1.0)).real
-        if abs(c0) > 0.0:
-            size = abs(x ** mu * cmath.exp(-x))
-            if size > abs(x) ** (-r):
-                raise OutsideValidity(
-                    f"|x^mu e^-x| = {size:.3e} exceeds |x|^-r at this x")
-        if row.tag.startswith("small"):
-            return base + L * c0 * x ** (mu - 1.0) * cmath.exp(-x)
-        return x / (x / base + c0 * x ** mu * cmath.exp(-x))
+        return base + params["amp"] * TWO_SQRT2 * _EXP_QUARTER_PI_I \
+            * x ** (-0.5) * cmath.exp(params["direction"].real * 0.5j * x)
 
     if v == "TruncBoundary":
-        c0 = d.params["c0"]
-        mu = d.params["mu"]
-        r = complex(d.params.get("r", 1.0)).real
-        if abs(c0) > 0.0:
-            size = abs(x ** mu * cmath.exp(x))
-            if size > abs(x) ** (-r):
-                raise OutsideValidity(
-                    f"|x^mu e^x| = {size:.3e} exceeds |x|^-r at this x")
-        coeff = d.params["corr_coeff"]
-        corr_exp = d.params["corr_exp"]
-        return base + coeff * c0 * x ** corr_exp * cmath.exp(x)
-
-    raise ValueError(f"eval_trunc cannot handle variant {v!r}")
+        row, sign = None, 1.0
+    else:
+        row, sign = _descriptor_row(d), -1.0
+        if row is None:
+            raise ValueError(f"eval_trunc cannot handle variant {v!r}")
+    c0 = params["c0"]
+    mu = params["mu"]
+    corr = x ** mu * cmath.exp(sign * x)
+    if abs(c0) > 0.0:
+        size = abs(corr)
+        if size > abs(x) ** -complex(params.get("r", 1.0)).real:
+            raise OutsideValidity(
+                f"|x^mu e^{'x' if row is None else '-x'}| = {size:.3e} "
+                "exceeds |x|^-r at this x")
+    if row is None:
+        return base + params["corr_coeff"] * c0 * corr \
+            * x ** (params["corr_exp"] - mu)
+    if row.tag.startswith("small"):
+        return base + params["L"] * c0 * corr / x
+    return x / (x / base + c0 * corr)
 
 
 # ---------------------------------------------------------------------------

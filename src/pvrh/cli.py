@@ -28,6 +28,7 @@ from .asymptotics import (
     formal_series_pv,
     phase_shift_breve,
     phase_shift_x0,
+    series_order_bounds,
     series_tag_for,
 )
 from .boutroux_elliptic import solve_boutroux
@@ -328,7 +329,13 @@ def _family_y(kind: str, d: AsymptoticDescriptor,
                              f"descriptor variant {d.variant!r} is not trig",
                              "--kind")
         return lambda xx: eval_trig(xx, d)
-    series = formal_series_pv(series_tag_for(d), d.theta, order)
+    tag = series_tag_for(d)
+    lo, hi = series_order_bounds(tag)
+    if not lo <= order <= hi:
+        raise CliFailure(_VALIDATION, "bad-order",
+                         f"the {tag} series takes orders {lo} to {hi}, not {order}",
+                         "--order")
+    series = formal_series_pv(tag, d.theta, order)
     return lambda xx: eval_trunc(xx, d, series)
 
 

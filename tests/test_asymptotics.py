@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -197,6 +198,39 @@ def test_series_final_check_reexpands_residual(monkeypatch, kind, tag):
         formal_series_pv(tag, THETA_DESK, 8)
 
 
+def _seeded_thetas(seed: int, n: int):
+    """n triples with components in (-0.45, 0.45), every second one complex."""
+    rng = random.Random(seed)
+    thetas = []
+    for i in range(n):
+        t = [rng.uniform(-0.45, 0.45) for _ in range(3)]
+        if i % 2:
+            t = [v + 1j * rng.uniform(-0.3, 0.3) for v in t]
+        thetas.append(ThetaTriple(*t))
+    return thetas
+
+
+# Worst |a_m - ref_m| / max(1, |ref_m|) over order-8 coefficients on the 30
+# triples of seed 24, as the earlier implementation made it (it re-summed
+# the product entries that hold a_m instead of adding a_m's linear term):
+# 2.49e-13, 1.11e-15, 8.7e-16, 2.19e-14, 1.38e-14. The bounds are twice that.
+_SEEDED_SERIES_BOUND = {"minus_one": 5.0e-13, "small0": 2.3e-15,
+                        "small1": 1.8e-15, "large0": 4.4e-14,
+                        "large1": 2.8e-14}
+
+
+@pytest.mark.parametrize("tag", sorted(_SEEDED_SERIES_BOUND))
+def test_series_matches_reference_on_seeded_thetas(tag):
+    worst = 0.0
+    for theta in _seeded_thetas(24, 30):
+        ref = formal_series_reference(tag, theta, 8)
+        got = formal_series_pv(tag, theta, 8).coeffs
+        assert len(got) == len(ref)
+        worst = max(worst, max(abs(g - r) / max(1.0, abs(r))
+                               for g, r in zip(got, ref)))
+    assert worst <= _SEEDED_SERIES_BOUND[tag]
+
+
 # oscillatory family
 
 def test_trig_data_from_generic_pair(rng):
@@ -291,6 +325,80 @@ def test_trunc_eval_sector_and_correction_guard():
         # on the closed sector edge the correction no longer decays and
         # outweighs the series, which the size guard refuses
         eval_trunc(30.0j, desc, series)
+
+
+def _trunc_by_formula(x, d, series):
+    """eval_trunc written out: the series summed term by term plus the
+    family's exponential correction."""
+    p = d.params
+    y = sum(c * x ** -(series.min_exp + i) for i, c in enumerate(series.coeffs))
+    if d.variant == "DoublyTruncAK":
+        return y
+    if d.variant == "TruncAK":
+        return y + p["amp"] * 2.0 * math.sqrt(2.0) * cmath.exp(0.25j * math.pi) \
+            * x ** -0.5 * cmath.exp(0.5j * p["direction"].real * x)
+    if d.variant == "TruncBoundary":
+        return y + p["corr_coeff"] * p["c0"] * x ** p["corr_exp"] * cmath.exp(x)
+    if series.leading_tag.startswith("small"):
+        return y + p["L"] * p["c0"] * x ** (p["mu"] - 1.0) * cmath.exp(-x)
+    return x / (x / y + p["c0"] * x ** p["mu"] * cmath.exp(-x))
+
+
+def test_eval_trunc_matches_its_formula():
+    ak = {direction: AsymptoticDescriptor(
+        variant="TruncAK", params={"amp": 0.3 - 0.2j, "direction": direction},
+        sector=sector, sector_closed=closed, theta=THETA_DESK)
+        for direction, sector, closed in ((1.0 + 0j, (0.0, math.pi), (True, False)),
+                                          (-1.0 + 0j, (-math.pi, 0.0), (False, True)))}
+    cases = [(ak[1.0], (25.0, 30.0 * cmath.exp(0.8j), 35.0 * cmath.exp(2.0j))),
+             (ak[-1.0], (25.0, 30.0 * cmath.exp(-0.8j), 35.0 * cmath.exp(-2.0j))),
+             (AsymptoticDescriptor(variant="DoublyTruncAK", params={},
+                                   sector=(-math.pi, math.pi), theta=THETA_DESK),
+              (25.0, 30.0 * cmath.exp(1.5j), 35.0 * cmath.exp(-2.5j)))]
+    right = (25.0, 30.0 * cmath.exp(0.4j), 40.0 * cmath.exp(-0.3j))
+    for variant in ("Trunc00", "Trunc01", "TruncInf0", "TruncInf1"):
+        cases.append((build_trunc_family(variant, 0.8 + 0.3j, THETA_DESK, 1.1)[1], right))
+    # case 1 sits on the small0 series, case 3 on large0
+    for case, theta in ((1, ThetaTriple(1.2, -0.5, -0.3)),
+                        (3, ThetaTriple(1.3, 0.9, 0.2))):
+        cases.append((build_trunc_nongeneric(case, "first", 1, 0.8 - 0.4j,
+                                             theta, 1.3 + 0.2j)[1], right))
+    for which, sign in (("small0_upper", 1), ("large0_upper", 1),
+                        ("small1_lower", -1), ("large1_lower", -1)):
+        desc = trunc_boundary_families(which, {"c": 0.7 + 0.2j, "utilde": 1.1},
+                                       THETA_DESK)[1]
+        cases.append((desc, (-25.0, 30.0 * cmath.exp(sign * 2.6j))))
+    for desc, xs in cases:
+        series = formal_series_pv(series_tag_for(desc), desc.theta, 8)
+        for x in xs:
+            assert in_sector(x, desc), (desc.variant, x)
+            want = _trunc_by_formula(x, desc, series)
+            got = eval_trunc(x, desc, series)
+            assert abs(got - want) <= 1e-13 * abs(want), (desc.variant, x)
+        with pytest.raises(OutsideValidity):
+            eval_trunc(0.0, desc, series)
+
+    # the size guard |x^mu e^-x| <= 1/|x| near the closed edge arg x = pi/2:
+    # on this ray |x^mu e^-x| |x| falls through 1 at t*
+    desc = build_trunc_family("Trunc00", 0.8 + 0.3j, THETA_DESK, 1.1)[1]
+    series = formal_series_pv("small0", THETA_DESK, 8)
+    ray = cmath.exp(1j * (0.5 * math.pi - 0.02))
+    mu = desc.params["mu"]
+
+    def excess(t):
+        x = t * ray
+        return abs(x ** mu * cmath.exp(-x)) * abs(x) - 1.0
+
+    lo, hi = 30.0, 400.0
+    assert excess(lo) > 0.0 > excess(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    with pytest.raises(OutsideValidity):
+        eval_trunc(0.99 * lo * ray, desc, series)
+    x = 1.01 * lo * ray
+    want = _trunc_by_formula(x, desc, series)
+    assert abs(eval_trunc(x, desc, series) - want) <= 1e-13 * abs(want)
 
 
 def test_nongeneric_family_roundtrip():

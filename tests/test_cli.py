@@ -309,6 +309,15 @@ def test_validation_failures_exit_2(capsys):
         assert status == 2
         assert json.loads(out)["code"] == "bad-bases"
 
+    # an order the series refuses fails validation at --order
+    for cmd in (["eval", solved.strip(), "--kind", "trunc", "--at", "25"],
+                ["verify", "--seed", solved.strip(), "--at", "12"]):
+        for order in ("-3", "21"):
+            status, out = run_cli(capsys, cmd + [f"--order={order}"])
+            assert status == 2
+            envelope = json.loads(out)
+            assert (envelope["code"], envelope["location"]) == ("bad-order", "--order")
+
 
 def test_tolerance_env_and_flag(monkeypatch, capsys):
     softly_off = pair_to_json_obj(doubly_truncated_pair(THETA_DESK))
