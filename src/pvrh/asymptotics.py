@@ -31,7 +31,8 @@ from .errors import (
     UnderdeterminedCompletion,
     WrongSector,
 )
-from .mono_core import Mat2C, MonodromyPair, ThetaTriple, conjugate_pair, stokes_from_pair
+from .mono_core import (Mat2C, MonodromyPair, ThetaTriple, ZeroTest, conjugate_pair,
+                        stokes_from_pair)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _EXP_QUARTER_PI_I = cmath.exp(0.25j * math.pi)
@@ -179,11 +180,11 @@ def beta0_vhat(pair: MonodromyPair) -> TrigData:
     """
     th = pair.theta
     ew = cmath.exp(1j * cmath.pi * th.thetaInf)
-    scale = 1.0 + pair.norm_inf()
+    zero = ZeroTest(pair)
     m011, m111 = pair.m0.m11, pair.m1.m11
     prod = pair.m0.m21 * pair.m1.m12
-    if abs(m011) < 1e-12 * scale or abs(m111) < 1e-12 * scale \
-            or abs(prod) < 1e-12 * scale * scale:
+    if zero.vanishes(m011, 1e-12) or zero.vanishes(m111, 1e-12) \
+            or zero.vanishes(prod, 1e-12, 2):
         raise DomainViolation("oscillatory family needs all four R1 entries nonzero")
     arg_a = 1.0 - m011 * m111 * ew
     arg_b = prod * ew
@@ -856,18 +857,18 @@ def phase_shift_x0(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) -> co
     if not (-_HALF_PI < phi < 0.0 or 0.0 < phi < _HALF_PI):
         raise WrongSector(f"phi={phi} outside (-pi/2, 0) u (0, pi/2)")
     th = pair.theta
-    scale = 1.0 + pair.norm_inf()
+    zero = ZeroTest(pair)
     prod = pair.m0.m21 * pair.m1.m12
-    if abs(prod) < 1e-12 * scale * scale:
+    if zero.vanishes(prod, 1e-12, 2):
         raise DomainViolation("off-entry product vanishes (not elliptic data)")
     if phi < 0.0:
         anchor = pair.m0.m11
-        if abs(anchor) < 1e-12 * scale:
+        if zero.vanishes(anchor, 1e-12):
             raise DomainViolation("m0_11 vanishes for phi < 0")
         frak_m = cmath.exp(0.5j * cmath.pi * th.thetaInf) * anchor
     else:
         anchor = pair.m1.m11
-        if abs(anchor) < 1e-12 * scale:
+        if zero.vanishes(anchor, 1e-12):
             raise DomainViolation("m1_11 vanishes for phi > 0")
         frak_m = cmath.exp(-0.5j * cmath.pi * th.thetaInf) / anchor
     return _phase_shift(cmath.exp(1j * cmath.pi * th.thetaInf) * prod,
@@ -898,18 +899,18 @@ def phase_shift_breve(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) ->
         raise WrongSector(f"phi={phi} outside (pi/2, pi) u (pi, 3pi/2)")
     th = pair.theta
     br = breve_pair(pair)
-    scale = 1.0 + br.norm_inf()
+    zero = ZeroTest(br)
     prod = br.m0.m12 * br.m1.m21
-    if abs(prod) < 1e-12 * scale * scale:
+    if zero.vanishes(prod, 1e-12, 2):
         raise DomainViolation("breve off-entry product vanishes")
     if upper:
         anchor = br.m0.m22
-        if abs(anchor) < 1e-12 * scale:
+        if zero.vanishes(anchor, 1e-12):
             raise DomainViolation("breve m0_22 vanishes for pi/2 < phi < pi")
         frak_m = cmath.exp(0.5j * cmath.pi * th.thetaInf) / anchor
     else:
         anchor = br.m1.m22
-        if abs(anchor) < 1e-12 * scale:
+        if zero.vanishes(anchor, 1e-12):
             raise DomainViolation("breve m1_22 vanishes for pi < phi < 3pi/2")
         frak_m = cmath.exp(-0.5j * cmath.pi * th.thetaInf) * anchor
     return _phase_shift(cmath.exp(1j * cmath.pi * th.thetaInf) / prod,
@@ -918,8 +919,11 @@ def phase_shift_breve(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) ->
 
 def eval_elliptic(x: complex, d: AsymptoticDescriptor,
                   sol: BoutrouxSolution) -> Tuple[complex, complex, complex]:
-    """Leading elliptic value (y, y', zfrak) away from the pole disks."""
+    """Leading elliptic value (y, y', zfrak) away from the pole disks; sol
+    is the modulus at arg x, which must be the descriptor's A (1e-9 relative)."""
     A = d.params["A"]
+    if abs(sol.A - A) > 1e-9 * abs(A):
+        raise OutsideValidity(f"modulus A = {sol.A} at arg x, not the descriptor's {A}")
     x0 = d.params["x0"]
     k = cmath.sqrt(A)
     if k.real < 0:

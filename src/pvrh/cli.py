@@ -71,6 +71,8 @@ _NUMERIC_ERRORS = (
 )
 
 _OP_TAGS = ("m", "s0", "s1", "shat0", "shat1")
+# the --kind of `eval` that a descriptor's variant takes
+_KIND_OF = {"Elliptic": "elliptic", "Trig": "trig"}
 
 
 class CliFailure(Exception):
@@ -357,14 +359,6 @@ def _eval_family(kind: str, d: AsymptoticDescriptor, x: complex,
     return _envelope_at(kind, d, x, _family_y(kind, d, order))
 
 
-def _kind_for(d: AsymptoticDescriptor) -> str:
-    if d.variant == "Elliptic":
-        return "elliptic"
-    if d.variant == "Trig":
-        return "trig"
-    return "trunc"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -523,7 +517,7 @@ def _cmd_verify(args) -> int:
     if x == 0:
         raise CliFailure(_VALIDATION, "bad-point",
                          "verification point must be nonzero", "--at")
-    kind = _kind_for(d)
+    kind = _KIND_OF.get(d.variant, "trunc")
     y, _, z = _eval_family(kind, d, x, args.order)
     seed = {"x": x, "y": y, "zfrak": z}
     t = abs(x)

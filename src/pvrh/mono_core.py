@@ -9,13 +9,10 @@ act on families of monodromy pairs.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import AmbiguousSign, WrongFamily
-
-_ZERO_FLOOR = 1e-10  # floor for sign-resolution tolerance in classification
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,8 @@ class Mat2C:
         return Mat2C(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(z.real) and math.isfinite(z.imag)
-            for z in (
-                complex(self.m11),
-                complex(self.m12),
-                complex(self.m21),
-                complex(self.m22),
-            )
-        )
+        return all(cmath.isfinite(complex(z))
+                   for z in (self.m11, self.m12, self.m21, self.m22))
 
 
 SIGMA1 = Mat2C(0.0, 1.0, 1.0, 0.0)
@@ -145,6 +135,27 @@ class MonodromyPair:
     def product(self) -> Mat2C:
         """M1 @ M0, the counterclockwise composite loop."""
         return self.m1 @ self.m0
+
+
+class ZeroTest:
+    """The zero test for monodromy data, on the scale s = 1 + max entry of a pair.
+
+    q of degree d in the entries (1 for an entry, 2 for a product of two)
+    vanishes when |q| <= tol s^d, and z matches a target when
+    |z - target| <= tol s.  Each caller keeps its tol; tol = 0 is exact zero.
+    """
+
+    __slots__ = ("scale",)
+
+    def __init__(self, pair: MonodromyPair):
+        self.scale = 1.0 + pair.norm_inf()
+
+    def vanishes(self, z: complex, tol: float, degree: int = 1) -> bool:
+        bound = tol * self.scale
+        return abs(z) <= (bound if degree == 1 else bound * self.scale)
+
+    def matches(self, z: complex, target: complex, tol: float) -> bool:
+        return abs(z - target) <= tol * self.scale
 
 
 @dataclass(frozen=True)
@@ -240,12 +251,12 @@ def gauge_cascade_index(pair: MonodromyPair,
                         zero_tol: float = 0.0) -> Optional[int]:
     """Position in (m0_21, m0_12, m1_21, m1_12) that gauge_normalize scales.
 
-    The first entry above zero_tol * (1 + norm); None when all four are
-    below it and the pair is a fixed point of the gauge action.
+    The first entry that does not vanish (ZeroTest at zero_tol); None when
+    all four vanish and the pair is a fixed point of the gauge action.
     """
-    thresh = zero_tol * (1.0 + pair.norm_inf())
+    zero = ZeroTest(pair)
     for index, (entry, _) in enumerate(_gauge_cascade(pair)):
-        if abs(entry) > thresh:
+        if not zero.vanishes(entry, zero_tol):
             return index
     return None
 
@@ -284,25 +295,21 @@ def gauge_normalize(pair: MonodromyPair, zero_tol: float = 0.0) -> GaugeNormalFo
 def classify_region(pair: MonodromyPair, zero_tol: float = 0.0) -> Region:
     """Unique zero-pattern region of the pair with its proper coordinates.
 
-    The numerical zero test is |entry| <= zero_tol*(1 + max entry); pass
+    An entry is zero when it vanishes under ZeroTest at zero_tol; pass
     zero_tol around 1e-9 for integrator-produced data and 0 for exactly
-    constructed pairs. Plus/minus sublabels compare a diagonal entry with
-    e^{+-i pi theta} and merge when theta is an integer.
+    constructed pairs. Plus/minus sublabels match a diagonal entry with
+    e^{+-i pi theta} at max(zero_tol, 1e-10) and merge when theta is an
+    integer.
     """
-    norm = pair.norm_inf()
-    thresh = zero_tol * (1.0 + norm)
-    sign_tol = max(zero_tol, _ZERO_FLOOR) * (1.0 + norm)
-
-    def iszero(z: complex) -> bool:
-        return abs(z) <= thresh
-
+    zero = ZeroTest(pair)
+    sign_tol = max(zero_tol, 1e-10)
     m0, m1 = pair.m0, pair.m1
-    z_m0_21 = iszero(m0.m21)
-    z_m1_12 = iszero(m1.m12)
+    z_m0_21 = zero.vanishes(m0.m21, zero_tol)
+    z_m1_12 = zero.vanishes(m1.m12, zero_tol)
 
     if not z_m0_21 and not z_m1_12:
-        z00 = iszero(m0.m11)
-        z11 = iszero(m1.m11)
+        z00 = zero.vanishes(m0.m11, zero_tol)
+        z11 = zero.vanishes(m1.m11, zero_tol)
         prod = m0.m21 * m1.m12
         if not z00 and not z11:
             return Region("R1", {"m0_11": m0.m11, "m0_21m1_12": prod})
@@ -314,25 +321,24 @@ def classify_region(pair: MonodromyPair, zero_tol: float = 0.0) -> Region:
 
     if z_m0_21 and z_m1_12:
         # AmbiguousSign when m1_11 matches neither e^{+-i pi theta1}
-        _resolve_sign(m1.m11, pair.theta.theta1, sign_tol)
+        _resolve_sign(m1.m11, pair.theta.theta1, zero, sign_tol)
         return Region("R5", {"m0_12m1_21": m0.m12 * m1.m21})
 
     if z_m1_12:
-        sign = _resolve_sign(m1.m11, pair.theta.theta1, sign_tol)
+        sign = _resolve_sign(m1.m11, pair.theta.theta1, zero, sign_tol)
         tag = "R3" if sign is None else ("R3plus" if sign > 0 else "R3minus")
         return Region(tag, {"m1_21/m0_21": m1.m21 / m0.m21})
 
-    sign = _resolve_sign(m0.m11, pair.theta.theta0, sign_tol)
+    sign = _resolve_sign(m0.m11, pair.theta.theta0, zero, sign_tol)
     tag = "R4" if sign is None else ("R4plus" if sign > 0 else "R4minus")
     return Region(tag, {"m0_12/m1_12": m0.m12 / m1.m12})
 
 
-def _resolve_sign(entry: complex, theta: complex, tol: float) -> Optional[int]:
+def _resolve_sign(entry: complex, theta: complex, zero: ZeroTest,
+                  tol: float) -> Optional[int]:
     """+1/-1 by matching e^{+-i pi theta}; None when both match (integer theta)."""
-    plus = cmath.exp(1j * cmath.pi * theta)
-    minus = cmath.exp(-1j * cmath.pi * theta)
-    hit_plus = abs(entry - plus) <= tol
-    hit_minus = abs(entry - minus) <= tol
+    hit_plus = zero.matches(entry, cmath.exp(1j * cmath.pi * theta), tol)
+    hit_minus = zero.matches(entry, cmath.exp(-1j * cmath.pi * theta), tol)
     if hit_plus and hit_minus:
         return None
     if hit_plus:

@@ -119,10 +119,6 @@ class LinearSystemState:
     log_u: complex
     theta: ThetaTriple
 
-    @property
-    def x(self) -> complex:
-        return cmath.exp(1j * self.phi) * self.t
-
     def coefficient_matrix(self, lam: complex) -> Mat2C:
         b0, b1 = residue_matrices(self.theta, self.y, self.zfrak)
         e = _unit(self)

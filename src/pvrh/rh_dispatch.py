@@ -51,6 +51,7 @@ from .mono_core import (
     Mat2C,
     MonodromyPair,
     ThetaTriple,
+    ZeroTest,
     apply_operator,
     classify_region,
     monodromy_shift,
@@ -127,7 +128,7 @@ def _is_pm_identity(m: Mat2C, tol: float) -> bool:
 
 def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
     th = pair.theta
-    scale = 1.0 + pair.norm_inf()
+    zero = ZeroTest(pair)
     matched_any = False
     for case, row in enumerate(_FAMILIES, 1):
         if _excluded(row, th):
@@ -141,16 +142,15 @@ def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
             fixed = _triangle(_partner(case, j), th)[0]
             want0, want1 = (fixed, carried) if row.carrier == "m1_21" \
                 else (carried, fixed)
-            if abs(pair.m0.m11 - want0) > 1e-6 * scale:
-                continue
-            if abs(pair.m1.m11 - want1) > 1e-6 * scale:
+            if not (zero.matches(pair.m0.m11, want0, 1e-6)
+                    and zero.matches(pair.m1.m11, want1, 1e-6)):
                 continue
             matched_any = True
             try:
                 c0 = recover_c0_nongeneric(case, branch, nu, pair)
             except DomainViolation:
                 continue
-            return _family_descriptor(row, c0, th, abs(c0) < 1e-12 * scale,
+            return _family_descriptor(row, c0, th, zero.vanishes(c0, 1e-12),
                                       case, nu)
     if matched_any:
         raise NonUniqueFiber(
@@ -176,7 +176,7 @@ def _trunc_descriptor(row, pair: MonodromyPair) -> AsymptoticDescriptor:
             + "; ".join(fails))
     c0 = recover_c0(row.variant, pair)
     return _family_descriptor(row, c0, pair.theta,
-                              abs(c0) < 1e-12 * (1 + pair.norm_inf()))
+                              ZeroTest(pair).vanishes(c0, 1e-12))
 
 
 def solve_rh(pair: MonodromyPair, phi: float,

@@ -39,6 +39,7 @@ from pvrh.errors import (
     ConditionMismatch,
     DomainViolation,
     InsidePoleDisk,
+    NearPole,
     OutsideValidity,
     PvrhError,
     ResonanceFailure,
@@ -277,6 +278,50 @@ def test_trig_sine_mode_oscillates_around_minus_one(rng):
     vals = [eval_trig(60.0 + 3.0 * i, d) for i in range(40)]
     re_parts = [v.real for v in vals]
     assert min(re_parts) < -1.0 < max(re_parts)
+
+
+# Re beta0 in each band of eval_trig (beta0_vhat only makes Re beta0 in
+# (-1/2, 1/2], so the upper bands need hand-built descriptors). vhat keeps
+# |y + 1| near 0.1 on the windows (exp_plus carries 1/vhat); cos_ratio is
+# O(1). Bounds are twice the residual measured on [T, T + 4] (81 points) at
+# T = 40 and T = 640. It falls 6.8-16x between them, so every branch solves
+# PV to leading order.
+_TRIG_BANDS = (
+    (0.0, 1.0, "sine", 2.4e-2, 1.5e-3),
+    (0.1 + 0.05j, 0.3, "sine", 5.7e-2, 5.2e-3),
+    (0.35 + 0.2j, 0.05, "exp_minus", 2.5e-2, 3.7e-3),
+    (0.5 + 0.1j, 0.8, "cos_ratio", 5.1e-2, 6.1e-3),
+    (0.6, 60.0, "exp_plus", 2.4e-2, 3.2e-3),
+    (0.75 - 0.1j, 60.0, "exp_plus", 2.4e-2, 1.7e-3),
+    (-0.3 + 0.1j, 4.0, "exp_plus_neg", 3.0e-2, 4.2e-3),
+)
+
+
+def _trig_descriptor(beta0, vhat) -> AsymptoticDescriptor:
+    return AsymptoticDescriptor(
+        variant="Trig", params={"beta0": complex(beta0), "vhat": complex(vhat)},
+        sector=(0.0, 0.0), sector_closed=(True, True), theta=THETA_DESK)
+
+
+@pytest.mark.parametrize("beta0,vhat,band,bound40,bound640", _TRIG_BANDS)
+def test_trig_bands_solve_pv_to_leading_order(beta0, vhat, band, bound40,
+                                              bound640):
+    d = _trig_descriptor(beta0, vhat)
+    assert asymptotics._trig_default_mode(complex(beta0).real) == band
+    for t0, bound in ((40.0, bound40), (640.0, bound640)):
+        xs = [t0 + 0.05 * i for i in range(81)]
+        ys = [eval_trig(x, d) for x in xs]
+        assert ys == [eval_trig(x, d, mode=band) for x in xs]
+        assert pv_residual(xs, ys, THETA_DESK) <= bound
+
+
+def test_trig_cos_ratio_raises_at_a_zero_of_its_sine():
+    # |vhat| = sqrt(2) at beta0 = 1/2 makes the argument x/4 + 3 pi/8 real;
+    # its sine vanishes at x = 14.5 pi
+    d = _trig_descriptor(0.5, math.sqrt(2.0))
+    with pytest.raises(NearPole):
+        eval_trig(14.5 * math.pi, d)
+    assert cmath.isfinite(eval_trig(14.5 * math.pi + 0.01, d))
 
 
 # truncated families
@@ -591,6 +636,19 @@ def test_elliptic_center_value_is_minus_one():
     y, yp, z = eval_elliptic(x0, d, sol)
     assert abs(y + 1.0) < 1e-14
     assert cmath.isfinite(z) and cmath.isfinite(yp)
+
+
+def test_elliptic_rejects_a_modulus_off_its_ray():
+    # the descriptor was solved at phi = 0.7; at arg x = 0.9 the modulus
+    # differs, so its leading term does not hold there
+    d = AsymptoticDescriptor(
+        variant="Elliptic", params={"A": solve_boutroux(0.7).A, "x0": 0.3 + 0.1j},
+        sector=(0.0, 0.5 * math.pi), theta=THETA_DESK)
+    with pytest.raises(OutsideValidity):
+        eval_elliptic(30.0 * cmath.exp(0.9j), d, solve_boutroux(0.9))
+    x = 30.0 * cmath.exp(0.7j)
+    y, _, _ = eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
+    assert cmath.isfinite(y)
 
 
 def test_elliptic_pole_disk_raises():

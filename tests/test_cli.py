@@ -1,4 +1,5 @@
 import cmath
+import io
 import json
 import math
 
@@ -253,11 +254,52 @@ def test_conditions_desk_and_integer(capsys):
     assert body["regions"] is None
 
 
-def test_malformed_inputs_exit_1(capsys):
+def _envelope(status, out):
+    body = json.loads(out)
+    return status, body["code"], body["location"]
+
+
+def test_malformed_inputs_exit_1(monkeypatch, capsys):
     status, out = run_cli(capsys, ["classify", '{"theta": nope'])
     assert status == 1
     body = json.loads(out)
     assert body["code"] == "bad-json" and body["schema"] == "1.0.0"
+
+    # a pair on standard input, well formed and not
+    monkeypatch.setattr("sys.stdin", io.StringIO(dtc_json()))
+    status, out = run_cli(capsys, ["classify", "-"])
+    assert status == 0 and json.loads(out)["region"] == "R2_01"
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1,"))
+    assert _envelope(*run_cli(capsys, ["classify", "-"])) \
+        == (1, "bad-json", "pair")
+
+    no_m1 = {k: v for k, v in json.loads(dtc_json()).items() if k != "m1"}
+    assert _envelope(*run_cli(capsys, ["classify", json.dumps(no_m1)])) \
+        == (1, "bad-pair-schema", "pair")
+
+    _, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
+    assert _envelope(*run_cli(capsys, ["eval", solved.strip(), "--kind",
+                                       "trunc", "--at", "1,2,3"])) \
+        == (1, "bad-complex", "--at")
+    for blob in ("[]", "{}"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        assert _envelope(*run_cli(capsys, ["eval", "-", "--kind", "trunc",
+                                           "--at", "25"])) \
+            == (1, "bad-descriptor-schema", "descriptor")
+    assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                       "--at", "12", "--bases", "5,a"])) \
+        == (1, "bad-bases", "--bases")
+
+    for theta in ("1,2", "1,x,3"):
+        assert _envelope(*run_cli(capsys, ["conditions", "--theta", theta])) \
+            == (1, "bad-theta", "--theta")
+
+    assert _envelope(*run_cli(capsys, ["orbit", dtc_json(), "--ops", ",",
+                                       "--steps", "1"])) \
+        == (1, "bad-ops", "--ops")
+    assert _envelope(*run_cli(capsys, ["orbit", dtc_json(), "--ops", "m",
+                                       "--steps", "0"])) \
+        == (1, "bad-steps", "--steps")
 
     status, out = run_cli(capsys, ["classify", "/no/such/file.json"])
     assert status == 1
@@ -275,7 +317,7 @@ def test_malformed_inputs_exit_1(capsys):
     assert json.loads(out)["code"] == "bad-arguments"
 
 
-def test_validation_failures_exit_2(capsys):
+def test_validation_failures_exit_2(rng, capsys):
     broken = pair_to_json_obj(doubly_truncated_pair(THETA_DESK))
     broken["m0"][0][0] = [0.5, 0.0]
     status, out = run_cli(capsys, ["classify", json.dumps(broken)])
@@ -300,6 +342,26 @@ def test_validation_failures_exit_2(capsys):
                                    "--at", "0,0"])
     assert status == 2
     assert json.loads(out)["code"] == "bad-point"
+
+    assert _envelope(*run_cli(capsys, ["eval", solved.strip(), "--kind",
+                                       "elliptic", "--at", "25"])) \
+        == (2, "kind-mismatch", "--kind")
+    assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                       "--at", "0"])) \
+        == (2, "bad-point", "--at")
+    assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                       "--at", "12", "--bases", "5,13"])) \
+        == (2, "bad-bases", "--bases")
+
+    # an elliptic descriptor solved at phi = 0.7, evaluated off its ray
+    blob = json.dumps(pair_to_json_obj(random_valid_pair(rng)))
+    _, elliptic = run_cli(capsys, ["solve", blob, "--phi", "0.7"])
+    for arg, want in ((0.7, 0), (0.9, 2)):
+        at = f"{30 * math.cos(arg)!r},{30 * math.sin(arg)!r}"
+        status, out = run_cli(capsys, ["eval", elliptic.strip(), "--kind",
+                                       "elliptic", "--at", at])
+        assert status == want
+    assert _envelope(status, out) == (2, "OutsideValidity", "eval")
 
     # a NaN base used to escape as a bare KeyError, zero or negative ones
     # as a collapsed ray step (exit 3)
@@ -341,6 +403,13 @@ def test_tolerance_env_and_flag(monkeypatch, capsys):
     status, out = run_cli(capsys, ["classify", blob])
     assert status == 1
     assert json.loads(out)["code"] == "bad-tolerance"
+
+    monkeypatch.setenv("PVRH_TOL", "-1")
+    assert _envelope(*run_cli(capsys, ["classify", blob])) \
+        == (1, "bad-tolerance", "env:PVRH_TOL")
+    monkeypatch.delenv("PVRH_TOL")
+    assert _envelope(*run_cli(capsys, ["classify", blob, "--tol", "0"])) \
+        == (1, "bad-tolerance", "--tol")
 
 
 def test_phase_shift_success_shape(rng, capsys):

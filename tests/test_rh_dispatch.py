@@ -280,6 +280,34 @@ def test_solve_rh_merged_labels_unmapped():
         solve_rh(pair, 0.1)
 
 
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_dispatch_r5_invisible_constant_is_not_unique(case):
+    # on the second branch at nu = 1 the fixed off-entry carries
+    # 1/Gamma(nu - 1) = 0: the diagonals match the signature, but c0 cannot
+    # be read back
+    a, ti = 0.31, -0.17
+    theta = {1: ThetaTriple(-a - ti, a, ti), 2: ThetaTriple(a, -a + ti, ti),
+             3: ThetaTriple(a - ti, a, ti), 4: ThetaTriple(a, a + ti, ti)}[case]
+    pair, _ = build_trunc_nongeneric(case, "second", 1, 0.8 - 0.4j, theta, 1.0)
+    assert validate_pair(pair.m0, pair.m1, theta, tol=1e-12).ok
+    with pytest.raises(NonUniqueFiber, match="invisible"):
+        solve_rh(pair, 0.1, zero_tol=1e-11)
+
+
+def test_dispatch_r5_without_a_resonant_signature_is_unmapped():
+    # a triangular (R5) pair whose diagonals e^{-i pi theta0}, e^{i pi theta1}
+    # match no resonant family's
+    t0, t1 = 0.23, -0.31
+    a = cmath.exp(-1j * math.pi * t0)
+    b = cmath.exp(1j * math.pi * t1)
+    pair = MonodromyPair(Mat2C(a, 0.7 + 0.2j, 0.0, 1.0 / a),
+                         Mat2C(b, 0.0, -0.4 + 0.9j, 1.0 / b),
+                         ThetaTriple(t0, t1, t0 - t1))
+    assert validate_pair(pair.m0, pair.m1, pair.theta, tol=1e-12).ok
+    with pytest.raises(UnmappedRegion, match="no resonant-family signature"):
+        solve_rh(pair, 0.1)
+
+
 def test_continuation_plan_step_shapes(rng):
     pair = random_valid_pair(rng)
     full = continuation_plan(pair, 0.0, 2.0 * math.pi)
