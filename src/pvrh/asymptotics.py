@@ -17,7 +17,8 @@ from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .boutroux_elliptic import BoutrouxSolution, reduce_mod_lattice, sn_cn_dn
+from .boutroux_elliptic import (BoutrouxSolution, _reduce, _sn_kernel, _theta_quads,
+                                reduce_mod_lattice, sn_cn_dn)
 from .errors import (
     CaseGap,
     ConditionMismatch,
@@ -920,27 +921,48 @@ def phase_shift_breve(pair: MonodromyPair, phi: float, sol: BoutrouxSolution) ->
 def eval_elliptic(x: complex, d: AsymptoticDescriptor,
                   sol: BoutrouxSolution) -> Tuple[complex, complex, complex]:
     """Leading elliptic value (y, y', zfrak) away from the pole disks; sol
-    is the modulus at arg x, which must be the descriptor's A (1e-9 relative)."""
+    is the modulus at arg x, which must be the descriptor's A (1e-9 relative).
+
+    y = (w + 1)/(w - 1) with w = k sn(u, k), u = (x - x0)/2 and k = sqrt(A),
+    Re k >= 0. Everything is read off one set of theta sums at u: with
+    D = alpha theta1 - theta4 (alpha and beta from the kernel record of A,
+    `boutroux_elliptic._SnKernel`),
+
+        y = (alpha theta1 + theta4)/D,  y' = -beta theta2 theta3/D^2,
+        y - 1 = 2 theta4/D,
+
+    and zfrak = -x (y' - y)/(2 (y - 1)^2) + (theta0 + theta1)/(2 (y - 1))
+    - (theta0 - theta1 + thetaInf)/4 takes y - 1 in that form.
+
+    InsidePoleDisk is raised on the sn pole lattice (|theta4| below 1e-12
+    of max(|theta1|, 1)), where |sn| would pass 1e8 and where |w - 1| would
+    fall below 1e-10 (|D| below 1e-10 |theta4|), the Moebius image pole.
+    """
     A = d.params["A"]
     if abs(sol.A - A) > 1e-9 * abs(A):
         raise OutsideValidity(f"modulus A = {sol.A} at arg x, not the descriptor's {A}")
-    x0 = d.params["x0"]
-    k = cmath.sqrt(A)
-    if k.real < 0:
-        k = -k
-    u = 0.5 * (x - x0)
-    try:
-        sn, cn, dn = sn_cn_dn(u, k)
-    except NearPole as exc:
-        raise InsidePoleDisk(str(exc)) from exc
-    w = k * sn
-    if abs(w - 1.0) < 1e-10:
+    kernel = _sn_kernel(A, math.copysign(1.0, A.real), math.copysign(1.0, A.imag))
+    u = 0.5 * (x - d.params["x0"])
+    m = kernel.modulus
+    if m is None:
+        t1, t2, t3 = sn_cn_dn(u, kernel.k)
+        t4 = 1.0
+    else:
+        t1, t2, t3, t4 = _theta_quads(m.scale * _reduce(u, m.p1, m.p2, m.det)[0],
+                                      m.half_powers, m.square_powers)
+        if abs(t4) < 1e-12 * max(abs(t1), 1.0):
+            raise InsidePoleDisk("argument sits on the sn pole lattice")
+        if abs(m.z3_z2 * t1) > 1e8 * abs(t4):
+            raise InsidePoleDisk("sn overflow guard tripped")
+    at1 = kernel.alpha * t1
+    den = at1 - t4
+    if abs(den) < 1e-10 * abs(t4):
         raise InsidePoleDisk("Moebius image pole (w near 1)")
-    y = (w + 1.0) / (w - 1.0)
-    yp = -k * cn * dn / (w - 1.0) ** 2
+    y = (at1 + t4) / den
+    yp = -kernel.beta * t2 * t3 / (den * den)
+    r = den / t4  # 2/(y - 1)
     th = d.theta
-    zfrak = -x * (yp - y) / (2.0 * (y - 1.0) ** 2) \
-        + (th.theta0 + th.theta1) / (2.0 * (y - 1.0)) \
+    zfrak = r * (0.25 * (th.theta0 + th.theta1) - 0.125 * x * (yp - y) * r) \
         - (th.theta0 - th.theta1 + th.thetaInf) / 4.0
     return y, yp, zfrak
 

@@ -199,6 +199,17 @@ def _solve_rounded(phi: float) -> BoutrouxSolution:
                    omegaB=conj_of.omegaB.conjugate())
 
 
+@functools.lru_cache(maxsize=64)
+def _solve_raw(phi: float) -> BoutrouxSolution:
+    """The solution at the rounded angle, keyed by the raw one.
+
+    The points of a ray share one or a few raw phases, so this front spares
+    them the rounding. It is small on purpose: each entry is one float
+    and a reference to a solution that `_solve_rounded` already keeps.
+    """
+    return _solve_rounded(round(phi, 12))
+
+
 def solve_boutroux(phi: float) -> BoutrouxSolution:
     """Modulus A_phi with both cycle conditions zeroed, plus its periods.
 
@@ -207,13 +218,18 @@ def solve_boutroux(phi: float) -> BoutrouxSolution:
     At the two strip ends the curve degenerates and the divergent period
     is reported as None. phi is rounded to 12 decimals and the modulus is
     solved at the rounded angle, so the points of a ray share one solution
-    whatever the call order; solutions are kept in a bounded LRU cache.
+    whatever the call order. Solutions are kept in a bounded LRU cache
+    keyed by the rounded angle, behind a 64-entry one keyed by the raw
+    angle: two angles that round alike get the same solution object.
+    A phi that is not finite raises DomainViolation.
     quadrature_error is the defect of the Legendre relation
     E K' + E' K - K K' = pi/2 at the solved modulus (0 at the strip ends):
     the accuracy of the complete integrals behind the periods and the
     residuals.
     """
-    return _solve_rounded(round(phi, 12))
+    if not math.isfinite(phi):
+        raise DomainViolation(f"ray direction phi = {phi} is not finite")
+    return _solve_raw(phi)
 
 
 def _agm_gauss(a: complex, b: complex, csq: complex) -> Tuple[complex, complex]:
@@ -373,12 +389,24 @@ def _lattice_det(p1: complex, p2: complex) -> float:
     return det
 
 
+def _reduce(v: complex, p1: complex, p2: complex,
+            det: float) -> Tuple[complex, int]:
+    """v modulo Z p1 + Z p2 (coefficients in [-1/2, 1/2)), and the parity
+    of the multiple of p2 taken off; det is the generators' determinant."""
+    vr, vi = v.real, v.imag
+    a = (vr * p2.imag - vi * p2.real) / det
+    b = (p1.real * vi - p1.imag * vr) / det
+    nb = math.floor(b + 0.5)
+    return v - math.floor(a + 0.5) * p1 - nb * p2, nb & 1
+
+
 def reduce_mod_lattice(v: complex, p1: complex, p2: complex) -> complex:
     """Representative of v modulo Z p1 + Z p2 with coefficients in [-1/2, 1/2)."""
-    det = _lattice_det(p1, p2)
-    a = (v.real * p2.imag - v.imag * p2.real) / det
-    b = (p1.real * v.imag - p1.imag * v.real) / det
-    return v - math.floor(a + 0.5) * p1 - math.floor(b + 0.5) * p2
+    return _reduce(v, p1, p2, _lattice_det(p1, p2))[0]
+
+
+# sn is sin where |k^2| is below this, tanh where |1 - k^2| is
+_DEGENERATE_KSQ = 1e-8
 
 
 def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
@@ -387,22 +415,21 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
     Quotients of theta functions. Everything that depends on k alone (the
     period lattice and its determinant, the nome powers and the theta
     nulls) is computed once per modulus and kept in a bounded LRU cache,
-    so a point of a ray pays for its lattice reduction, one exponential
-    and the products of the theta series.
+    so a point of a ray pays for its lattice reduction (`_reduce`, whose
+    parity of the 2iK' shift sets the signs of cn and dn), one exponential
+    and the products of the theta series. Where k^2 is within
+    `_DEGENERATE_KSQ` of 0 or 1, sn, cn, dn are sin, cos, 1 or tanh, sech,
+    sech.
     """
     ksq = k * k
-    if abs(ksq) < 1e-8:
+    if abs(ksq) < _DEGENERATE_KSQ:
         return cmath.sin(u), cmath.cos(u), 1.0 + 0.0j
-    if abs(1.0 - ksq) < 1e-8:
+    if abs(1.0 - ksq) < _DEGENERATE_KSQ:
         s = cmath.tanh(u)
         c = 1.0 / cmath.cosh(u)
         return s, c, c
     m = _modulus(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
-    p1, p2, det = m.p1, m.p2, m.det
-    a = (u.real * p2.imag - u.imag * p2.real) / det
-    b = (p1.real * u.imag - p1.imag * u.real) / det
-    nb = math.floor(b + 0.5)
-    u_red = u - math.floor(a + 0.5) * p1 - nb * p2
+    u_red, odd = _reduce(u, m.p1, m.p2, m.det)
     t1, t2, t3, t4 = _theta_quads(m.scale * u_red, m.half_powers,
                                   m.square_powers)
     if abs(t4) < 1e-12 * max(abs(t1), 1.0):
@@ -412,9 +439,42 @@ def sn_cn_dn(u: complex, k: complex) -> Tuple[complex, complex, complex]:
     dn = m.z4_z3 * (t3 / t4)
     if abs(sn) > 1e8:
         raise NearPole("sn overflow guard tripped")
-    if nb % 2:  # cn(u + 2iK') = -cn(u), dn(u + 2iK') = -dn(u)
+    if odd:  # cn(u + 2iK') = -cn(u), dn(u + 2iK') = -dn(u)
         return sn, -cn, -dn
     return sn, cn, dn
+
+
+class _SnKernel(NamedTuple):
+    """What the Moebius image y = (k sn + 1)/(k sn - 1) needs of A alone.
+
+    k = sqrt(A) with Re k >= 0 and its `_modulus` record. With the theta
+    quotients of `sn_cn_dn`, k sn = alpha theta1/theta4 and
+    k cn dn = beta theta2 theta3/theta4^2 (the parity signs of cn and dn
+    cancel in the product), where alpha = k theta3(0)/theta2(0) and
+    beta = k theta4(0)^2/(theta2(0) theta3(0)). Where k^2 is within
+    `_DEGENERATE_KSQ` of 0 or 1, modulus is None and alpha = beta = k, so
+    that sn, cn, dn from the sin / tanh branch stand in for theta1..theta3
+    with theta4 = 1.
+    """
+    k: complex
+    modulus: Optional[_Modulus]
+    alpha: complex
+    beta: complex
+
+
+@functools.lru_cache(maxsize=128)
+def _sn_kernel(A: complex, re_sign: float, im_sign: float) -> _SnKernel:
+    """The kernel record of the modulus parameter A = k^2.
+
+    re_sign and im_sign, the signs of A's parts, only key the cache, as
+    they do for `_modulus`. An exception is not cached.
+    """
+    k = _sqrt_a(A)
+    ksq = k * k
+    if abs(ksq) < _DEGENERATE_KSQ or abs(1.0 - ksq) < _DEGENERATE_KSQ:
+        return _SnKernel(k, None, k, k)
+    m = _modulus(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
+    return _SnKernel(k, m, k * m.z3_z2, k * (m.z4_z2 * m.z4_z3))
 
 
 def jacobi_sn(u: complex, k: complex) -> complex:

@@ -911,12 +911,15 @@ def _pair_distance(a: MonodromyPair, b: MonodromyPair) -> float:
     Truncated-family seeds given in doubles carry a genuinely huge
     invariant entry (seed roundoff divided by the exp(-|x|) mode size), so
     its cross-base agreement is only meaningful relatively; entries of
-    ordinary size keep the plain absolute comparison.
+    ordinary size keep the plain absolute comparison. A non-finite entry
+    in either pair makes the distance infinite.
     """
     worst = 0.0
     for ma, mb in ((a.m0, b.m0), (a.m1, b.m1)):
         for ea, eb in zip(ma.rows()[0] + ma.rows()[1],
                           mb.rows()[0] + mb.rows()[1]):
+            if not (cmath.isfinite(ea) and cmath.isfinite(eb)):
+                return cmath.inf
             scale = max(1.0, abs(ea), abs(eb))
             worst = max(worst, abs(ea - eb) / scale)
     return worst

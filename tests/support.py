@@ -6,13 +6,16 @@ broken input tamper with an entry afterwards.
 """
 
 import cmath
+import importlib
 import math
+import pkgutil
 import random
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
+import pvrh
 from pvrh.asymptotics import formal_series_pv
 from pvrh.boutroux_elliptic import _quarter_periods, reduce_mod_lattice
 from pvrh.errors import NearPole, NoConvergence
@@ -26,6 +29,20 @@ from pvrh.mono_core import (
 from pvrh.oracle import _seed_values, pv_rhs_first_order
 
 THETA_DESK = ThetaTriple(1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0)
+
+
+def cached_callables():
+    """(qualified name, callable) of every functools cache in pvrh's modules."""
+    for info in pkgutil.iter_modules(pvrh.__path__, "pvrh."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            members = {name: obj}
+            if isinstance(obj, type) and obj.__module__ == info.name:
+                members.update((f"{name}.{attr}", val)
+                               for attr, val in vars(obj).items())
+            for qual, member in members.items():
+                if callable(getattr(member, "cache_parameters", None)):
+                    yield f"{info.name}.{qual}", member
 
 
 def random_theta_component(rng: random.Random, span: float = 0.45) -> float:

@@ -32,7 +32,7 @@ from pvrh.asymptotics import (
     series_tag_for,
     trunc_boundary_families,
 )
-from pvrh.boutroux_elliptic import solve_boutroux
+from pvrh.boutroux_elliptic import BoutrouxSolution, sn_cn_dn, solve_boutroux
 from pvrh.char_variety import char_coords, fricke_ok
 from pvrh.errors import (
     CaseGap,
@@ -661,3 +661,106 @@ def test_elliptic_pole_disk_raises():
     # x0 + 2*(i K') + lattice, i.e. x0 + omegaB + ...
     with pytest.raises(InsidePoleDisk):
         eval_elliptic(x0 + sol.omegaB, d, sol)
+    # the Moebius image pole w = k sn = 1, at u = K + iK' where sn = 1/k
+    with pytest.raises(InsidePoleDisk, match="Moebius"):
+        eval_elliptic(x0 + 0.5 * sol.omegaA + sol.omegaB, d, sol)
+
+
+# the fixed elliptic directions of the ray_table benchmark workload and
+# their mirrors
+_RAY_TABLE_PHIS = tuple((-1) ** j * (0.05 + 1.45 * (j + 0.5) / 6.0)
+                        for j in range(6))
+
+
+def _elliptic_reference(x, d):
+    """(y, y', zfrak) of `eval_elliptic` and w = k sn, from mpmath at 30 digits."""
+    th = d.theta
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(mpmath.mpc(d.params["A"]))
+        if k.real < 0:
+            k = -k
+        u = (mpmath.mpc(x) - mpmath.mpc(d.params["x0"])) / 2
+        sn, cn, dn = (mpmath.ellipfun(kind, u, m=k * k)
+                      for kind in ("sn", "cn", "dn"))
+        w = k * sn
+        y = (w + 1) / (w - 1)
+        yp = -k * cn * dn / (w - 1) ** 2
+        z = -mpmath.mpc(x) * (yp - y) / (2 * (y - 1) ** 2) \
+            + (th.theta0 + th.theta1) / (2 * (y - 1)) \
+            - (th.theta0 - th.theta1 + th.thetaInf) / 4
+        return (complex(y), complex(yp), complex(z)), complex(w)
+
+
+def test_elliptic_values_match_mpmath(rng):
+    # seeded rays on the ray_table directions and their mirrors, |x| in
+    # [20, 60]; points in the pole disks |w - 1| < 0.04 (y's poles) and
+    # |w| > 25 (zfrak's) are left out, as near them the values are only as
+    # accurate as x. Error: |got - ref| / max(1, |ref|) for y, y', zfrak.
+    worst = [0.0, 0.0, 0.0]
+    kept = 0
+    for phi in _RAY_TABLE_PHIS + tuple(-p for p in _RAY_TABLE_PHIS):
+        d = AsymptoticDescriptor(
+            variant="Elliptic",
+            params={"A": solve_boutroux(phi).A,
+                    "x0": complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))},
+            sector=(phi - 0.1, phi + 0.1), theta=THETA_DESK)
+        for _ in range(12):
+            x = rng.uniform(20.0, 60.0) * cmath.exp(1j * phi)
+            ref, w = _elliptic_reference(x, d)
+            if abs(w - 1.0) < 0.04 or abs(w) > 25.0:
+                continue
+            got = eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
+            worst = [max(e, abs(g - r) / max(1.0, abs(r)))
+                     for e, g, r in zip(worst, got, ref)]
+            kept += 1
+    assert kept > 100
+    # y = (w + 1)/(w - 1) evaluated from sn, cn, dn read 1.4e-14, 2.1e-14
+    # and 2.2e-13 on this sample (139 points); the bounds are twice that
+    assert worst[0] <= 3e-14 and worst[1] <= 4.5e-14 and worst[2] <= 4.5e-13, worst
+
+
+def test_elliptic_pole_guards_fire_where_sn_puts_them(rng):
+    # the guards on the theta sums raise exactly where sn_cn_dn's pole
+    # guards or |k sn - 1| < 1e-10 say the point is in a pole disk
+    for phi in (_RAY_TABLE_PHIS[1], -_RAY_TABLE_PHIS[4]):
+        sol = solve_boutroux(phi)
+        x0 = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        d = AsymptoticDescriptor(variant="Elliptic",
+                                 params={"A": sol.A, "x0": x0},
+                                 sector=(phi - 0.1, phi + 0.1), theta=THETA_DESK)
+        k = cmath.sqrt(sol.A)
+        k = -k if k.real < 0 else k
+        raised = 0
+        for pole in (sol.omegaB, 0.5 * sol.omegaA + sol.omegaB,
+                     sol.omegaA - sol.omegaB, -1.5 * sol.omegaA + 3 * sol.omegaB):
+            for eps in (0.0, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-2):
+                x = x0 + pole + eps * cmath.exp(2j)
+                try:
+                    sn, _, _ = sn_cn_dn(0.5 * (x - x0), k)
+                    expected = abs(k * sn - 1.0) < 1e-10
+                except NearPole:
+                    expected = True
+                try:
+                    eval_elliptic(x, d, sol)
+                    got = False
+                except InsidePoleDisk:
+                    got = True
+                assert got == expected, (phi, pole, eps)
+                raised += got
+        assert raised >= 8
+
+
+@pytest.mark.parametrize("A", [1e-10 + 2e-10j, 1.0 - 3e-9j])
+def test_elliptic_degenerate_modulus_takes_sin_or_tanh(A):
+    # k^2 within 1e-8 of 0 or 1: y is the Moebius image of k sin u or k tanh u
+    x0 = 0.3 + 0.1j
+    d = AsymptoticDescriptor(variant="Elliptic", params={"A": A, "x0": x0},
+                             sector=(0.0, 0.5 * math.pi), theta=THETA_DESK)
+    sol = BoutrouxSolution(phi=0.0, A=A, omegaA=None, omegaB=None,
+                           quadrature_error=0.0)
+    k = cmath.sqrt(A)
+    for x in (20.0 + 1.0j, 31.5 - 2.0j):
+        u = 0.5 * (x - x0)
+        w = k * (cmath.sin(u) if abs(A) < 0.5 else cmath.tanh(u))
+        y, _, _ = eval_elliptic(x, d, sol)
+        assert y == (w + 1.0) / (w - 1.0)

@@ -80,6 +80,22 @@ def test_pi_periodicity_in_phi():
     assert abs(a - b) < 1e-12
 
 
+def test_angles_that_round_alike_share_one_solution(cold_caches):
+    first = solve_boutroux(0.7)
+    near = 0.7 + 3e-14
+    assert near != 0.7 and round(near, 12) == 0.7
+    assert solve_boutroux(near) is first
+    assert solve_boutroux(near) is boutroux_elliptic._solve_rounded(round(near, 12))
+    assert solve_boutroux(0.7 + 2e-12) is not first
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_direction_is_a_domain_violation(phi):
+    # NaN used to escape as ValueError from math.floor, +-inf as OverflowError
+    with pytest.raises(DomainViolation, match="not finite"):
+        solve_boutroux(phi)
+
+
 def test_cycle_integral_input_checks():
     with pytest.raises(ValueError):
         cycle_integral(0.3 + 0.1j, "volume", "a")
@@ -336,7 +352,7 @@ def test_sn_cache_keeps_signed_zero_moduli_apart():
         assert sn_cn_dn(u, k) == sn_cn_dn_reference(u, k)
 
 
-def test_ray_computes_quarter_periods_once(monkeypatch):
+def test_ray_computes_quarter_periods_once(monkeypatch, cold_caches):
     calls = []
     quarter_periods = boutroux_elliptic._quarter_periods
 
@@ -345,7 +361,6 @@ def test_ray_computes_quarter_periods_once(monkeypatch):
         return quarter_periods(k)
 
     monkeypatch.setattr(boutroux_elliptic, "_quarter_periods", counted)
-    boutroux_elliptic._modulus.cache_clear()
     phi = 0.7
     d = AsymptoticDescriptor(variant="Elliptic",
                              params={"A": solve_boutroux(phi).A, "x0": 0.3 + 0.1j},

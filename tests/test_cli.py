@@ -353,6 +353,10 @@ def test_validation_failures_exit_2(rng, capsys):
                                        "--at", "12", "--bases", "5,13"])) \
         == (2, "bad-bases", "--bases")
 
+    for phi in ("nan", "inf"):
+        assert _envelope(*run_cli(capsys, ["boutroux", "--phi", phi])) \
+            == (2, "DomainViolation", "boutroux")
+
     # an elliptic descriptor solved at phi = 0.7, evaluated off its ray
     blob = json.dumps(pair_to_json_obj(random_valid_pair(rng)))
     _, elliptic = run_cli(capsys, ["solve", blob, "--phi", "0.7"])

@@ -679,6 +679,17 @@ def test_drift_normalises_every_base_at_the_reference_entry(rng):
     assert pair_diff(pairs[-1], gauge_normalize(big, zero_tol=1e-6).pair) == 0.0
 
 
+def test_pair_distance_is_infinite_against_a_non_finite_entry():
+    # max(worst, nan) kept worst, so a NaN entry used to read as agreement
+    clean = Mat2C(1, 2, 3, 4)
+    pair = MonodromyPair(clean, clean, TH_CONST)
+    assert _pair_distance(pair, pair) == 0.0
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        broken = MonodromyPair(clean, Mat2C(1, 2, bad, 4), TH_CONST)
+        assert _pair_distance(pair, broken) == math.inf
+        assert _pair_distance(broken, pair) == math.inf
+
+
 def test_drift_perturbation_stays_out_of_the_chained_ray():
     # the legs 12 -> 14 -> 16 are chained; shifting y at 14 must change the
     # pair at 14 only, not the state the leg to 16 starts from
