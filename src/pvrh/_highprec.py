@@ -29,10 +29,11 @@ def direct_monodromy_mp(theta: ThetaTriple, phi: float, t, y,
     """Monodromy pair of the state (t, phi, y, zfrak) in mp scalars.
 
     Call under mp.workdps; y and z may be mpc (full precision) or complex.
+    The mp state selects the mp backend of oracle.direct_monodromy.
     """
     state = oracle.LinearSystemState(mp.mpf(t), phi, mp.mpc(y), mp.mpc(z),
                                      0.0, theta)
-    return oracle._monodromy(state, loops=None, N=None, method="frobenius")
+    return oracle.direct_monodromy(state)
 
 
 def drift_pairs_mp(theta: ThetaTriple, seed: Dict[str, complex],
@@ -52,12 +53,3 @@ def drift_pairs_mp(theta: ThetaTriple, seed: Dict[str, complex],
             return direct_monodromy_mp(theta, phi, t, state[1], state[2])
 
         return oracle._ray_pairs(theta, phi, t_list, start, solve)
-
-
-def ray_final_mp(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
-                 dps: int = 50) -> Tuple[complex, complex, complex]:
-    """Final (y, zfrak, log u) of a ray leg, as doubles (for cross-checks)."""
-    with mp.workdps(dps):
-        phi, start = oracle._ray_start(theta, seed, mp.mpc)
-        _, y, z, lu = oracle._ray_leg(theta, phi, start, t_end)
-        return complex(y), complex(z), complex(lu)

@@ -44,7 +44,8 @@ from .mono_core import (
     pair_to_json_obj,
     validate_pair,
 )
-from .oracle import integrate_pv, isomonodromy_drift, zfrak_from_y_yprime
+from .oracle import (MIN_DPS, integrate_pv, isomonodromy_drift,
+                     zfrak_from_y_yprime)
 from .rh_dispatch import (
     continuation_plan,
     region_emptiness,
@@ -517,6 +518,9 @@ def _cmd_verify(args) -> int:
     if x == 0:
         raise CliFailure(_VALIDATION, "bad-point",
                          "verification point must be nonzero", "--at")
+    if args.dps is not None and args.dps < MIN_DPS:
+        raise CliFailure(_VALIDATION, "bad-dps",
+                         f"--dps must be at least {MIN_DPS}", "--dps")
     kind = _KIND_OF.get(d.variant, "trunc")
     y, _, z = _eval_family(kind, d, x, args.order)
     seed = {"x": x, "y": y, "zfrak": z}

@@ -71,9 +71,16 @@ _DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log,
                    ray_order=24, ray_tol=1e-16)
 
 
+# least working precision of the mp backend: at 16 digits or fewer its
+# tail tolerance 10^-(dps - 16) is at least 1, so no solve means anything
+MIN_DPS = 17
+
+
 def _mp_backend() -> _Backend:
     import mpmath as mp
     dps = mp.mp.dps
+    if dps < MIN_DPS:
+        raise ValueError(f"dps must be at least {MIN_DPS}, got {dps}")
     ten = mp.mpf(10)
     return _Backend(mp.mpmathify, mp.exp, mp.log, mp.fdot, mp.pi, rho=16.0,
                     N=44,
@@ -142,13 +149,6 @@ def _unit(state: LinearSystemState):
     """e^{i phi} in the scalars of the state."""
     bk = _backend_of(state.t)
     return bk.exp(1j * bk.num(state.phi))
-
-
-@dataclass(frozen=True)
-class LoopSpec:
-    base_point: complex
-    loop_tag: str  # "l0" (around -e^{i phi}) or "l1" (around +e^{i phi})
-    polyline: Tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -515,8 +515,7 @@ def canonical_frame(state: LinearSystemState, lam: complex,
                           float(defect), p)
 
 
-def _seed_frame(state: LinearSystemState, N: int,
-                lam: Optional[complex] = None) -> Tuple[Any, Mat2C, float]:
+def _seed_frame(state: LinearSystemState, N: int) -> Tuple[Any, Mat2C, float]:
     """Base point on the upper imaginary axis with an acceptable defect.
 
     Returns (lambda0, P(lambda0), defect).  The ladder starts at |lambda|
@@ -524,20 +523,12 @@ def _seed_frame(state: LinearSystemState, N: int,
     in mp), and climbs by factors of 1.5 until the order-N frame meets the
     backend's defect cap.  The order-N series there is accurate to about
     e^{-t|lambda|/2} from its divergent part and to about |lambda|^{-N}
-    from the singular points at +-e^{i phi}, so at the default orders the
-    first rung passes for every t and the transport down to the matching
-    point stays short.  A smaller N starts at the same rung and may climb.
-    With lam fixed (a caller-chosen base point) no adaptation happens and
-    an excessive defect is an error right away.
+    from the singular points at +-e^{i phi}, so at the backend's order N
+    (32 in doubles, 44 in mp) the first rung passes for every t and the
+    transport down to the matching point stays short.  A smaller N starts
+    at the same rung and may climb.
     """
     bk = _backend_of(state.t)
-    if lam is not None:
-        cf = canonical_frame(state, lam, N)
-        if cf.defect > bk.defect_cap:
-            raise SeedDefectTooLarge(
-                f"seed defect {cf.defect:.2e} above "
-                f"{float(bk.defect_cap):.0e} at {lam}")
-        return lam, cf.poly, cf.defect
     rho = max(bk.rho, _SEED_RUNG / float(state.t))
     while True:
         lam = bk.num(1j * rho)
@@ -758,20 +749,6 @@ def _local_frame(state: LinearSystemState, which: int,
 # ---------------------------------------------------------------------------
 # direct monodromy
 
-def default_loops(phi: float, base_point: complex) -> Tuple[LoopSpec, LoopSpec]:
-    """Square loops with vertical tails, one around each singular point."""
-    e = cmath.exp(1j * phi)
-    h = 0.55
-    specs = []
-    for tag, s in (("l0", -e), ("l1", e)):
-        top = s + h * 1j
-        square = (top, s + complex(-h, h), s + complex(-h, -h),
-                  s + complex(h, -h), s + complex(h, h), top)
-        poly = (top,) + square[1:] + (base_point,)
-        specs.append(LoopSpec(base_point, tag, poly))
-    return specs[0], specs[1]
-
-
 def _match_frame(state: LinearSystemState, lam0, p_seed: Mat2C) -> Mat2C:
     """Canonical frame Y at i*_MATCH_HEIGHT, seeded at lam0 with part p_seed.
 
@@ -835,64 +812,30 @@ def _as_complex(m: Mat2C) -> Mat2C:
                  complex(m.m22))
 
 
-def _monodromy(state: LinearSystemState,
-               loops: Optional[Tuple[LoopSpec, LoopSpec]], N: Optional[int],
-               method: str) -> MonodromyPair:
-    """The chain in the scalars of state; the pair leaves it as complex."""
-    bk = _backend_of(state.t)
-    base = loops[0].base_point if (method == "transport" and loops) else None
-    lam0, p_seed, _ = _seed_frame(state, bk.N if N is None else N, lam=base)
-    if method == "transport":
-        if loops is None:
-            loops = default_loops(state.phi, lam0)
-        v0 = _seed_gauge(state, p_seed, lam0)
-        y_base_inv = _exp_gauge(state, v0, lam0).inv()
-        out = []
-        for spec in loops:
-            path = (lam0,) + tuple(spec.polyline)
-            _check_clearance(state, path)
-            v = _transport(state, path, v0)
-            out.append(y_base_inv @ _exp_gauge(state, v, lam0))
-        m0, m1 = out
-    else:
-        m0, m1 = _frobenius_monodromy(state, lam0, p_seed)
-    return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta,
-                         tol=1e-3)
-
-
 def direct_monodromy(state: LinearSystemState,
-                     loops: Optional[Tuple[LoopSpec, LoopSpec]] = None,
-                     N: Optional[int] = None, method: str = "frobenius",
                      dps: Optional[int] = None) -> MonodromyPair:
     """Monodromy pair of the linear system read off the given ray data.
 
-    frobenius (default): transport the canonical frame down the imaginary
-    axis to a matching point between the singular points, then use local
-    series frames there; immune to the exponential dichotomy that ruins
-    loop transport at large t. transport: literal polyline transport
-    around the loops (accurate at moderate t, kept as an independent
-    cross-check and for loop-homotopy experiments).
+    Seeds the canonical frame near lambda = infinity (_seed_frame),
+    transports it down the imaginary axis to the matching point and
+    connects it to the local Frobenius frames there (_frobenius_monodromy),
+    in the scalars of state: mpf / mpc (built under mp.workdps) select the
+    mp backend.  LoopHitsSingularity when that path passes within 0.3 of
+    +-e^{i phi}, i.e. for |phi| above about 1.27.
 
-    N is the order of the large-lambda series of the seed frame.  The
-    default (32) lets the seed sit at the first rung of the ladder,
-    |lambda| = max(5, 80/t) (see _seed_frame).  A smaller N starts at the
-    same rung; it climbs from there until its defect falls below the cap
-    (1e-8), so it may accept a seed less accurate than the default's.
-
-    dps runs the same frobenius chain in mpmath at that many digits, with
-    the mp seed order (44) and tolerances of _mp_backend.
+    dps runs the same chain in mpmath at that many digits, at least
+    MIN_DPS (ValueError below), with the mp order and tolerances.
     """
-    if method not in ("frobenius", "transport"):
-        raise ValueError(f"unknown method {method!r}")
-    if dps is None:
-        return _monodromy(state, loops, N, method)
-    if method != "frobenius":
-        raise ValueError("dps is only supported with the frobenius method")
-    from . import _highprec
-    import mpmath as mp
-    with mp.workdps(dps):
-        return _highprec.direct_monodromy_mp(
-            state.theta, state.phi, state.t, state.y, state.zfrak)
+    if dps is not None:
+        from . import _highprec
+        import mpmath as mp
+        with mp.workdps(dps):
+            return _highprec.direct_monodromy_mp(
+                state.theta, state.phi, state.t, state.y, state.zfrak)
+    lam0, p_seed, _ = _seed_frame(state, _backend_of(state.t).N)
+    m0, m1 = _frobenius_monodromy(state, lam0, p_seed)
+    return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta,
+                         tol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -980,9 +923,9 @@ def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
     this is the negative control for the metric.
 
     dps runs the whole chain, ray legs included, in mpmath at that many
-    digits (_highprec.drift_pairs_mp): the same ray stepper and monodromy
-    chain in mp scalars, with the mp ray order and tolerances of
-    _mp_backend.  Seeds of the truncated families need this: their
+    digits, at least MIN_DPS (_highprec.drift_pairs_mp): the same ray
+    stepper and monodromy chain in mp scalars, with the mp ray order and
+    tolerances of _mp_backend.  Seeds of the truncated families need this: their
     distinguishing solution mode scales like exp(-|x|), far below double
     roundoff at |x| ~ 60, so the double-precision drift of such a seed is
     meaningless noise in the subdominant entries.

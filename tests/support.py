@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 import pvrh
 from pvrh.asymptotics import formal_series_pv
 from pvrh.boutroux_elliptic import _quarter_periods, reduce_mod_lattice
-from pvrh.errors import NearPole, NoConvergence
+from pvrh.errors import NearPole, NoConvergence, SeedDefectTooLarge
 from pvrh.mono_core import (
     Mat2C,
     MonodromyPair,
@@ -26,7 +26,18 @@ from pvrh.mono_core import (
     ThetaTriple,
     product_from_stokes,
 )
-from pvrh.oracle import _seed_values, pv_rhs_first_order
+from pvrh.oracle import (
+    _backend_of,
+    _check_clearance,
+    _exp_gauge,
+    _ray_leg,
+    _ray_start,
+    _seed_gauge,
+    _seed_values,
+    _transport,
+    canonical_frame,
+    pv_rhs_first_order,
+)
 
 THETA_DESK = ThetaTriple(1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0)
 
@@ -130,6 +141,63 @@ def ray_reference(theta: ThetaTriple, seed: dict, t_end: float):
     assert sol.success, sol.message
     v = sol.y[:, -1]
     return complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])
+
+
+def ray_final_mp(theta: ThetaTriple, seed: dict, t_end: float,
+                 dps: int = 50):
+    """(y, zfrak, log u) of the mp ray leg to |x| = t_end, in doubles."""
+    with mpmath.workdps(dps):
+        phi, start = _ray_start(theta, seed, mpmath.mpc)
+        _, y, z, lu = _ray_leg(theta, phi, start, t_end)
+        return complex(y), complex(z), complex(lu)
+
+
+def fixed_seed_frame(state, lam, N: int):
+    """(lam, P(lam), defect) of the order-N canonical frame at a chosen lam.
+
+    No ladder: SeedDefectTooLarge when the defect is above the backend's cap.
+    """
+    cf = canonical_frame(state, lam, N)
+    cap = _backend_of(state.t).defect_cap
+    if cf.defect > cap:
+        raise SeedDefectTooLarge(
+            f"seed defect {cf.defect:.2e} above {float(cap):.0e} at {lam}")
+    return lam, cf.poly, cf.defect
+
+
+def square_loops(phi: float, base: complex, hw: float, hh: float):
+    """Two closed polylines from base, one around each singular point.
+
+    Each is the rectangle of half-width hw and half-height hh around
+    -e^{i phi} (then +e^{i phi}), entered and left at its top midpoint.
+    """
+    e = cmath.exp(1j * phi)
+    loops = []
+    for s in (-e, e):
+        top = s + hh * 1j
+        loops.append((base, top, s + complex(-hw, hh), s + complex(-hw, -hh),
+                      s + complex(hw, -hh), s + complex(hw, hh), top, base))
+    return loops[0], loops[1]
+
+
+def loop_transport_monodromy(state, loops, N: int) -> MonodromyPair:
+    """(M0, M1) by literal transport of the canonical frame around two loops.
+
+    The reference for the oracle's Frobenius chain: the order-N frame is
+    seeded at the common base point of the loops (fixed_seed_frame) and
+    carried around each closed polyline by the oracle's Taylor transport;
+    M = Y(base)^-1 Y(base after the loop).  Accurate at moderate t only,
+    since the e^{+-t lambda/4} modes separate along the loops.
+    """
+    lam0, p_seed, _ = fixed_seed_frame(state, loops[0][0], N)
+    v0 = _seed_gauge(state, p_seed, lam0)
+    y_base_inv = _exp_gauge(state, v0, lam0).inv()
+    out = []
+    for path in loops:
+        _check_clearance(state, path)
+        out.append(y_base_inv @ _exp_gauge(state, _transport(state, path, v0),
+                                           lam0))
+    return MonodromyPair(out[0], out[1], state.theta, tol=1e-3)
 
 
 def r2_0_pair() -> MonodromyPair:

@@ -352,6 +352,12 @@ def test_validation_failures_exit_2(rng, capsys):
     assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
                                        "--at", "12", "--bases", "5,13"])) \
         == (2, "bad-bases", "--bases")
+    # at 16 digits or fewer the mp chain resolves nothing (these used to
+    # exit 3 with ToleranceFailure or SeedDefectTooLarge)
+    for dps in ("0", "-3", "5", "12", "16"):
+        assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                           "--at", "12", "--dps", dps])) \
+            == (2, "bad-dps", "--dps")
 
     for phi in ("nan", "inf"):
         assert _envelope(*run_cli(capsys, ["boutroux", "--phi", phi])) \

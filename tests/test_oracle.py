@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvrh._highprec import ray_final_mp
 from pvrh.asymptotics import formal_series_pv
 from pvrh.cli import _NUMERIC_ERRORS, _eval_family
-from pvrh.errors import GridTooCoarse, HitSingularity, SeedDefectTooLarge
+from pvrh.errors import (
+    GridTooCoarse,
+    HitSingularity,
+    LoopHitsSingularity,
+    SeedDefectTooLarge,
+)
 from pvrh.mono_core import (
     Mat2C,
     MonodromyPair,
@@ -29,7 +33,6 @@ from pvrh.mono_core import (
 from pvrh import oracle
 from pvrh.oracle import (
     LinearSystemState,
-    LoopSpec,
     _frobenius_monodromy,
     _local_frame,
     _match_frame,
@@ -41,7 +44,6 @@ from pvrh.oracle import (
     _series_coefficients,
     _taylor_step as taylor_step,
     canonical_frame,
-    default_loops,
     direct_monodromy,
     integrate_pv,
     isomonodromy_drift,
@@ -56,11 +58,15 @@ from pvrh.rh_dispatch import solve_rh
 from support import (
     THETA_DESK,
     doubly_truncated_pair,
+    fixed_seed_frame,
+    loop_transport_monodromy,
     pair_diff,
     r2_0_pair,
     r2_1_pair,
     random_valid_pair,
+    ray_final_mp,
     ray_reference,
+    square_loops,
     trunc00_y_yprime,
 )
 
@@ -204,27 +210,18 @@ def test_direct_monodromy_lands_on_the_manifold():
     assert gap < 1e-6
 
 
-def _rect_loops(phi: float, base_point: complex, hw: float, hh: float):
-    e = cmath.exp(1j * phi)
-    out = []
-    for tag, s in (("l0", -e), ("l1", e)):
-        top = s + hh * 1j
-        ring = (top, s + complex(-hw, hh), s + complex(-hw, -hh),
-                s + complex(hw, -hh), s + complex(hw, hh), top)
-        out.append(LoopSpec(base_point, tag, ring[1:] + (base_point,)))
-    return out[0], out[1]
-
-
 def test_loop_transport_is_homotopy_invariant_and_matches_frobenius():
+    # literal transport around two loop shapes (tests/support.py), against
+    # each other and against the Frobenius chain seeded at the same order
     st_ = const_state(8.0)
     base = 140.0j
-    square = direct_monodromy(st_, loops=default_loops(0.0, base), N=4,
-                              method="transport")
-    rect = direct_monodromy(st_, loops=_rect_loops(0.0, base, 0.8, 0.45),
-                            N=4, method="transport")
+    square = loop_transport_monodromy(
+        st_, square_loops(0.0, base, 0.55, 0.55), 4)
+    rect = loop_transport_monodromy(st_, square_loops(0.0, base, 0.8, 0.45), 4)
     assert pair_diff(square, rect) < 1e-8
-    frob = direct_monodromy(st_, N=4)
-    assert pair_diff(square, frob) < 1e-6
+    lam0, p_seed, _ = _seed_frame(st_, 4)
+    m0, m1 = _frobenius_monodromy(st_, lam0, p_seed)
+    assert pair_diff(square, MonodromyPair(m0, m1, TH_CONST)) < 1e-6
 
 
 def test_drift_small_on_trajectory_large_off_it():
@@ -360,6 +357,32 @@ def test_mp_monodromy_matches_double_route():
     assert pair_diff(doubles, high) < 1e-6
 
 
+def test_mp_solve_enters_through_direct_monodromy(monkeypatch):
+    # the dps path solves its mp state through oracle.direct_monodromy, so
+    # a wrapper there (as the benchmark's spans install) sees each mp solve
+    entry = oracle.direct_monodromy
+    seen = []
+
+    def counting(state, dps=None):
+        seen.append((state.t, dps))
+        return entry(state, dps)
+
+    monkeypatch.setattr(oracle, "direct_monodromy", counting)
+    entry(const_state(8.0), dps=40)
+    assert len(seen) == 1
+    t, dps = seen[0]
+    assert isinstance(t, mpmath.mpf) and t == 8 and dps is None
+
+
+def test_dps_at_or_below_double_precision_is_refused():
+    # at dps <= 16 the mp tail tolerance 10^-(dps - 16) is at least 1
+    for dps in (-3, 0, 5, 12, 16):
+        with pytest.raises(ValueError, match="at least 17"):
+            direct_monodromy(const_state(8.0), dps=dps)
+        with pytest.raises(ValueError, match="at least 17"):
+            isomonodromy_drift(TH_CONST, const_seed(12.0), [12.0], dps=dps)
+
+
 @pytest.mark.parametrize("t", [12.0, 30.0, 60.0])
 def test_seed_frame_defect_near_the_singular_points(t):
     # the order-16 frame is already accurate at |lambda| = 10, and the
@@ -435,6 +458,17 @@ def _desk_state_on_ray(t: float, phi: float) -> LinearSystemState:
     seed = desk_series_seed(t * cmath.exp(1j * phi))
     return LinearSystemState(t, phi, seed["y"], seed["zfrak"], 0.0,
                              THETA_DESK)
+
+
+def test_direct_monodromy_reach_in_phi():
+    # the path from the seed down the imaginary axis to the matching point
+    # passes cos(phi) from e^{i phi}: 0.315 at phi = 1.25, inside the
+    # clearance of 0.3 at 1.3 (0.267) and 1.5 (0.071)
+    pair = direct_monodromy(_desk_state_on_ray(20.0, 1.25))
+    assert validate_pair(pair.m0, pair.m1, pair.theta, tol=1e-6).ok
+    for phi, dist in ((1.3, "0.267"), (1.5, "0.071")):
+        with pytest.raises(LoopHitsSingularity, match=f"within {dist} of"):
+            direct_monodromy(_desk_state_on_ray(20.0, phi))
 
 
 @pytest.mark.parametrize("t, phi", [(12.0, 0.0), (30.0, 0.0), (60.0, 0.0),
@@ -582,7 +616,7 @@ def _far_seed(state: LinearSystemState):
     rho = max(120.0, 2.0 * state.t)
     while True:
         try:
-            return _seed_frame(state, 3, lam=1j * rho)
+            return fixed_seed_frame(state, 1j * rho, 3)
         except SeedDefectTooLarge:
             rho *= 1.5
 
