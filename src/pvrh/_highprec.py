@@ -8,10 +8,10 @@ local frame.  Both the ray transport of the seed and the linear solve
 therefore need tens of extra digits before the small monodromy entries of
 such seeds mean anything.
 
-The ray stepper and the monodromy chain live once in pvrh.oracle and run
-here on mpf / mpc states at the working precision; this module only sets
-that precision and keeps the states in mp between the ray legs and the
-solves.  The dps arguments of the oracle select it.
+The ray stepper, the drift driver and the monodromy chain live once in
+pvrh.oracle and run here on mpf / mpc states at the working precision;
+this module only sets that precision.  The dps arguments of the oracle
+select it.
 """
 
 from __future__ import annotations
@@ -32,24 +32,17 @@ def direct_monodromy_mp(theta: ThetaTriple, phi: float, t, y,
     The mp state selects the mp backend of oracle.direct_monodromy.
     """
     state = oracle.LinearSystemState(mp.mpf(t), phi, mp.mpc(y), mp.mpc(z),
-                                     0.0, theta)
+                                     theta)
     return oracle.direct_monodromy(state)
 
 
 def drift_pairs_mp(theta: ThetaTriple, seed: Dict[str, complex],
                    t_list: Sequence[float], dps: int = 50
                    ) -> Tuple[List[float], List[MonodromyPair]]:
-    """Raw monodromy pairs along one trajectory, never leaving mp.
+    """Raw monodromy pairs along one trajectory (oracle._drift_pairs) in mp.
 
-    The legs are chained as in the double path (oracle._ray_pairs).  The
-    intermediate states stay at full precision between the ray transport
-    and the linear solve; rounding them to doubles would re-inject exactly
-    the exp(-|x|)-scale noise this path exists to avoid.
+    The states stay at dps digits between the ray legs and the solves;
+    rounding them to doubles would re-inject the exp(-|x|) noise.
     """
     with mp.workdps(dps):
-        phi, start = oracle._ray_start(theta, seed, mp.mpc)
-
-        def solve(t, state):
-            return direct_monodromy_mp(theta, phi, t, state[1], state[2])
-
-        return oracle._ray_pairs(theta, phi, t_list, start, solve)
+        return oracle._drift_pairs(theta, seed, t_list, mp.mpc)

@@ -520,7 +520,8 @@ def _cmd_verify(args) -> int:
                          "verification point must be nonzero", "--at")
     if args.dps is not None and args.dps < MIN_DPS:
         raise CliFailure(_VALIDATION, "bad-dps",
-                         f"--dps must be at least {MIN_DPS}", "--dps")
+                         f"--dps must be at least {MIN_DPS}: the mp chain "
+                         "keeps about dps - 16 digits", "--dps")
     kind = _KIND_OF.get(d.variant, "trunc")
     y, _, z = _eval_family(kind, d, x, args.order)
     seed = {"x": x, "y": y, "zfrak": z}
@@ -549,7 +550,7 @@ def _cmd_verify(args) -> int:
     if args.emit_plot:
         traj = integrate_pv(d.theta, seed, bases[0], n_samples=max(2, args.grid))
         rows = [(xs.real, xs.imag, ys.real, ys.imag, zs.real, zs.imag)
-                for xs, ys, zs, _ in traj.samples]
+                for xs, ys, zs in traj.samples]
         _write_csv(args.emit_plot,
                    ("x_re", "x_im", "y_re", "y_im", "z_re", "z_im"), rows)
     _emit({

@@ -71,9 +71,9 @@ _DOUBLE = _Backend(lambda v: v, cmath.exp, cmath.log,
                    ray_order=24, ray_tol=1e-16)
 
 
-# least working precision of the mp backend: at 16 digits or fewer its
-# tail tolerance 10^-(dps - 16) is at least 1, so no solve means anything
-MIN_DPS = 17
+# least working precision of the mp backend: its tail 10^-(dps - 16) keeps
+# about dps - 16 digits, so below 30 its drift reads worse than in doubles
+MIN_DPS = 30
 
 
 def _mp_backend() -> _Backend:
@@ -123,7 +123,6 @@ class LinearSystemState:
     phi: float
     y: complex
     zfrak: complex
-    log_u: complex
     theta: ThetaTriple
 
     def coefficient_matrix(self, lam: complex) -> Mat2C:
@@ -153,7 +152,7 @@ def _unit(state: LinearSystemState):
 
 @dataclass(frozen=True)
 class ODETrajectory:
-    samples: Tuple[Tuple[complex, complex, complex, complex], ...]
+    samples: Tuple[Tuple[complex, complex, complex], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +184,10 @@ def zfrak_from_y_yprime(theta: ThetaTriple, x: complex, y: complex,
 
 
 def _seed_values(theta: ThetaTriple, seed: Dict[str, complex],
-                 num: Callable) -> Tuple[Any, Any, Any, Any]:
-    """(x, y, zfrak, log u) of a seed, each entry passed through num.
+                 num: Callable) -> Tuple[Any, Any, Any]:
+    """(x, y, zfrak) of a seed, each entry passed through num.
 
-    seed needs "x" and "y" plus one of "zfrak" / "yprime"; "log_u"
-    defaults to 0 (it is a gauge degree of freedom).
+    seed needs "x" and "y" plus one of "zfrak" / "yprime".
     """
     x, y = num(complex(seed["x"])), num(complex(seed["y"]))
     if "zfrak" in seed:
@@ -198,7 +196,7 @@ def _seed_values(theta: ThetaTriple, seed: Dict[str, complex],
         z = zfrak_from_y_yprime(theta, x, y, num(complex(seed["yprime"])))
     else:
         raise ValueError("seed needs zfrak or yprime")
-    return x, y, z, num(complex(seed.get("log_u", 0.0)))
+    return x, y, z
 
 
 def yprime_from_y_zfrak(theta: ThetaTriple, x: complex, y: complex,
@@ -213,26 +211,28 @@ _RAY_COLLAPSE = 1e-6    # a shorter step, relative to max(1, t), is a failure
 
 
 def _ray_start(theta: ThetaTriple, seed: Dict[str, complex],
-               num: Callable) -> Tuple[float, Tuple[Any, Any, Any, Any]]:
-    """(phi, (|x|, y, zfrak, log u)) of a seed, the values passed through num.
+               num: Callable) -> Tuple[float, Tuple[Any, Any, Any]]:
+    """(phi, (|x|, y, zfrak)) of a seed, the values passed through num.
 
     Rejects a seed at x = 0 and one whose y already lies in the guard band.
     """
     x = complex(seed["x"])
     if x == 0:
         raise ValueError("seed must sit at nonzero x")
-    _, y, z, lu = _seed_values(theta, seed, num)
+    _, y, z = _seed_values(theta, seed, num)
     if min(abs(y), abs(y - 1)) < _RAY_GUARD:
         raise HitSingularity(
             f"seed y={complex(y)} already inside the guard band")
-    return cmath.phase(x), (abs(x), y, z, lu)
+    return cmath.phase(x), (abs(x), y, z)
 
 
-def _ray_coeffs(theta: ThetaTriple, phi: float, t0, y0, z0,
-                lu0) -> Tuple[List, List, List]:
+def _ray_coeffs(theta: ThetaTriple, phi: float, t0, y0,
+                z0) -> Tuple[List, List, List]:
     """Taylor coefficients in u = t - t0 of (y, zfrak, log u) along the ray.
 
-    They run in the scalars of y0, up to the backend's ray order.  The ray
+    They run in the scalars of y0, up to the backend's ray order.  log u, a
+    gauge variable, is carried from 0 only for the step rule of _ray_leg:
+    its terms past the first do not depend on log u itself.  The ray
     system reads t Y' = F(t, Y) with F = pv_rhs_first_order, so
     t0 (k+1) Y_{k+1} = F_k - k Y_k.  With w = y - 1, p = y (z + a) and
     q = (z + c)/y it is F_y = e t y - (2z + a) w^2 - (a - bq) w,
@@ -246,7 +246,7 @@ def _ray_coeffs(theta: ThetaTriple, phi: float, t0, y0, z0,
     e, dot = bk.exp(1j * bk.num(phi)), bk.dot
     a, c = (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2
     amb = a - (3 * th0 + th1 + thi) / 2
-    ys, zs, lus = [y0], [z0], [lu0]
+    ys, zs, lus = [y0], [z0], [0]
     w, ww, r, p, q = [y0 - 1], [], [1 / y0], [], []
     for k in range(bk.ray_order):
         zrev = zs[::-1]
@@ -276,7 +276,7 @@ def _horner(coeffs: Sequence, h):
 
 def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
              t_end: float) -> Tuple:
-    """Carry state = (t, y, zfrak, log u) along the ray to |x| = t_end.
+    """Carry state = (t, y, zfrak) along the ray to |x| = t_end.
 
     Taylor steps (_ray_coeffs) in the scalars of y, of the backend's ray
     order.  A step passes when its last four terms fall below the
@@ -288,14 +288,14 @@ def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
     next to the ray forces, or the leg takes more than _RAY_STEPS steps;
     HitSingularity when y comes within _RAY_GUARD of 0 or 1 after a step.
     """
-    t, y, z, lu = state
+    t, y, z = state
     bk = _backend_of(y)
     order = bk.ray_order
     tail_terms = range(order - 3, order + 1)
     tc, target = bk.num(t), bk.num(t_end)
     steps = 0
     while tc != target:
-        ys, zs, lus = _ray_coeffs(theta, phi, tc, y, z, lu)
+        ys, zs, lus = _ray_coeffs(theta, phi, tc, y, z)
         size = {j: abs(ys[j]) + abs(zs[j]) + abs(lus[j]) for j in tail_terms}
         cut = bk.ray_tol * max(1, abs(y), abs(z))
         reach = 0.45 * tc
@@ -312,14 +312,14 @@ def _ray_leg(theta: ThetaTriple, phi: float, state: Tuple,
             if max(size[j] * abs(h) ** j for j in tail_terms) <= cut:
                 break
             h = h / 2
-        y, z, lu = _horner(ys, h), _horner(zs, h), _horner(lus, h)
+        y, z = _horner(ys, h), _horner(zs, h)
         tc = target if h == rem else tc + h
         if min(abs(y), abs(y - 1)) < _RAY_GUARD:
             raise HitSingularity(f"y reached a guard band near t={float(tc)}")
         steps += 1
         if steps > _RAY_STEPS:
             raise ToleranceFailure("ray Taylor stepping did not converge")
-    return t_end, y, z, lu
+    return t_end, y, z
 
 
 def integrate_pv(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
@@ -841,6 +841,9 @@ def direct_monodromy(state: LinearSystemState,
 # ---------------------------------------------------------------------------
 # drift metric
 
+_DRIFT_ZERO_TOL = 1e-6  # zero threshold of the gauge cascade of the pairs
+
+
 @dataclass(frozen=True)
 class DriftReport:
     drift: float
@@ -886,16 +889,18 @@ def _normalized_drift(raw_pairs: Sequence[MonodromyPair], zero_tol: float
     return worst, pairs
 
 
-def _ray_pairs(theta: ThetaTriple, phi: float, t_list: Sequence[float],
-               start: Tuple, solve: Callable[[float, Tuple], MonodromyPair]
-               ) -> Tuple[List[float], List[MonodromyPair]]:
+def _drift_pairs(theta: ThetaTriple, seed: Dict[str, complex],
+                 t_list: Sequence[float], num: Callable
+                 ) -> Tuple[List[float], List[MonodromyPair]]:
     """Raw pairs at the sorted bases of one trajectory, its legs chained.
 
-    Bases at or below the seed's |x| (start[0]) are reached leg by leg
-    (_ray_leg) going down from the seed state start, bases above it leg by
-    leg going up; solve(t, state) reads the pair off the state at |x| = t.
-    Both precisions run this loop, in the scalars of start.
+    In the scalars num gives the seed (complex, or mp.mpc under
+    mp.workdps): bases at or below the seed's |x| are reached leg by leg
+    (_ray_leg) going down from it, bases above it going up, and
+    direct_monodromy reads the pair off the state at each base.
     """
+    phi, start = _ray_start(theta, seed, num)
+    bk = _backend_of(start[1])
     t_sorted = sorted(float(t) for t in t_list)
     states: Dict[float, Tuple] = {}
     for part in ([t for t in reversed(t_sorted) if t <= start[0]],
@@ -903,47 +908,28 @@ def _ray_pairs(theta: ThetaTriple, phi: float, t_list: Sequence[float],
         cur = start
         for t in part:
             cur = states[t] = _ray_leg(theta, phi, cur, t)
-    return t_sorted, [solve(t, states[t]) for t in t_sorted]
+    return t_sorted, [direct_monodromy(LinearSystemState(
+        bk.num(t), phi, *states[t][1:], theta)) for t in t_sorted]
 
 
 def isomonodromy_drift(theta: ThetaTriple, seed: Dict[str, complex],
-                       t_list: Sequence[float], zero_tol: float = 1e-6,
-                       perturb: Optional[Tuple[float, complex]] = None,
+                       t_list: Sequence[float],
                        dps: Optional[int] = None) -> DriftReport:
     """Spread of the gauge-normalized monodromy along one trajectory.
 
-    The ray is integrated once, its legs chained (see _ray_pairs).  All
-    pairs are normalised at the cascade entry the pair at the largest t
-    selects (see _normalized_drift).
-
-    perturb, when given, is (t_value, dy): after integrating to the matching
-    |x| the solution value y is shifted by dy before the monodromy solve.
-    The shift never enters the state the next leg starts from.  The shifted
-    data leaves the original trajectory, so the reported drift blows up;
-    this is the negative control for the metric.
-
-    dps runs the whole chain, ray legs included, in mpmath at that many
-    digits, at least MIN_DPS (_highprec.drift_pairs_mp): the same ray
-    stepper and monodromy chain in mp scalars, with the mp ray order and
-    tolerances of _mp_backend.  Seeds of the truncated families need this: their
-    distinguishing solution mode scales like exp(-|x|), far below double
-    roundoff at |x| ~ 60, so the double-precision drift of such a seed is
-    meaningless noise in the subdominant entries.
+    The pairs come from one chained ray (_drift_pairs) and are normalised
+    at the cascade entry the pair at the largest t selects (see
+    _normalized_drift).  dps runs the same driver in mpmath at that many
+    digits, at least MIN_DPS (ValueError below), with the mp ray order and
+    tolerances of _mp_backend.  Seeds of the truncated families need this:
+    their distinguishing solution mode scales like exp(-|x|), far below
+    double roundoff at |x| ~ 60, so the double-precision drift of such a
+    seed is meaningless noise in the subdominant entries.
     """
     if dps is not None:
-        if perturb is not None:
-            raise ValueError("perturb is not supported on the dps path")
         from . import _highprec
         t_sorted, raw = _highprec.drift_pairs_mp(theta, seed, t_list, dps=dps)
     else:
-        phi, start = _ray_start(theta, seed, complex)
-
-        def solve(t: float, end: Tuple) -> MonodromyPair:
-            _, y, z, lu = end
-            if perturb is not None and abs(t - perturb[0]) < 1e-12 * max(1.0, t):
-                y = y + perturb[1]
-            return direct_monodromy(LinearSystemState(t, phi, y, z, lu, theta))
-
-        t_sorted, raw = _ray_pairs(theta, phi, t_list, start, solve)
-    worst, pairs = _normalized_drift(raw, zero_tol)
+        t_sorted, raw = _drift_pairs(theta, seed, t_list, complex)
+    worst, pairs = _normalized_drift(raw, _DRIFT_ZERO_TOL)
     return DriftReport(worst, tuple(t_sorted), tuple(pairs))

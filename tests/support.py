@@ -27,15 +27,20 @@ from pvrh.mono_core import (
     product_from_stokes,
 )
 from pvrh.oracle import (
+    _DRIFT_ZERO_TOL,
+    DriftReport,
+    LinearSystemState,
     _backend_of,
     _check_clearance,
     _exp_gauge,
+    _normalized_drift,
     _ray_leg,
     _ray_start,
     _seed_gauge,
     _seed_values,
     _transport,
     canonical_frame,
+    direct_monodromy,
     pv_rhs_first_order,
 )
 
@@ -121,12 +126,14 @@ def trunc00_y_yprime(theta: ThetaTriple, c0: complex, x: complex, order: int = 8
 
 
 def ray_reference(theta: ThetaTriple, seed: dict, t_end: float):
-    """(y, zfrak, log u) at |x| = t_end by scipy's DOP853 (rtol 1e-12).
+    """(y, zfrak) at |x| = t_end by scipy's DOP853 (rtol 1e-12).
 
     An integrator independent of the oracle's Taylor stepper: the ray
-    system t Y' = pv_rhs_first_order, packed into six reals.
+    system t Y' = pv_rhs_first_order, packed into six reals.  log u, from
+    0, stays in the integrated vector, since the step-size control of
+    DOP853 reads every component.
     """
-    x0, y0, z0, lu0 = _seed_values(theta, seed, complex)
+    x0, y0, z0 = _seed_values(theta, seed, complex)
     eiphi = cmath.exp(1j * cmath.phase(x0))
 
     def rhs(t, v):
@@ -136,20 +143,48 @@ def ray_reference(theta: ThetaTriple, seed: dict, t_end: float):
                          fu.real, fu.imag]) / t
 
     sol = solve_ivp(rhs, (abs(x0), t_end),
-                    [y0.real, y0.imag, z0.real, z0.imag, lu0.real, lu0.imag],
+                    [y0.real, y0.imag, z0.real, z0.imag, 0.0, 0.0],
                     method="DOP853", rtol=1e-12, atol=1e-13)
     assert sol.success, sol.message
     v = sol.y[:, -1]
-    return complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])
+    return complex(v[0], v[1]), complex(v[2], v[3])
 
 
 def ray_final_mp(theta: ThetaTriple, seed: dict, t_end: float,
                  dps: int = 50):
-    """(y, zfrak, log u) of the mp ray leg to |x| = t_end, in doubles."""
+    """(y, zfrak) of the mp ray leg to |x| = t_end, in doubles."""
     with mpmath.workdps(dps):
         phi, start = _ray_start(theta, seed, mpmath.mpc)
-        _, y, z, lu = _ray_leg(theta, phi, start, t_end)
-        return complex(y), complex(z), complex(lu)
+        _, y, z = _ray_leg(theta, phi, start, t_end)
+        return complex(y), complex(z)
+
+
+def perturbed_drift(theta: ThetaTriple, seed: dict, t_list, perturb):
+    """isomonodromy_drift in doubles with y shifted at one base.
+
+    The negative control of the drift metric.  perturb is (t_value, dy):
+    the ray legs are chained as in the oracle, and at |x| = t_value the
+    solution value y is shifted by dy before the monodromy solve only, so
+    the next leg starts from the unshifted state.  The shifted data leave
+    the trajectory, so the drift blows up.
+    """
+    t_bad, dy = perturb
+    phi, start = _ray_start(theta, seed, complex)
+    t_sorted = sorted(float(t) for t in t_list)
+    states = {}
+    for part in ([t for t in reversed(t_sorted) if t <= start[0]],
+                 [t for t in t_sorted if t > start[0]]):
+        cur = start
+        for t in part:
+            cur = states[t] = _ray_leg(theta, phi, cur, t)
+    raw = []
+    for t in t_sorted:
+        _, y, z = states[t]
+        if abs(t - t_bad) < 1e-12 * max(1.0, t):
+            y = y + dy
+        raw.append(direct_monodromy(LinearSystemState(t, phi, y, z, theta)))
+    worst, pairs = _normalized_drift(raw, _DRIFT_ZERO_TOL)
+    return DriftReport(worst, tuple(t_sorted), tuple(pairs))
 
 
 def fixed_seed_frame(state, lam, N: int):

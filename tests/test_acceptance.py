@@ -199,7 +199,7 @@ def test_criterion_07_end_to_end_doubly_truncated_seed():
     x = 60.0
     y = series.eval(x)
     z = zfrak_from_y_yprime(theta, x, y, series.eval_deriv(x))
-    state = LinearSystemState(x, 0.0, y, z, 0.0, theta)
+    state = LinearSystemState(x, 0.0, y, z, theta)
     pair = direct_monodromy(state)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"monodromy solve took {elapsed:.1f} s"
@@ -220,7 +220,7 @@ def test_criterion_08_end_to_end_exponentially_corrected_seed():
     x = 60.0
     y, yp = trunc00_y_yprime(theta, 1.0, x)
     state = LinearSystemState(x, 0.0, y,
-                              zfrak_from_y_yprime(theta, x, y, yp), 0.0, theta)
+                              zfrak_from_y_yprime(theta, x, y, yp), theta)
     pair = gauge_normalize(direct_monodromy(state), zero_tol=1e-6).pair
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"monodromy solve took {elapsed:.1f} s"

@@ -353,8 +353,10 @@ def test_validation_failures_exit_2(rng, capsys):
                                        "--at", "12", "--bases", "5,13"])) \
         == (2, "bad-bases", "--bases")
     # at 16 digits or fewer the mp chain resolves nothing (these used to
-    # exit 3 with ToleranceFailure or SeedDefectTooLarge)
-    for dps in ("0", "-3", "5", "12", "16"):
+    # exit 3 with ToleranceFailure or SeedDefectTooLarge); dps d keeps about
+    # d - 16 digits, so below 30 the drift of this seed reads worse than in
+    # doubles (4.7e-2 at 17, 6.3e-9 at 24, against 3.9e-15)
+    for dps in ("0", "-3", "5", "12", "16", "17", "20", "29"):
         assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
                                            "--at", "12", "--dps", dps])) \
             == (2, "bad-dps", "--dps")

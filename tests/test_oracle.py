@@ -61,6 +61,7 @@ from support import (
     fixed_seed_frame,
     loop_transport_monodromy,
     pair_diff,
+    perturbed_drift,
     r2_0_pair,
     r2_1_pair,
     random_valid_pair,
@@ -78,7 +79,7 @@ TH_CONST = ThetaTriple(0.3, 0.7, 0.0)
 
 def const_state(t: float) -> LinearSystemState:
     z = zfrak_from_y_yprime(TH_CONST, t, -1.0, 0.0)
-    return LinearSystemState(t, 0.0, -1.0, z, 0.0, TH_CONST)
+    return LinearSystemState(t, 0.0, -1.0, z, TH_CONST)
 
 
 def const_seed(t: float) -> dict:
@@ -95,7 +96,7 @@ def desk_series_seed(x: float, theta: ThetaTriple = THETA_DESK) -> dict:
 
 def desk_series_state(t: float) -> LinearSystemState:
     seed = desk_series_seed(t)
-    return LinearSystemState(t, 0.0, seed["y"], seed["zfrak"], 0.0,
+    return LinearSystemState(t, 0.0, seed["y"], seed["zfrak"],
                              THETA_DESK)
 
 
@@ -108,9 +109,8 @@ def test_zero_length_span_short_circuits():
     seed = const_seed(40.0)
     traj = integrate_pv(TH_CONST, seed, 40.0)
     assert len(traj.samples) == 1
-    x, y, z, lu = traj.samples[0]
+    x, y, z = traj.samples[0]
     assert x == seed["x"] and y == seed["y"] and z == seed["zfrak"]
-    assert lu == 0.0
 
 
 def test_ray_matches_formal_series_downrange():
@@ -129,7 +129,7 @@ def test_ray_matches_formal_series_downrange():
 def test_ray_integration_reverses_cleanly():
     seed = desk_series_seed(60.0)
     down = integrate_pv(THETA_DESK, seed, 30.0, n_samples=7)
-    x, y, z, _ = down.samples[-1]
+    x, y, z = down.samples[-1]
     back = integrate_pv(THETA_DESK, {"x": x, "y": y, "zfrak": z}, 60.0,
                         n_samples=7)
     assert abs(back.samples[-1][1] - seed["y"]) < 1e-9
@@ -231,14 +231,13 @@ def test_drift_small_on_trajectory_large_off_it():
     assert len(rep.pairs) == 2
     assert rep.drift < 1e-6
     # nudging y off the trajectory at one base point must blow the metric up
-    bad = isomonodromy_drift(TH_CONST, seed, [12.0, 14.0],
-                             perturb=(14.0, 0.01))
+    bad = perturbed_drift(TH_CONST, seed, [12.0, 14.0], (14.0, 0.01))
     assert bad.drift > 1e-3
 
 
 def _check_mp_ray_leg(theta):
     seed = desk_series_seed(60.0, theta)
-    y_mp, z_mp, _ = ray_final_mp(theta, seed, 55.0, dps=40)
+    y_mp, z_mp = ray_final_mp(theta, seed, 55.0, dps=40)
     traj = integrate_pv(theta, seed, 55.0, n_samples=2)
     assert abs(traj.samples[-1][1] - y_mp) < 1e-13
     assert abs(traj.samples[-1][2] - z_mp) < 1e-13
@@ -274,11 +273,11 @@ def test_ray_stepper_matches_independent_references(rng):
 
     theta = ThetaTriple(dyadic(), dyadic(), dyadic())
     t0, phi = rng.uniform(10.0, 40.0), rng.uniform(-1.0, 1.0)
-    state = (dyadic() + 2.0, dyadic(), dyadic())
+    state = (dyadic() + 2.0, dyadic())
 
     def check(e, args, bound):
         coeffs = _ray_coeffs(theta, phi, t0, *args)
-        rhs = pv_rhs_first_order(theta, e * t0, *args[:2])
+        rhs = pv_rhs_first_order(theta, e * t0, *args)
         for series, f in zip(coeffs, rhs):
             assert abs(series[1] - f / t0) <= bound * max(1, abs(f / t0))
 
@@ -326,7 +325,7 @@ def test_singular_connection_matrix_is_a_numeric_failure():
                         0.3099796663725433)
     state = LinearSystemState(40.0, 0.5,
                               -1.5018368206120225 - 0.5110630799437784j,
-                              3.09753561193383 + 4.592880140340483j, 0.0,
+                              3.09753561193383 + 4.592880140340483j,
                               theta)
     with pytest.raises(_NUMERIC_ERRORS):
         direct_monodromy(state)
@@ -340,7 +339,7 @@ def test_connection_guard_margin_at_criterion_08_state():
     y, yp = trunc00_y_yprime(THETA_DESK, 1.0, 60.0)
     st_ = LinearSystemState(60.0, 0.0, y,
                             zfrak_from_y_yprime(THETA_DESK, 60.0, y, yp),
-                            0.0, THETA_DESK)
+                            THETA_DESK)
     lam0, p_seed, _ = _seed_frame(st_, 32)
     y_m = _match_frame(st_, lam0, p_seed)
     for which in (0, 1):
@@ -375,12 +374,32 @@ def test_mp_solve_enters_through_direct_monodromy(monkeypatch):
 
 
 def test_dps_at_or_below_double_precision_is_refused():
-    # at dps <= 16 the mp tail tolerance 10^-(dps - 16) is at least 1
-    for dps in (-3, 0, 5, 12, 16):
-        with pytest.raises(ValueError, match="at least 17"):
+    # at dps <= 16 the mp tail tolerance 10^-(dps - 16) is at least 1, and
+    # below 30 the d - 16 digits it keeps fall short of the double chain
+    for dps in (-3, 0, 5, 12, 16, 17, 20, 29):
+        with pytest.raises(ValueError, match="at least 30"):
             direct_monodromy(const_state(8.0), dps=dps)
-        with pytest.raises(ValueError, match="at least 17"):
+        with pytest.raises(ValueError, match="at least 30"):
             isomonodromy_drift(TH_CONST, const_seed(12.0), [12.0], dps=dps)
+
+
+def test_drift_runs_one_driver_in_both_precisions(monkeypatch):
+    # isomonodromy_drift reaches oracle._drift_pairs once per call, with
+    # the seed in doubles, or in mpc at the requested dps
+    driver = oracle._drift_pairs
+    seen = []
+
+    def counting(theta, seed, t_list, num):
+        seen.append((num(complex(seed["y"])), mpmath.mp.dps))
+        return driver(theta, seed, t_list, num)
+
+    monkeypatch.setattr(oracle, "_drift_pairs", counting)
+    isomonodromy_drift(TH_CONST, const_seed(12.0), [12.0, 14.0])
+    assert len(seen) == 1 and type(seen[0][0]) is complex
+    isomonodromy_drift(TH_CONST, const_seed(12.0), [12.0, 14.0], dps=30)
+    assert len(seen) == 2
+    y, dps = seen[1]
+    assert isinstance(y, mpmath.mpc) and dps == 30
 
 
 @pytest.mark.parametrize("t", [12.0, 30.0, 60.0])
@@ -427,11 +446,11 @@ def test_ray_coefficient_sets_per_leg(monkeypatch, leg, sets):
     # rule that halves or wastes steps shows here without a timer
     if leg == "desk":
         seed = desk_series_seed(60.0)
-        theta, start = THETA_DESK, (60.0, seed["y"], seed["zfrak"], 0.0)
+        theta, start = THETA_DESK, (60.0, seed["y"], seed["zfrak"])
         t_end = 50.0
     else:
         st_ = _family_state(r2_1_pair(), 35.83)
-        theta, start = st_.theta, (st_.t, st_.y, st_.zfrak, 0.0)
+        theta, start = st_.theta, (st_.t, st_.y, st_.zfrak)
         t_end = 25.83
     calls = []
 
@@ -456,7 +475,7 @@ def _column_error(got: Mat2C, want: Mat2C) -> float:
 
 def _desk_state_on_ray(t: float, phi: float) -> LinearSystemState:
     seed = desk_series_seed(t * cmath.exp(1j * phi))
-    return LinearSystemState(t, phi, seed["y"], seed["zfrak"], 0.0,
+    return LinearSystemState(t, phi, seed["y"], seed["zfrak"],
                              THETA_DESK)
 
 
@@ -482,7 +501,7 @@ def test_match_and_local_frames_match_mp_chain(t, phi):
         + [_local_frame(st_, which, 0.3j)[0] for which in (0, 1)]
     with mpmath.workdps(34):
         mst = LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(st_.y),
-                                mpmath.mpc(st_.zfrak), 0.0, THETA_DESK)
+                                mpmath.mpc(st_.zfrak), THETA_DESK)
         lam0, p_seed, _ = _seed_frame(mst, 44)
         lam_m = mpmath.mpc(0.3j)
         want = [_match_frame(mst, lam0, p_seed)] \
@@ -502,7 +521,7 @@ def test_local_frame_matches_unstripped_transport(t, phi):
     st_ = _desk_state_on_ray(t, phi)
     with mpmath.workdps(34):
         mst = LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(st_.y),
-                                mpmath.mpc(st_.zfrak), 0.0, THETA_DESK)
+                                mpmath.mpc(st_.zfrak), THETA_DESK)
         e, lam_m = oracle._unit(mst), mpmath.mpc(0.3j)
         want = []
         for which, s in ((0, -e), (1, e)):
@@ -543,12 +562,12 @@ def test_poly_part_matches_matrix_sum(t, dps, bound):
             assert got.sub(want).norm_inf() <= bound * want.norm_inf()
 
     if dps is None:
-        check(LinearSystemState(t, 0.0, seed["y"], seed["zfrak"], 0.0,
+        check(LinearSystemState(t, 0.0, seed["y"], seed["zfrak"],
                                 THETA_DESK), 1j * max(5.0, 80.0 / t))
         return
     with mpmath.workdps(dps):
         check(LinearSystemState(mpmath.mpf(t), 0.0, mpmath.mpc(seed["y"]),
-                                mpmath.mpc(seed["zfrak"]), 0.0, THETA_DESK),
+                                mpmath.mpc(seed["zfrak"]), THETA_DESK),
               mpmath.mpc(1j * max(16.0, 80.0 / t)))
 
 
@@ -600,12 +619,12 @@ def test_series_coefficients_match_direct_sum(theta, t, phi, dps, bound):
             assert a.sub(b).norm_inf() <= bound * max(1, b.norm_inf())
 
     if dps is None:
-        check(LinearSystemState(t, phi, seed["y"], seed["zfrak"], 0.0, theta),
+        check(LinearSystemState(t, phi, seed["y"], seed["zfrak"], theta),
               cmath.exp(1j * phi), theta.thetaInf / 2)
         return
     with mpmath.workdps(dps):
         check(LinearSystemState(mpmath.mpf(t), phi, mpmath.mpc(seed["y"]),
-                                mpmath.mpc(seed["zfrak"]), 0.0, theta),
+                                mpmath.mpc(seed["zfrak"]), theta),
               mpmath.exp(1j * mpmath.mpf(phi)),
               mpmath.mpmathify(theta.thetaInf) / 2)
 
@@ -729,8 +748,8 @@ def test_drift_perturbation_stays_out_of_the_chained_ray():
     # pair at 14 only, not the state the leg to 16 starts from
     seed = const_seed(12.0)
     clean = isomonodromy_drift(TH_CONST, seed, [12.0, 14.0, 16.0])
-    bad = isomonodromy_drift(TH_CONST, seed, [12.0, 14.0, 16.0],
-                             perturb=(14.0, 0.01))
+    bad = perturbed_drift(TH_CONST, seed, [12.0, 14.0, 16.0],
+                          (14.0, 0.01))
     assert pair_diff(bad.pairs[1], clean.pairs[1]) > 1e-3
     assert pair_diff(bad.pairs[2], clean.pairs[2]) == 0.0
 
@@ -747,7 +766,7 @@ def test_double_pair_matches_mp_pair_on_series_seed():
 def _family_state(pair: MonodromyPair, t: float) -> LinearSystemState:
     d = solve_rh(pair, 0.0)
     y, _, z = _eval_family("trunc", d, t, 8)
-    return LinearSystemState(t, 0.0, y, z, 0.0, d.theta)
+    return LinearSystemState(t, 0.0, y, z, d.theta)
 
 
 @pytest.mark.parametrize("pair, t", [
@@ -836,7 +855,7 @@ def test_mp_pair_matches_pinned_pair():
     y, yp = trunc00_y_yprime(THETA_DESK, 1.0, 60.0)
     st_ = LinearSystemState(60.0, 0.0, y,
                             zfrak_from_y_yprime(THETA_DESK, 60.0, y, yp),
-                            0.0, THETA_DESK)
+                            THETA_DESK)
     got = gauge_normalize(direct_monodromy(st_, dps=50)).pair
     # dps 50 resolves entries to about 1e-48 absolutely, so entries are
     # compared relatively down to an absolute floor of 1e-45; below it, the
