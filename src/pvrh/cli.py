@@ -72,7 +72,7 @@ _NUMERIC_ERRORS = (
 )
 
 _OP_TAGS = ("m", "s0", "s1", "shat0", "shat1")
-# the --kind of `eval` that a descriptor's variant takes
+# the family kind `eval` reports for a descriptor's variant
 _KIND_OF = {"Elliptic": "elliptic", "Trig": "trig"}
 
 
@@ -176,6 +176,13 @@ def _read_json(source: str, location: str) -> Any:
         raise CliFailure(_MALFORMED, "bad-json", str(exc), location) from exc
 
 
+def _checked_tol(val: float, name: str, location: str) -> float:
+    if not (math.isfinite(val) and val > 0.0):
+        raise CliFailure(_MALFORMED, "bad-tolerance",
+                         f"{name} must be finite and positive", location)
+    return val
+
+
 def _default_tol() -> float:
     raw = os.environ.get("PVRH_TOL")
     if raw is None:
@@ -186,10 +193,7 @@ def _default_tol() -> float:
         raise CliFailure(_MALFORMED, "bad-tolerance",
                          f"PVRH_TOL is not a number: {raw!r}",
                          "env:PVRH_TOL") from None
-    if val <= 0.0:
-        raise CliFailure(_MALFORMED, "bad-tolerance",
-                         "PVRH_TOL must be positive", "env:PVRH_TOL")
-    return val
+    return _checked_tol(val, "PVRH_TOL", "env:PVRH_TOL")
 
 
 def _parse_complex(text: str, location: str) -> complex:
@@ -203,6 +207,15 @@ def _parse_complex(text: str, location: str) -> complex:
         pass
     raise CliFailure(_MALFORMED, "bad-complex",
                      f"expected 're' or 're,im', got {text!r}", location)
+
+
+def _parse_point(text: str, what: str) -> complex:
+    """The --at point of eval and verify: finite and nonzero."""
+    x = _parse_complex(text, "--at")
+    if x == 0 or not cmath.isfinite(x):
+        raise CliFailure(_VALIDATION, "bad-point",
+                         f"{what} point must be finite and nonzero", "--at")
+    return x
 
 
 def _parse_theta(text: str) -> ThetaTriple:
@@ -230,7 +243,7 @@ def _parse_theta(text: str) -> ThetaTriple:
 def _load_pair(source: str, tol: float) -> MonodromyPair:
     obj = _read_json(source, "pair")
     try:
-        pair = pair_from_json_obj(obj, tol)
+        pair = pair_from_json_obj(obj)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliFailure(
             _MALFORMED, "bad-pair-schema",
@@ -317,20 +330,12 @@ def _ray_derivative(f: Callable[[complex], complex], x: complex) -> complex:
         / (12.0 * he)
 
 
-def _family_y(kind: str, d: AsymptoticDescriptor,
+def _family_y(d: AsymptoticDescriptor,
               order: int) -> Callable[[complex], complex]:
     """y of the family along any point, the formal series built once."""
-    if kind == "elliptic":
-        if d.variant != "Elliptic":
-            raise CliFailure(_VALIDATION, "kind-mismatch",
-                             f"descriptor variant {d.variant!r} is not elliptic",
-                             "--kind")
+    if d.variant == "Elliptic":
         return lambda xx: eval_elliptic(xx, d, solve_boutroux(cmath.phase(xx)))[0]
-    if kind == "trig":
-        if d.variant != "Trig":
-            raise CliFailure(_VALIDATION, "kind-mismatch",
-                             f"descriptor variant {d.variant!r} is not trig",
-                             "--kind")
+    if d.variant == "Trig":
         return lambda xx: eval_trig(xx, d)
     tag = series_tag_for(d)
     lo, hi = series_order_bounds(tag)
@@ -342,22 +347,17 @@ def _family_y(kind: str, d: AsymptoticDescriptor,
     return lambda xx: eval_trunc(xx, d, series)
 
 
-def _envelope_at(kind: str, d: AsymptoticDescriptor, x: complex,
+def _envelope_at(d: AsymptoticDescriptor, x: complex,
                  y_of: Callable[[complex], complex]
                  ) -> Tuple[complex, complex, complex]:
     """(y, y', zfrak) at x; y' is the elliptic closed form or, for the
-    other kinds, the difference quotient of y_of along the ray."""
-    if kind == "elliptic":
+    other variants, the difference quotient of y_of along the ray."""
+    if d.variant == "Elliptic":
         return eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
     y = y_of(x)
     yp = _ray_derivative(y_of, x)
     z = zfrak_from_y_yprime(d.theta, x, y, yp)
     return y, yp, z
-
-
-def _eval_family(kind: str, d: AsymptoticDescriptor, x: complex,
-                 order: int) -> Tuple[complex, complex, complex]:
-    return _envelope_at(kind, d, x, _family_y(kind, d, order))
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +406,13 @@ def _cmd_boutroux(args) -> int:
 def _cmd_phase_shift(args) -> int:
     pair = _load_pair(args.pair, args.tol)
     sol = solve_boutroux(args.phi)
-    if args.route == "breve":
-        shift = phase_shift_breve(pair, args.phi, sol)
-    else:
-        shift = phase_shift_x0(pair, args.phi, sol)
+    # each route is defined on its own rays: x0 on the open quadrants of
+    # (-pi/2, pi/2), breve on the upper-left rays of (pi/2, 3pi/2)
+    breve = args.phi > 0.5 * math.pi
+    shift = (phase_shift_breve if breve else phase_shift_x0)(pair, args.phi, sol)
     _emit({
         "phi": float(args.phi),
-        "route": args.route,
+        "route": "breve" if breve else "x0",
         "shift": complex(shift),
         "A": complex(sol.A),
         "omegaA": None if sol.omegaA is None else complex(sol.omegaA),
@@ -423,12 +423,9 @@ def _cmd_phase_shift(args) -> int:
 
 def _cmd_eval(args) -> int:
     d = _load_descriptor(args.descriptor)
-    x = _parse_complex(args.at, "--at")
-    if x == 0:
-        raise CliFailure(_VALIDATION, "bad-point",
-                         "evaluation point must be nonzero", "--at")
-    y_of = _family_y(args.kind, d, args.order)
-    y, yp, z = _envelope_at(args.kind, d, x, y_of)
+    x = _parse_point(args.at, "evaluation")
+    y_of = _family_y(d, args.order)
+    y, yp, z = _envelope_at(d, x, y_of)
     if args.emit_plot:
         grid = max(2, args.grid)
         t0 = abs(x)
@@ -443,7 +440,7 @@ def _cmd_eval(args) -> int:
             rows.append((xi.real, xi.imag, yi.real, yi.imag))
         _write_csv(args.emit_plot, ("x_re", "x_im", "y_re", "y_im"), rows)
     _emit({
-        "kind": args.kind,
+        "kind": _KIND_OF.get(d.variant, "trunc"),
         "at": x,
         "y": complex(y),
         "yprime": complex(yp),
@@ -501,7 +498,7 @@ def _cmd_orbit(args) -> int:
     for i in range(args.steps):
         tag = ops[i % len(ops)]
         element = apply_operator(tag, element, pair)
-        normal = gauge_normalize(element.pair, zero_tol=args.tol).pair
+        normal = gauge_normalize(element.pair, zero_tol=args.tol)
         sequence.append({
             "op": tag,
             "family": element.family,
@@ -514,16 +511,12 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = _load_descriptor(args.seed)
-    x = _parse_complex(args.at, "--at")
-    if x == 0:
-        raise CliFailure(_VALIDATION, "bad-point",
-                         "verification point must be nonzero", "--at")
+    x = _parse_point(args.at, "verification")
     if args.dps is not None and args.dps < MIN_DPS:
         raise CliFailure(_VALIDATION, "bad-dps",
                          f"--dps must be at least {MIN_DPS}: the mp chain "
                          "keeps about dps - 16 digits", "--dps")
-    kind = _KIND_OF.get(d.variant, "trunc")
-    y, _, z = _eval_family(kind, d, x, args.order)
+    y, _, z = _envelope_at(d, x, _family_y(d, args.order))
     seed = {"x": x, "y": y, "zfrak": z}
     t = abs(x)
     if args.bases:
@@ -626,19 +619,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_tol(with_pair(sub.add_parser(
         "phase-shift", help="elliptic-strip phase shift of a pair")))
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--route", choices=("x0", "breve"), default="x0",
-                   help="direct shift or the reciprocal-side variant")
+    p.add_argument("--phi", type=float, required=True,
+                   help="direction in radians; the direct shift in "
+                        "(-pi/2, pi/2), the breve one in (pi/2, 3pi/2)")
     p.set_defaults(handler=_cmd_phase_shift)
 
     p = sub.add_parser("eval", help="evaluate an asymptotic family")
     p.add_argument("descriptor", help="descriptor JSON: path, inline, or -")
-    p.add_argument("--kind", choices=("elliptic", "trig", "trunc"),
-                   required=True)
     p.add_argument("--at", required=True, metavar="RE,IM",
                    help="evaluation point")
     p.add_argument("--order", type=int, default=8,
-                   help="series truncation order for trunc kinds (default 8)")
+                   help="series truncation order for trunc families "
+                        "(default 8)")
     p.add_argument("--grid", type=int, default=81,
                    help="samples for --emit-plot (default 81)")
     p.add_argument("--plot-span", type=float, default=20.0,
@@ -724,9 +716,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(raw_argv)
         if getattr(args, "tol", None) is None:
             args.tol = _default_tol()
-        elif args.tol <= 0.0:
-            raise CliFailure(_MALFORMED, "bad-tolerance",
-                             "--tol must be positive", "--tol")
+        else:
+            _checked_tol(args.tol, "--tol", "--tol")
         return args.handler(args)
     except CliFailure as exc:
         _emit_error(exc)

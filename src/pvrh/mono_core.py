@@ -127,7 +127,6 @@ class MonodromyPair:
     m0: Mat2C
     m1: Mat2C
     theta: ThetaTriple
-    tol: float = 1e-9
 
     def norm_inf(self) -> float:
         return max(self.m0.norm_inf(), self.m1.norm_inf())
@@ -185,16 +184,9 @@ class Region:
 
 
 @dataclass(frozen=True)
-class GaugeNormalForm:
-    pair: MonodromyPair
-    scale: complex
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     residuals: dict
     ok: bool
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -230,7 +222,7 @@ def validate_pair(m0: Mat2C, m1: Mat2C, theta: ThetaTriple,
             - cmath.exp(-1j * cmath.pi * theta.thetaInf)
         ),
     }
-    return ValidationReport(residuals, all(r <= tol for r in residuals.values()), tol)
+    return ValidationReport(residuals, all(r <= tol for r in residuals.values()))
 
 
 def _gauge_apply(m: Mat2C, c2: complex) -> Mat2C:
@@ -262,7 +254,7 @@ def gauge_cascade_index(pair: MonodromyPair,
 
 
 def gauge_normalize_at(pair: MonodromyPair,
-                       index: Optional[int]) -> GaugeNormalForm:
+                       index: Optional[int]) -> MonodromyPair:
     """Scale by diag(c, 1/c) so cascade entry index becomes exactly 1.
 
     index None leaves the pair as it is.  Pairs normalised at the same
@@ -270,17 +262,15 @@ def gauge_normalize_at(pair: MonodromyPair,
     pick different entries for them.
     """
     if index is None:
-        return GaugeNormalForm(pair, 1.0 + 0.0j)
+        return pair
     entry, slot = _gauge_cascade(pair)[index]
     # slot "21" scales by 1/c^2, slot "12" by c^2
     c2 = entry if slot == "21" else 1.0 / entry
-    m0 = _gauge_apply(pair.m0, c2)
-    m1 = _gauge_apply(pair.m1, c2)
-    return GaugeNormalForm(MonodromyPair(m0, m1, pair.theta, pair.tol),
-                           cmath.sqrt(c2))
+    return MonodromyPair(_gauge_apply(pair.m0, c2), _gauge_apply(pair.m1, c2),
+                         pair.theta)
 
 
-def gauge_normalize(pair: MonodromyPair, zero_tol: float = 0.0) -> GaugeNormalForm:
+def gauge_normalize(pair: MonodromyPair, zero_tol: float = 0.0) -> MonodromyPair:
     """Canonical representative of the diagonal-conjugation orbit.
 
     Scales by diag(c, 1/c) so the first entry of the cascade
@@ -375,7 +365,7 @@ def conjugate_pair(pair: MonodromyPair, g: Mat2C,
                    theta: ThetaTriple) -> MonodromyPair:
     """g M g^-1 for both matrices, labelled with theta."""
     gi = g.inv()
-    return MonodromyPair(g @ pair.m0 @ gi, g @ pair.m1 @ gi, theta, pair.tol)
+    return MonodromyPair(g @ pair.m0 @ gi, g @ pair.m1 @ gi, theta)
 
 
 def monodromy_shift(pair: MonodromyPair, p: int) -> MonodromyPair:
@@ -487,7 +477,7 @@ def pair_to_json_obj(pair: MonodromyPair) -> dict:
     }
 
 
-def pair_from_json_obj(obj: dict, tol: float = 1e-9) -> MonodromyPair:
+def pair_from_json_obj(obj: dict) -> MonodromyPair:
     def c2(v) -> complex:
         if isinstance(v, (int, float)):
             return complex(v)
@@ -499,5 +489,4 @@ def pair_from_json_obj(obj: dict, tol: float = 1e-9) -> MonodromyPair:
                      c2(rows[1][0]), c2(rows[1][1]))
 
     t0, t1, ti = (c2(v) for v in obj["theta"])
-    return MonodromyPair(mat(obj["m0"]), mat(obj["m1"]),
-                         ThetaTriple(t0, t1, ti), tol)
+    return MonodromyPair(mat(obj["m0"]), mat(obj["m1"]), ThetaTriple(t0, t1, ti))

@@ -183,20 +183,12 @@ def zfrak_from_y_yprime(theta: ThetaTriple, x: complex, y: complex,
         + (t0 + t1) / (2 * (y - 1)) - (t0 - t1 + ti) / 4
 
 
-def _seed_values(theta: ThetaTriple, seed: Dict[str, complex],
+def _seed_values(seed: Dict[str, complex],
                  num: Callable) -> Tuple[Any, Any, Any]:
-    """(x, y, zfrak) of a seed, each entry passed through num.
-
-    seed needs "x" and "y" plus one of "zfrak" / "yprime".
-    """
-    x, y = num(complex(seed["x"])), num(complex(seed["y"]))
-    if "zfrak" in seed:
-        z = num(complex(seed["zfrak"]))
-    elif "yprime" in seed:
-        z = zfrak_from_y_yprime(theta, x, y, num(complex(seed["yprime"])))
-    else:
-        raise ValueError("seed needs zfrak or yprime")
-    return x, y, z
+    """(x, y, zfrak) of a seed, each entry passed through num."""
+    if "zfrak" not in seed:
+        raise ValueError("seed needs zfrak")
+    return tuple(num(complex(seed[k])) for k in ("x", "y", "zfrak"))
 
 
 def yprime_from_y_zfrak(theta: ThetaTriple, x: complex, y: complex,
@@ -210,7 +202,7 @@ _RAY_STEPS = 500        # Taylor steps of one ray leg before it gives up
 _RAY_COLLAPSE = 1e-6    # a shorter step, relative to max(1, t), is a failure
 
 
-def _ray_start(theta: ThetaTriple, seed: Dict[str, complex],
+def _ray_start(seed: Dict[str, complex],
                num: Callable) -> Tuple[float, Tuple[Any, Any, Any]]:
     """(phi, (|x|, y, zfrak)) of a seed, the values passed through num.
 
@@ -219,7 +211,7 @@ def _ray_start(theta: ThetaTriple, seed: Dict[str, complex],
     x = complex(seed["x"])
     if x == 0:
         raise ValueError("seed must sit at nonzero x")
-    _, y, z = _seed_values(theta, seed, num)
+    _, y, z = _seed_values(seed, num)
     if min(abs(y), abs(y - 1)) < _RAY_GUARD:
         raise HitSingularity(
             f"seed y={complex(y)} already inside the guard band")
@@ -331,7 +323,7 @@ def integrate_pv(theta: ThetaTriple, seed: Dict[str, complex], t_end: float,
     in doubles.  Raises HitSingularity when y comes within _RAY_GUARD of 0
     or 1.
     """
-    phi, state = _ray_start(theta, seed, complex)
+    phi, state = _ray_start(seed, complex)
     t_start = state[0]
     eiphi = cmath.exp(1j * phi)
     if abs(t_end - t_start) < 1e-15 * max(1.0, t_start):
@@ -834,8 +826,7 @@ def direct_monodromy(state: LinearSystemState,
                 state.theta, state.phi, state.t, state.y, state.zfrak)
     lam0, p_seed, _ = _seed_frame(state, _backend_of(state.t).N)
     m0, m1 = _frobenius_monodromy(state, lam0, p_seed)
-    return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta,
-                         tol=1e-3)
+    return MonodromyPair(_as_complex(m0), _as_complex(m1), state.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +872,7 @@ def _normalized_drift(raw_pairs: Sequence[MonodromyPair], zero_tol: float
     pair can scale different entries at different bases.
     """
     index = gauge_cascade_index(raw_pairs[-1], zero_tol)
-    pairs = [gauge_normalize_at(p, index).pair for p in raw_pairs]
+    pairs = [gauge_normalize_at(p, index) for p in raw_pairs]
     worst = 0.0
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -899,7 +890,7 @@ def _drift_pairs(theta: ThetaTriple, seed: Dict[str, complex],
     (_ray_leg) going down from it, bases above it going up, and
     direct_monodromy reads the pair off the state at each base.
     """
-    phi, start = _ray_start(theta, seed, num)
+    phi, start = _ray_start(seed, num)
     bk = _backend_of(start[1])
     t_sorted = sorted(float(t) for t in t_list)
     states: Dict[float, Tuple] = {}

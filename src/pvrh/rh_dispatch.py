@@ -261,6 +261,9 @@ def continuation_plan(pair: MonodromyPair, from_arg: float,
     of the elliptic quadrants.
     """
     span = (to_arg - from_arg) / math.pi
+    if not math.isfinite(span):
+        raise DomainViolation(
+            f"rotation from {from_arg} to {to_arg} is not finite")
     n = round(span)
     if abs(span - n) > 1e-9:
         raise NotPiMultiple(f"rotation {to_arg - from_arg} is not a pi-multiple")

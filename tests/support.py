@@ -133,7 +133,7 @@ def ray_reference(theta: ThetaTriple, seed: dict, t_end: float):
     0, stays in the integrated vector, since the step-size control of
     DOP853 reads every component.
     """
-    x0, y0, z0 = _seed_values(theta, seed, complex)
+    x0, y0, z0 = _seed_values(seed, complex)
     eiphi = cmath.exp(1j * cmath.phase(x0))
 
     def rhs(t, v):
@@ -154,7 +154,7 @@ def ray_final_mp(theta: ThetaTriple, seed: dict, t_end: float,
                  dps: int = 50):
     """(y, zfrak) of the mp ray leg to |x| = t_end, in doubles."""
     with mpmath.workdps(dps):
-        phi, start = _ray_start(theta, seed, mpmath.mpc)
+        phi, start = _ray_start(seed, mpmath.mpc)
         _, y, z = _ray_leg(theta, phi, start, t_end)
         return complex(y), complex(z)
 
@@ -169,7 +169,7 @@ def perturbed_drift(theta: ThetaTriple, seed: dict, t_list, perturb):
     the trajectory, so the drift blows up.
     """
     t_bad, dy = perturb
-    phi, start = _ray_start(theta, seed, complex)
+    phi, start = _ray_start(seed, complex)
     t_sorted = sorted(float(t) for t in t_list)
     states = {}
     for part in ([t for t in reversed(t_sorted) if t <= start[0]],
@@ -232,7 +232,7 @@ def loop_transport_monodromy(state, loops, N: int) -> MonodromyPair:
         _check_clearance(state, path)
         out.append(y_base_inv @ _exp_gauge(state, _transport(state, path, v0),
                                            lam0))
-    return MonodromyPair(out[0], out[1], state.theta, tol=1e-3)
+    return MonodromyPair(out[0], out[1], state.theta)
 
 
 def r2_0_pair() -> MonodromyPair:

@@ -9,21 +9,25 @@ from pvrh import cli
 from pvrh.asymptotics import (
     FormalSeries,
     build_trunc_family,
+    build_trunc_nongeneric,
     eval_elliptic,
     eval_trig,
     eval_trunc,
     formal_series_pv,
+    phase_shift_breve,
+    phase_shift_x0,
     series_tag_for,
 )
 from pvrh.boutroux_elliptic import solve_boutroux
 from pvrh.errors import InsidePoleDisk
-from pvrh.mono_core import pair_to_json_obj
+from pvrh.mono_core import ThetaTriple, pair_to_json_obj
 from pvrh.rh_dispatch import solve_rh
 
 from support import (
     THETA_DESK,
     doubly_truncated_pair,
     formal_series_reference,
+    r2_0_pair,
     random_valid_pair,
 )
 
@@ -106,11 +110,12 @@ def test_solve_then_eval_round_trip(capsys, order):
     assert body["variant"] == "DoublyTruncAK"
     assert body["params"] == {}
 
-    status, out = run_cli(capsys, ["eval", solved.strip(), "--kind", "trunc",
-                                   "--at", "25", "--order", str(order)])
+    status, out = run_cli(capsys, ["eval", solved.strip(), "--at", "25",
+                                   "--order", str(order)])
     assert status == 0
     ev = json.loads(out)
     assert ev["at"] == [25.0, 0.0]
+    assert ev["kind"] == "trunc"
     ser = FormalSeries("minus_one", THETA_DESK, order, 0, tuple(
         formal_series_reference("minus_one", THETA_DESK, order)))
     want = ser.eval(25.0)
@@ -121,7 +126,7 @@ def test_solve_then_eval_round_trip(capsys, order):
 def test_eval_plot_csv(tmp_path, capsys):
     _, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
     csv = tmp_path / "ray.csv"
-    status, _ = run_cli(capsys, ["eval", solved.strip(), "--kind", "trunc",
+    status, _ = run_cli(capsys, ["eval", solved.strip(),
                                  "--at", "25", "--grid", "4",
                                  "--plot-span", "3", "--emit-plot", str(csv)])
     assert status == 0
@@ -132,15 +137,37 @@ def test_eval_plot_csv(tmp_path, capsys):
     assert abs(row[0] - 25.0) < 1e-12 and row[1] == 0.0
 
 
-@pytest.mark.parametrize("kind,phi", [("trunc", 0.0), ("trig", 0.0),
-                                      ("elliptic", 0.7)])
+# a pair for each variant solve_rh returns, and the direction it is solved at
+_PAIR_OF_VARIANT = {
+    "Elliptic": (random_valid_pair, 0.7),
+    "Trig": (random_valid_pair, 0.0),
+    "TruncAK": (lambda rng: r2_0_pair(), 0.0),
+    "DoublyTruncAK": (lambda rng: doubly_truncated_pair(THETA_DESK), 0.3),
+    "TruncInf1": (lambda rng: build_trunc_family(
+        "TruncInf1", 0.7 - 0.4j, THETA_DESK, 1.0)[0], 0.0),
+    "NonGeneric": (lambda rng: build_trunc_nongeneric(
+        1, "first", 1, 0.8 - 0.4j, ThetaTriple(1.2, -0.5, -0.3),
+        1.3 + 0.2j)[0], 0.0),
+}
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param("TruncInf1", id="trunc-0.0"),
+    pytest.param("Trig", id="trig-0.0"),
+    pytest.param("Elliptic", id="elliptic-0.7"),
+    pytest.param("TruncAK", id="trunc-0.0-TruncAK"),
+    pytest.param("DoublyTruncAK", id="trunc-0.3-DoublyTruncAK"),
+    pytest.param("NonGeneric", id="trunc-0.0-NonGeneric"),
+])
 def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
-                                         kind, phi):
-    # one series per command, and each row the family's value at its point
-    if kind == "trunc":
-        _, d = build_trunc_family("TruncInf1", 0.7 - 0.4j, THETA_DESK, 1.0)
-    else:
-        d = solve_rh(random_valid_pair(rng), phi)
+                                         variant):
+    # the descriptor alone picks the family: the envelope names its kind and
+    # holds its value at the point, one series is built per command, and
+    # each row is the family's value at its point
+    make_pair, phi = _PAIR_OF_VARIANT[variant]
+    d = solve_rh(make_pair(rng), phi)
+    assert d.variant == variant
+    kind = {"Elliptic": "elliptic", "Trig": "trig"}.get(variant, "trunc")
     built = []
 
     def counted_series(*args):
@@ -150,14 +177,23 @@ def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "formal_series_pv", counted_series)
     csv = tmp_path / "ray.csv"
     x = 22.0 * cmath.exp(1j * phi)
-    status, _ = run_cli(capsys, [
+    status, out = run_cli(capsys, [
         "eval", cli.dumps_canonical(cli.descriptor_to_json_obj(d)),
-        "--kind", kind, "--at", f"{x.real!r},{x.imag!r}", "--grid", "33",
+        "--at", f"{x.real!r},{x.imag!r}", "--grid", "33",
         "--plot-span", "8", "--emit-plot", str(csv)])
     assert status == 0
     assert len(built) == (kind == "trunc")
     series = formal_series_pv(series_tag_for(d), d.theta, 8) \
         if kind == "trunc" else None
+    body = json.loads(out)
+    assert body["kind"] == kind
+    if kind == "elliptic":
+        want = eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
+        assert [complex(*body[k]) for k in ("y", "yprime", "zfrak")] \
+            == list(want)
+    else:
+        want = eval_trunc(x, d, series) if kind == "trunc" else eval_trig(x, d)
+        assert complex(*body["y"]) == want
     lines = ["x_re,x_im,y_re,y_im"]
     e = x / abs(x)
     for i in range(33):
@@ -278,13 +314,12 @@ def test_malformed_inputs_exit_1(monkeypatch, capsys):
         == (1, "bad-pair-schema", "pair")
 
     _, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
-    assert _envelope(*run_cli(capsys, ["eval", solved.strip(), "--kind",
-                                       "trunc", "--at", "1,2,3"])) \
+    assert _envelope(*run_cli(capsys, ["eval", solved.strip(),
+                                       "--at", "1,2,3"])) \
         == (1, "bad-complex", "--at")
     for blob in ("[]", "{}"):
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))
-        assert _envelope(*run_cli(capsys, ["eval", "-", "--kind", "trunc",
-                                           "--at", "25"])) \
+        assert _envelope(*run_cli(capsys, ["eval", "-", "--at", "25"])) \
             == (1, "bad-descriptor-schema", "descriptor")
     assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
                                        "--at", "12", "--bases", "5,a"])) \
@@ -316,6 +351,14 @@ def test_malformed_inputs_exit_1(monkeypatch, capsys):
     assert status == 1
     assert json.loads(out)["code"] == "bad-arguments"
 
+    # the family kind and the phase-shift route follow from the input alone
+    assert _envelope(*run_cli(capsys, ["eval", solved.strip(), "--kind",
+                                       "trunc", "--at", "25"])) \
+        == (1, "bad-arguments", "argv")
+    assert _envelope(*run_cli(capsys, ["phase-shift", dtc_json(), "--phi",
+                                       "0.7", "--route", "x0"])) \
+        == (1, "bad-arguments", "argv")
+
 
 def test_validation_failures_exit_2(rng, capsys):
     broken = pair_to_json_obj(doubly_truncated_pair(THETA_DESK))
@@ -324,8 +367,9 @@ def test_validation_failures_exit_2(rng, capsys):
     assert status == 2
     assert json.loads(out)["code"] == "invalid-pair"
 
+    # phi = 0 lies on neither route's rays
     status, out = run_cli(capsys, ["phase-shift", dtc_json(),
-                                   "--phi", "1.8"])
+                                   "--phi", "0"])
     assert status == 2
     assert json.loads(out)["code"] == "WrongSector"
 
@@ -333,22 +377,17 @@ def test_validation_failures_exit_2(rng, capsys):
     assert status == 2
 
     _, solved = run_cli(capsys, ["solve", dtc_json(), "--phi", "0.3"])
-    status, out = run_cli(capsys, ["eval", solved.strip(), "--kind", "trig",
-                                   "--at", "25"])
-    assert status == 2
-    assert json.loads(out)["code"] == "kind-mismatch"
-
-    status, out = run_cli(capsys, ["eval", solved.strip(), "--kind", "trunc",
-                                   "--at", "0,0"])
+    status, out = run_cli(capsys, ["eval", solved.strip(), "--at", "0,0"])
     assert status == 2
     assert json.loads(out)["code"] == "bad-point"
 
-    assert _envelope(*run_cli(capsys, ["eval", solved.strip(), "--kind",
-                                       "elliptic", "--at", "25"])) \
-        == (2, "kind-mismatch", "--kind")
-    assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
-                                       "--at", "0"])) \
-        == (2, "bad-point", "--at")
+    # zero and non-finite points (these used to exit 2 as OutsideValidity
+    # "arg(x)=nan", located at the subcommand)
+    for at in ("0", "nan", "inf", "-inf", "1e400", "25,nan", "inf,1"):
+        for cmd in (["eval", solved.strip()], ["verify", "--seed",
+                                               solved.strip()]):
+            assert _envelope(*run_cli(capsys, cmd + [f"--at={at}"])) \
+                == (2, "bad-point", "--at")
     assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
                                        "--at", "12", "--bases", "5,13"])) \
         == (2, "bad-bases", "--bases")
@@ -370,8 +409,7 @@ def test_validation_failures_exit_2(rng, capsys):
     _, elliptic = run_cli(capsys, ["solve", blob, "--phi", "0.7"])
     for arg, want in ((0.7, 0), (0.9, 2)):
         at = f"{30 * math.cos(arg)!r},{30 * math.sin(arg)!r}"
-        status, out = run_cli(capsys, ["eval", elliptic.strip(), "--kind",
-                                       "elliptic", "--at", at])
+        status, out = run_cli(capsys, ["eval", elliptic.strip(), "--at", at])
         assert status == want
     assert _envelope(status, out) == (2, "OutsideValidity", "eval")
 
@@ -384,13 +422,21 @@ def test_validation_failures_exit_2(rng, capsys):
         assert json.loads(out)["code"] == "bad-bases"
 
     # an order the series refuses fails validation at --order
-    for cmd in (["eval", solved.strip(), "--kind", "trunc", "--at", "25"],
+    for cmd in (["eval", solved.strip(), "--at", "25"],
                 ["verify", "--seed", solved.strip(), "--at", "12"]):
         for order in ("-3", "21"):
             status, out = run_cli(capsys, cmd + [f"--order={order}"])
             assert status == 2
             envelope = json.loads(out)
             assert (envelope["code"], envelope["location"]) == ("bad-order", "--order")
+
+    # a non-finite rotation (--to inf used to escape round() as an
+    # OverflowError traceback, --to nan as a bare ValueError)
+    for flag, angle in (("--to", "inf"), ("--to", "nan"), ("--to", "-inf"),
+                        ("--from", "inf"), ("--from", "nan")):
+        argv = ["continue", dtc_json(), "--to", "0", f"{flag}={angle}"]
+        assert _envelope(*run_cli(capsys, argv)) \
+            == (2, "DomainViolation", "continue")
 
 
 def test_tolerance_env_and_flag(monkeypatch, capsys):
@@ -416,24 +462,35 @@ def test_tolerance_env_and_flag(monkeypatch, capsys):
     assert status == 1
     assert json.loads(out)["code"] == "bad-tolerance"
 
-    monkeypatch.setenv("PVRH_TOL", "-1")
-    assert _envelope(*run_cli(capsys, ["classify", blob])) \
-        == (1, "bad-tolerance", "env:PVRH_TOL")
+    # a NaN tolerance refused every pair, an infinite one accepted anything
+    for bad in ("-1", "0", "nan", "inf", "-inf", "1e400"):
+        monkeypatch.setenv("PVRH_TOL", bad)
+        assert _envelope(*run_cli(capsys, ["classify", blob])) \
+            == (1, "bad-tolerance", "env:PVRH_TOL")
     monkeypatch.delenv("PVRH_TOL")
-    assert _envelope(*run_cli(capsys, ["classify", blob, "--tol", "0"])) \
-        == (1, "bad-tolerance", "--tol")
+    for bad in ("0", "-1e-3", "nan", "inf", "1e400"):
+        assert _envelope(*run_cli(capsys, ["classify", blob,
+                                           f"--tol={bad}"])) \
+            == (1, "bad-tolerance", "--tol")
 
 
 def test_phase_shift_success_shape(rng, capsys):
     # needs a pair with generic corner entries; the doubly truncated one
-    # is exactly the degenerate case the command rejects
-    blob = json.dumps(pair_to_json_obj(random_valid_pair(rng)))
-    status, out = run_cli(capsys, ["phase-shift", blob, "--phi", "0.7"])
-    assert status == 0
-    body = json.loads(out)
-    assert body["route"] == "x0"
-    assert len(body["shift"]) == 2
-    assert len(body["A"]) == 2
+    # is exactly the degenerate case the command rejects.  The direction
+    # picks the route: the direct shift on the open quadrants, the breve
+    # one on the upper-left rays.
+    pair = random_valid_pair(rng)
+    blob = json.dumps(pair_to_json_obj(pair))
+    for phi, route, shift in ((0.7, "x0", phase_shift_x0),
+                              (-0.5, "x0", phase_shift_x0),
+                              (2.0, "breve", phase_shift_breve),
+                              (3.5, "breve", phase_shift_breve)):
+        status, out = run_cli(capsys, ["phase-shift", blob, "--phi", repr(phi)])
+        assert status == 0
+        body = json.loads(out)
+        assert body["route"] == route
+        assert complex(*body["shift"]) == shift(pair, phi, solve_boutroux(phi))
+        assert len(body["A"]) == 2
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):
