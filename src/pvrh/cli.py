@@ -209,12 +209,12 @@ def _parse_complex(text: str, location: str) -> complex:
                      f"expected 're' or 're,im', got {text!r}", location)
 
 
-def _parse_point(text: str, what: str) -> complex:
+def _parse_point(text: str) -> complex:
     """The --at point of eval and verify: finite and nonzero."""
     x = _parse_complex(text, "--at")
     if x == 0 or not cmath.isfinite(x):
         raise CliFailure(_VALIDATION, "bad-point",
-                         f"{what} point must be finite and nonzero", "--at")
+                         "the point must be finite and nonzero", "--at")
     return x
 
 
@@ -423,7 +423,7 @@ def _cmd_phase_shift(args) -> int:
 
 def _cmd_eval(args) -> int:
     d = _load_descriptor(args.descriptor)
-    x = _parse_point(args.at, "evaluation")
+    x = _parse_point(args.at)
     y_of = _family_y(d, args.order)
     y, yp, z = _envelope_at(d, x, y_of)
     if args.emit_plot:
@@ -511,7 +511,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = _load_descriptor(args.seed)
-    x = _parse_point(args.at, "verification")
+    x = _parse_point(args.at)
     if args.dps is not None and args.dps < MIN_DPS:
         raise CliFailure(_VALIDATION, "bad-dps",
                          f"--dps must be at least {MIN_DPS}: the mp chain "
