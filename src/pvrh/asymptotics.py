@@ -4,7 +4,8 @@ Covers the elliptic-strip leading term with its phase shift, the
 trigonometric family on the positive axis, the exponentially truncated
 families in the four standard variants (plus the resonant non-generic
 ones and the four boundary-ray families), the formal power series they
-all sit on, and the general-solution entry formulas.
+all sit on, and the general-solution entry formulas; `family_at` evaluates
+any descriptor's family at a point, and `phase_shift` picks the route.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from numbers import Integral
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .boutroux_elliptic import (BoutrouxSolution, _reduce, _sn_kernel, _theta_quads,
-                                reduce_mod_lattice, sn_cn_dn)
+                                reduce_mod_lattice, sn_cn_dn, solve_boutroux)
 from .errors import (
     CaseGap,
     ConditionMismatch,
     DomainViolation,
     InsidePoleDisk,
     NearPole,
+    OrderOutOfRange,
     OutsideValidity,
     PoleOfGamma,
     ResonanceFailure,
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .mono_core import (Mat2C, MonodromyPair, ThetaTriple, ZeroTest, conjugate_pair,
                         stokes_from_pair)
+from .oracle import zfrak_from_y_yprime
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _EXP_QUARTER_PI_I = cmath.exp(0.25j * math.pi)
@@ -965,6 +968,59 @@ def eval_elliptic(x: complex, d: AsymptoticDescriptor,
     zfrak = r * (0.25 * (th.theta0 + th.theta1) - 0.125 * x * (yp - y) * r) \
         - (th.theta0 - th.theta1 + th.thetaInf) / 4.0
     return y, yp, zfrak
+
+
+def phase_shift(pair: MonodromyPair,
+                phi: float) -> Tuple[str, complex, BoutrouxSolution]:
+    """(route, x0, modulus at phi): the phase shift by the route phi picks.
+
+    Route x0 (`phase_shift_x0`) covers the open quadrants of (-pi/2, pi/2),
+    breve (`phase_shift_breve`) the upper-left rays of (pi/2, pi) u
+    (pi, 3pi/2); each raises WrongSector off its own rays.
+    """
+    sol = solve_boutroux(phi)
+    if phi > _HALF_PI:
+        return "breve", phase_shift_breve(pair, phi, sol), sol
+    return "x0", phase_shift_x0(pair, phi, sol), sol
+
+
+# ---------------------------------------------------------------------------
+# a family at a point
+
+def family_y(d: AsymptoticDescriptor,
+             order: int = 8) -> Callable[[complex], complex]:
+    """y of the descriptor's family at any point; a series family builds its
+    series here, once (OrderOutOfRange outside `series_order_bounds`)."""
+    if d.variant == "Elliptic":
+        return lambda xx: eval_elliptic(xx, d, solve_boutroux(cmath.phase(xx)))[0]
+    if d.variant == "Trig":
+        return lambda xx: eval_trig(xx, d)
+    tag = series_tag_for(d)
+    lo, hi = series_order_bounds(tag)
+    if not lo <= order <= hi:
+        raise OrderOutOfRange(
+            f"the {tag} series takes orders {lo} to {hi}, not {order}")
+    series = formal_series_pv(tag, d.theta, order)
+    return lambda xx: eval_trunc(xx, d, series)
+
+
+def family_at(d: AsymptoticDescriptor, x: complex, order: int = 8,
+              y_of: Optional[Callable[[complex], complex]] = None
+              ) -> Tuple[complex, complex, complex]:
+    """(y, y', zfrak) of the descriptor's family at x.
+
+    The elliptic family gives all three in closed form. For the others y'
+    is the fourth-order central difference of y along the ray, and zfrak
+    follows from both. Passing y_of = `family_y(d, order)` reuses its series.
+    """
+    if d.variant == "Elliptic":
+        return eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
+    f = family_y(d, order) if y_of is None else y_of
+    he = 1e-3 * max(1.0, abs(x)) * (x / abs(x))
+    y = f(x)
+    yp = (8.0 * (f(x + he) - f(x - he)) - (f(x + 2.0 * he) - f(x - 2.0 * he))) \
+        / (12.0 * he)
+    return y, yp, zfrak_from_y_yprime(d.theta, x, y, yp)
 
 
 # ---------------------------------------------------------------------------

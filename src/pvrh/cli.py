@@ -17,40 +17,28 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import errors
-from .asymptotics import (
-    AsymptoticDescriptor,
-    eval_elliptic,
-    eval_trig,
-    eval_trunc,
-    formal_series_pv,
-    phase_shift_breve,
-    phase_shift_x0,
-    series_order_bounds,
-    series_tag_for,
-)
+from .asymptotics import AsymptoticDescriptor, family_at, family_y, phase_shift
 from .boutroux_elliptic import solve_boutroux
 from .char_variety import char_coords, fricke_residual
 from .mono_core import (
-    FamilyElement,
     MonodromyPair,
     ThetaTriple,
-    apply_operator,
     classify_region,
-    gauge_normalize,
     pair_from_json_obj,
     pair_to_json_obj,
     validate_pair,
 )
-from .oracle import (MIN_DPS, integrate_pv, isomonodromy_drift,
-                     zfrak_from_y_yprime)
+from .oracle import MIN_DPS, integrate_pv
 from .rh_dispatch import (
     continuation_plan,
+    operator_orbit,
     region_emptiness,
     solve_rh,
     theta_conditions,
+    verify,
 )
 
 SCHEMA_VERSION = "1.0.0"
@@ -58,18 +46,6 @@ SCHEMA_VERSION = "1.0.0"
 _MALFORMED = 1
 _VALIDATION = 2
 _NUMERIC = 3
-
-# Failures of an iteration or a step-size control, as opposed to inputs
-# that are structurally fine but violate a domain constraint.
-_NUMERIC_ERRORS = (
-    errors.NoConvergence,
-    errors.ToleranceFailure,
-    errors.SeedDefectTooLarge,
-    errors.GridTooCoarse,
-    errors.HitSingularity,
-    errors.LoopHitsSingularity,
-    errors.DegenerateLattice,
-)
 
 _OP_TAGS = ("m", "s0", "s1", "shat0", "shat1")
 # the family kind `eval` reports for a descriptor's variant
@@ -319,48 +295,6 @@ def _load_descriptor(source: str) -> AsymptoticDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# family evaluation shared by `eval` and `verify`
-
-def _ray_derivative(f: Callable[[complex], complex], x: complex) -> complex:
-    """Fourth-order central difference along the ray through x."""
-    h = 1e-3 * max(1.0, abs(x))
-    e = x / abs(x) if x != 0 else 1.0 + 0.0j
-    he = h * e
-    return (8.0 * (f(x + he) - f(x - he)) - (f(x + 2.0 * he) - f(x - 2.0 * he))) \
-        / (12.0 * he)
-
-
-def _family_y(d: AsymptoticDescriptor,
-              order: int) -> Callable[[complex], complex]:
-    """y of the family along any point, the formal series built once."""
-    if d.variant == "Elliptic":
-        return lambda xx: eval_elliptic(xx, d, solve_boutroux(cmath.phase(xx)))[0]
-    if d.variant == "Trig":
-        return lambda xx: eval_trig(xx, d)
-    tag = series_tag_for(d)
-    lo, hi = series_order_bounds(tag)
-    if not lo <= order <= hi:
-        raise CliFailure(_VALIDATION, "bad-order",
-                         f"the {tag} series takes orders {lo} to {hi}, not {order}",
-                         "--order")
-    series = formal_series_pv(tag, d.theta, order)
-    return lambda xx: eval_trunc(xx, d, series)
-
-
-def _envelope_at(d: AsymptoticDescriptor, x: complex,
-                 y_of: Callable[[complex], complex]
-                 ) -> Tuple[complex, complex, complex]:
-    """(y, y', zfrak) at x; y' is the elliptic closed form or, for the
-    other variants, the difference quotient of y_of along the ray."""
-    if d.variant == "Elliptic":
-        return eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
-    y = y_of(x)
-    yp = _ray_derivative(y_of, x)
-    z = zfrak_from_y_yprime(d.theta, x, y, yp)
-    return y, yp, z
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_classify(args) -> int:
@@ -405,14 +339,10 @@ def _cmd_boutroux(args) -> int:
 
 def _cmd_phase_shift(args) -> int:
     pair = _load_pair(args.pair, args.tol)
-    sol = solve_boutroux(args.phi)
-    # each route is defined on its own rays: x0 on the open quadrants of
-    # (-pi/2, pi/2), breve on the upper-left rays of (pi/2, 3pi/2)
-    breve = args.phi > 0.5 * math.pi
-    shift = (phase_shift_breve if breve else phase_shift_x0)(pair, args.phi, sol)
+    route, shift, sol = phase_shift(pair, args.phi)
     _emit({
         "phi": float(args.phi),
-        "route": "breve" if breve else "x0",
+        "route": route,
         "shift": complex(shift),
         "A": complex(sol.A),
         "omegaA": None if sol.omegaA is None else complex(sol.omegaA),
@@ -424,8 +354,13 @@ def _cmd_phase_shift(args) -> int:
 def _cmd_eval(args) -> int:
     d = _load_descriptor(args.descriptor)
     x = _parse_point(args.at)
-    y_of = _family_y(d, args.order)
-    y, yp, z = _envelope_at(d, x, y_of)
+    if not (math.isfinite(args.plot_span) and abs(x) + args.plot_span > 0.0):
+        raise CliFailure(_VALIDATION, "bad-plot-span",
+                         "the span must be finite, and |x| + span positive "
+                         "so that the plotted segment stays on the ray",
+                         "--plot-span")
+    y_of = family_y(d, args.order)
+    y, yp, z = family_at(d, x, y_of=y_of)
     if args.emit_plot:
         grid = max(2, args.grid)
         t0 = abs(x)
@@ -458,15 +393,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_continue(args) -> int:
     pair = _load_pair(args.pair, args.tol)
-    plan = continuation_plan(pair, args.from_arg, args.to)
-    descriptor = None
-    phi_back = args.to - math.pi * round((args.to - args.from_arg) / math.pi)
-    if abs(phi_back) < 0.5 * math.pi:
-        try:
-            descriptor = descriptor_to_json_obj(
-                solve_rh(plan.resulting, phi_back, zero_tol=args.tol))
-        except (errors.PvrhError, ValueError):
-            descriptor = None
+    plan = continuation_plan(pair, args.from_arg, args.to, zero_tol=args.tol)
     _emit({
         "steps": list(plan.steps),
         "start_sheet": [float(plan.start_sheet[0]), float(plan.start_sheet[1])],
@@ -475,7 +402,8 @@ def _cmd_continue(args) -> int:
         "reciprocal": bool(plan.reciprocal),
         "pair": pair_to_json_obj(plan.resulting),
         "elliptic": None if plan.elliptic is None else dict(plan.elliptic),
-        "descriptor": descriptor,
+        "descriptor": None if plan.descriptor is None
+        else descriptor_to_json_obj(plan.descriptor),
     })
     return 0
 
@@ -493,19 +421,13 @@ def _cmd_orbit(args) -> int:
     if args.steps < 1:
         raise CliFailure(_MALFORMED, "bad-steps", "steps must be >= 1",
                          "--steps")
-    element = FamilyElement(pair, 0, "plain")
-    sequence = []
-    for i in range(args.steps):
-        tag = ops[i % len(ops)]
-        element = apply_operator(tag, element, pair)
-        normal = gauge_normalize(element.pair, zero_tol=args.tol)
-        sequence.append({
-            "op": tag,
-            "family": element.family,
-            "index": int(element.index),
-            "pair": pair_to_json_obj(normal),
-        })
-    _emit({"orbit": sequence})
+    orbit = operator_orbit(pair, ops, args.steps, zero_tol=args.tol)
+    _emit({"orbit": [{
+        "op": tag,
+        "family": element.family,
+        "index": int(element.index),
+        "pair": pair_to_json_obj(normal),
+    } for tag, element, normal in orbit]})
     return 0
 
 
@@ -516,9 +438,7 @@ def _cmd_verify(args) -> int:
         raise CliFailure(_VALIDATION, "bad-dps",
                          f"--dps must be at least {MIN_DPS}: the mp chain "
                          "keeps about dps - 16 digits", "--dps")
-    y, _, z = _envelope_at(d, x, _family_y(d, args.order))
-    seed = {"x": x, "y": y, "zfrak": z}
-    t = abs(x)
+    bases = None
     if args.bases:
         try:
             bases = sorted(float(b) for b in args.bases.split(","))
@@ -529,28 +449,23 @@ def _cmd_verify(args) -> int:
         if not all(math.isfinite(b) and b > 0 for b in bases):
             raise CliFailure(_VALIDATION, "bad-bases",
                              "bases must be finite and positive", "--bases")
-        if not bases or bases[-1] > t + 1e-12:
+        if not bases or bases[-1] > abs(x) + 1e-12:
             raise CliFailure(_VALIDATION, "bad-bases",
                              "bases must stay at or below |x| of the seed",
                              "--bases")
-    elif t > 20.0:
-        bases = [t - 10.0, t - 5.0, t]
-    else:
-        bases = [0.8 * t, 0.9 * t, t]
-    report = isomonodromy_drift(d.theta, seed, bases, dps=args.dps)
-    recovered = report.pairs[-1]
-    check = validate_pair(recovered.m0, recovered.m1, d.theta, args.tol)
+    report = verify(d, x, bases, dps=args.dps, order=args.order, tol=args.tol)
     if args.emit_plot:
-        traj = integrate_pv(d.theta, seed, bases[0], n_samples=max(2, args.grid))
+        traj = integrate_pv(d.theta, report.seed, report.bases[0],
+                            n_samples=max(2, args.grid))
         rows = [(xs.real, xs.imag, ys.real, ys.imag, zs.real, zs.imag)
                 for xs, ys, zs in traj.samples]
         _write_csv(args.emit_plot,
                    ("x_re", "x_im", "y_re", "y_im", "z_re", "z_im"), rows)
     _emit({
         "at": x,
-        "bases": [float(b) for b in bases],
-        "pair": pair_to_json_obj(recovered),
-        "residuals": {k: float(v) for k, v in check.residuals.items()},
+        "bases": list(report.bases),
+        "pair": pair_to_json_obj(report.pair),
+        "residuals": {k: float(v) for k, v in report.residuals.items()},
         "drift": float(report.drift),
     })
     return 0
@@ -701,17 +616,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit_error(failure: CliFailure) -> None:
-    sys.stdout.write(dumps_canonical({
-        "schema": SCHEMA_VERSION,
-        "code": failure.code,
-        "message": str(failure),
-        "location": failure.location,
-    }) + "\n")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
+    where = raw_argv[0] if raw_argv else "argv"
     try:
         args = _parser().parse_args(raw_argv)
         if getattr(args, "tol", None) is None:
@@ -720,16 +627,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _checked_tol(args.tol, "--tol", "--tol")
         return args.handler(args)
     except CliFailure as exc:
-        _emit_error(exc)
-        return exc.status
-    except _NUMERIC_ERRORS as exc:
-        _emit_error(CliFailure(_NUMERIC, type(exc).__name__, str(exc),
-                               raw_argv[0] if raw_argv else "argv"))
-        return _NUMERIC
+        failure = exc
+    except errors.NUMERIC_ERRORS as exc:
+        failure = CliFailure(_NUMERIC, type(exc).__name__, str(exc), where)
+    except errors.OrderOutOfRange as exc:
+        failure = CliFailure(_VALIDATION, "bad-order", str(exc), "--order")
     except (errors.PvrhError, ValueError, ZeroDivisionError) as exc:
-        _emit_error(CliFailure(_VALIDATION, type(exc).__name__, str(exc),
-                               raw_argv[0] if raw_argv else "argv"))
-        return _VALIDATION
+        failure = CliFailure(_VALIDATION, type(exc).__name__, str(exc), where)
+    _emit({"code": failure.code, "message": str(failure),
+           "location": failure.location})
+    return failure.status
 
 
 if __name__ == "__main__":

@@ -75,6 +75,10 @@ class UnderdeterminedCompletion(PvrhError):
     """Matrix completion constraints do not fix the remaining entries."""
 
 
+class OrderOutOfRange(PvrhError):
+    """Series truncation order outside the orders the family's series takes."""
+
+
 # --- dispatch ---
 
 class IntegerTheta(PvrhError):
@@ -100,7 +104,7 @@ class HitSingularity(PvrhError):
 
 
 class ToleranceFailure(PvrhError):
-    """Integrator could not meet the requested tolerances."""
+    """An integrator, or the Fricke check of a rotated pair, missed its tolerance."""
 
 
 class GridTooCoarse(PvrhError):
@@ -113,3 +117,10 @@ class LoopHitsSingularity(PvrhError):
 
 class SeedDefectTooLarge(PvrhError):
     """Asymptotic seed frame defect exceeds the trust threshold."""
+
+
+# Failures of an iteration or a step-size control, as opposed to inputs
+# that are structurally fine but violate a domain constraint.
+NUMERIC_ERRORS = (NoConvergence, ToleranceFailure, SeedDefectTooLarge,
+                  GridTooCoarse, HitSingularity, LoopHitsSingularity,
+                  DegenerateLattice)

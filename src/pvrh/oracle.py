@@ -132,17 +132,6 @@ class LinearSystemState:
         return Mat2C(q, 0.0, 0.0, -q).add(b0.scale(1 / (lam + e))) \
             .add(b1.scale(1 / (lam - e)))
 
-    def residue_residuals(self) -> Dict[str, float]:
-        """Trace and eigenvalue defects of both residues (should be ~0)."""
-        b0, b1 = residue_matrices(self.theta, self.y, self.zfrak)
-        t0, t1 = self.theta.theta0, self.theta.theta1
-        return {
-            "trace_b0": float(abs(b0.trace())),
-            "trace_b1": float(abs(b1.trace())),
-            "det_b0": float(abs(b0.det() + t0 * t0 / 4.0)),
-            "det_b1": float(abs(b1.det() + t1 * t1 / 4.0)),
-        }
-
 
 def _unit(state: LinearSystemState):
     """e^{i phi} in the scalars of the state."""
@@ -189,12 +178,6 @@ def _seed_values(seed: Dict[str, complex],
     if "zfrak" not in seed:
         raise ValueError("seed needs zfrak")
     return tuple(num(complex(seed[k])) for k in ("x", "y", "zfrak"))
-
-
-def yprime_from_y_zfrak(theta: ThetaTriple, x: complex, y: complex,
-                        zfrak: complex) -> complex:
-    fy, _, _ = pv_rhs_first_order(theta, x, y, zfrak)
-    return fy / x
 
 
 _RAY_GUARD = 1e-6       # a ray leg stops when y comes this close to 0 or 1

@@ -1,11 +1,11 @@
-"""Monodromy-to-asymptotics dispatch and sheet-to-sheet continuation.
+"""Monodromy-to-asymptotics dispatch, continuation, and the oracle check.
 
 Given a valid monodromy pair and a direction on the universal cover,
 pick the asymptotic family the pair parametrizes there (elliptic strip,
 oscillatory ray, or one of the exponentially truncated families) and
 recover the family constants from the matrix entries. Rotations by
-multiples of pi are planned as compositions of the nonlinear operators
-from mono_core, with sign and reciprocal bookkeeping.
+multiples of pi, and operator orbits, are compositions of the nonlinear
+operators from mono_core. `verify` seeds the ODE oracle from a family.
 """
 
 from __future__ import annotations
@@ -13,50 +13,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .asymptotics import (
-    AsymptoticDescriptor,
-    SQRT_2PI,
-    _BRANCHES,
-    _BY_VARIANT,
-    _FAMILIES,
-    _combos,
-    _excluded,
-    _family_descriptor,
-    _fixed_entry,
-    _generic_failures,
-    _member,
-    _partner,
-    _resonance_nu,
-    _triangle,
-    beta0_vhat,
-    complex_gamma,
-    phase_shift_breve,
-    phase_shift_x0,
-    recover_c0,
-    recover_c0_nongeneric,
-)
-from .boutroux_elliptic import solve_boutroux
-from .errors import (
-    AmbiguousSign,
-    DomainViolation,
-    IntegerTheta,
-    NonUniqueFiber,
-    NotPiMultiple,
-    UnmappedRegion,
-)
-from .mono_core import (
-    FamilyElement,
-    Mat2C,
-    MonodromyPair,
-    ThetaTriple,
-    ZeroTest,
-    apply_operator,
-    classify_region,
-    monodromy_shift,
-    stokes_hat,
-)
+from .asymptotics import (SQRT_2PI, _BRANCHES, _BY_VARIANT, _FAMILIES,
+                          AsymptoticDescriptor, _combos, _excluded,
+                          _family_descriptor, _fixed_entry, _generic_failures,
+                          _member, _partner, _resonance_nu, _triangle,
+                          beta0_vhat, build_trunc_family, complex_gamma,
+                          family_at, phase_shift, recover_c0,
+                          recover_c0_nongeneric)
+from .char_variety import char_coords, fricke_ok, fricke_residual
+from .errors import (AmbiguousSign, DomainViolation, IntegerTheta, NonUniqueFiber,
+                     NotPiMultiple, PvrhError, ToleranceFailure, UnmappedRegion,
+                     WrongSector)
+from .mono_core import (FamilyElement, Mat2C, MonodromyPair, ThetaTriple, ZeroTest,
+                        apply_operator, classify_region, gauge_normalize,
+                        monodromy_shift, stokes_hat, validate_pair)
+from .oracle import isomonodromy_drift
 
 _HALF_PI = 0.5 * math.pi
 
@@ -160,8 +133,7 @@ def _dispatch_r5(pair: MonodromyPair) -> AsymptoticDescriptor:
 
 
 def _elliptic_descriptor(pair: MonodromyPair, phi: float) -> AsymptoticDescriptor:
-    sol = solve_boutroux(phi)
-    x0 = phase_shift_x0(pair, phi, sol)
+    _, x0, sol = phase_shift(pair, phi)
     sector = (-_HALF_PI, 0.0) if phi < 0 else (0.0, _HALF_PI)
     return AsymptoticDescriptor(
         variant="Elliptic", params={"A": sol.A, "x0": x0},
@@ -248,17 +220,32 @@ class ContinuationPlan:
     thetaInf_sign: int
     reciprocal: bool
     elliptic: Optional[Dict[str, complex]] = None
+    descriptor: Optional[AsymptoticDescriptor] = None
 
 
-def continuation_plan(pair: MonodromyPair, from_arg: float,
-                      to_arg: float) -> ContinuationPlan:
+def _on_manifold(pair: MonodromyPair, what: str) -> MonodromyPair:
+    """pair, if it is finite and passes `fricke_ok`; else ToleranceFailure."""
+    point = char_coords(pair)
+    if not (pair.m0.is_finite() and pair.m1.is_finite() and fricke_ok(point)):
+        raise ToleranceFailure(
+            f"{what} is off the monodromy manifold (Fricke residual "
+            f"{abs(fricke_residual(point)):.3e} at coordinates of size "
+            f"{point.norm_inf():.3e})")
+    return pair
+
+
+def continuation_plan(pair: MonodromyPair, from_arg: float, to_arg: float,
+                      zero_tol: float = 1e-9) -> ContinuationPlan:
     """Plan the rotation from_arg -> to_arg as pi-steps of the operators.
 
     Counterclockwise pi-steps use the upper-factor operator (s0), clockwise
     the lower one (s1); full turns collapse to the composite-loop shift.
-    The attached elliptic data (phase shift and modulus) is present when
-    the target direction, pulled back to the principal sheet, lands in one
-    of the elliptic quadrants.
+    A resulting pair off the monodromy manifold (`_on_manifold`), or
+    conjugations that overflow, raise ToleranceFailure. The elliptic data
+    (phase shift and modulus) is attached when the target, pulled back by
+    full turns, has a phase shift; the descriptor is `solve_rh` of the
+    resulting pair at the target pulled back by the pi-steps, when one
+    attaches there.
     """
     span = (to_arg - from_arg) / math.pi
     if not math.isfinite(span):
@@ -272,41 +259,61 @@ def continuation_plan(pair: MonodromyPair, from_arg: float,
     else:
         steps = ["m_inv"] * ((-n) // 2) + ["s1"] * ((-n) % 2)
     elem = FamilyElement(pair, 0, "plain")
-    for tag in steps:
-        elem = apply_operator(tag, elem, pair)
+    try:
+        for tag in steps:
+            elem = apply_operator(tag, elem, pair)
+    except ZeroDivisionError as exc:
+        raise ToleranceFailure(
+            f"the rotation by {n} half turns overflowed") from exc
+    resulting = _on_manifold(elem.pair, f"the pair rotated by {n} half turns")
+    try:  # ValueError off the principal sheet
+        descriptor = solve_rh(resulting, to_arg - math.pi * n, zero_tol)
+    except (PvrhError, ValueError):
+        descriptor = None
     return ContinuationPlan(
         steps=tuple(steps),
         start_sheet=(from_arg - _HALF_PI, from_arg + _HALF_PI),
         end_sheet=(to_arg - _HALF_PI, to_arg + _HALF_PI),
-        resulting=elem.pair,
+        resulting=resulting,
         thetaInf_sign=-1 if n % 2 else 1,
         reciprocal=bool(n % 2),
         elliptic=_elliptic_attachment(pair, to_arg),
+        descriptor=descriptor,
     )
 
 
 def _elliptic_attachment(pair: MonodromyPair,
                          to_arg: float) -> Optional[Dict[str, complex]]:
-    """Phase shift of the elliptic regime on the target sheet, if any."""
+    """Phase shift of the elliptic regime on the target sheet, if any.
+
+    The target is pulled back by full turns into [-pi/2, 3pi/2), and the
+    pair by as many composite-loop shifts; `phase_shift` picks the route.
+    """
     p = math.floor((to_arg + _HALF_PI) / (2.0 * math.pi))
     phi = to_arg - 2.0 * math.pi * p
-    quadrant = (-_HALF_PI < phi < 0.0) or (0.0 < phi < _HALF_PI)
-    upper = (_HALF_PI < phi < math.pi) or (math.pi < phi < 1.5 * math.pi)
-    if not (quadrant or upper):
-        return None
-    shifted = monodromy_shift(pair, p)
     try:
-        if quadrant:
-            sol = solve_boutroux(phi)
-            x0 = phase_shift_x0(shifted, phi, sol)
-            return {"x0": x0, "A": sol.A, "route": "direct",
-                    "sheet_phi": phi, "sheet_index": complex(p)}
-        sol = solve_boutroux(phi - math.pi)
-        x0 = -phase_shift_x0(stokes_hat(shifted), phi - math.pi, sol)
-        return {"x0": x0, "A": sol.A, "route": "flipped",
-                "sheet_phi": phi, "sheet_index": complex(p)}
-    except (DomainViolation, AmbiguousSign):
+        route, x0, sol = phase_shift(monodromy_shift(pair, p), phi)
+    except (DomainViolation, AmbiguousSign, WrongSector):
         return None
+    return {"x0": x0, "A": sol.A, "route": route,
+            "sheet_phi": phi, "sheet_index": complex(p)}
+
+
+def operator_orbit(pair: MonodromyPair, ops: Sequence[str], steps: int,
+                   zero_tol: float = 1e-9
+                   ) -> List[Tuple[str, FamilyElement, MonodromyPair]]:
+    """(operator, element, its gauge normal form) for the first `steps`
+    elements of the orbit of pair under ops in turn; ToleranceFailure at a
+    normal form off the monodromy manifold (`_on_manifold`)."""
+    element = FamilyElement(pair, 0, "plain")
+    orbit = []
+    for i in range(steps):
+        tag = ops[i % len(ops)]
+        element = apply_operator(tag, element, pair)
+        normal = gauge_normalize(element.pair, zero_tol=zero_tol)
+        orbit.append((tag, element, _on_manifold(
+            normal, f"the pair of orbit step {i + 1}")))
+    return orbit
 
 
 def example_22_coefficient(theta: ThetaTriple, c0: complex) -> complex:
@@ -317,8 +324,6 @@ def example_22_coefficient(theta: ThetaTriple, c0: complex) -> complex:
     constructed pair through the upper Stokes twist and reading the
     rotated family constant from the gauge-invariant entry product.
     """
-    from .asymptotics import build_trunc_family
-
     t0, t1, ti = theta.theta0, theta.theta1, theta.thetaInf
     row = _BY_VARIANT["Trunc01"]
     closed = c0 + _fixed_entry(row, theta, 1.0, _combos(row, theta)) \
@@ -335,3 +340,34 @@ def example_22_coefficient(theta: ThetaTriple, c0: complex) -> complex:
         raise ArithmeticError(
             f"rotation-constant routes disagree: {closed} vs {chained}")
     return closed
+
+
+# ---------------------------------------------------------------------------
+# the oracle check of a family
+
+@dataclass(frozen=True)
+class VerifyReport:
+    seed: Dict[str, complex]  # x, y and zfrak the ray starts from
+    bases: Tuple[float, ...]  # sorted
+    pair: MonodromyPair  # read back at the largest base
+    residuals: Dict[str, float]  # validate_pair of that pair
+    drift: float
+
+
+def verify(d: AsymptoticDescriptor, x: complex,
+           bases: Optional[Sequence[float]] = None, dps: Optional[int] = None,
+           order: int = 8, tol: float = 1e-9) -> VerifyReport:
+    """Seed the ODE oracle with the family at x (`family_at`) and read the
+    monodromy back at the bases (`isomonodromy_drift`): [t - 10, t - 5, t]
+    for t = |x| > 20, else [0.8 t, 0.9 t, t]. The pair at the largest base
+    is checked against d's theta by `validate_pair` at tol."""
+    y, _, z = family_at(d, x, order)
+    seed = {"x": x, "y": y, "zfrak": z}
+    t = abs(x)
+    if bases is None:
+        bases = [t - 10.0, t - 5.0, t] if t > 20.0 else [0.8 * t, 0.9 * t, t]
+    report = isomonodromy_drift(d.theta, seed, bases, dps=dps)
+    recovered = report.pairs[-1]
+    check = validate_pair(recovered.m0, recovered.m1, d.theta, tol)
+    return VerifyReport(seed, report.t_values, recovered,
+                        dict(check.residuals), report.drift)

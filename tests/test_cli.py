@@ -2,10 +2,11 @@ import cmath
 import io
 import json
 import math
+import random
 
 import pytest
 
-from pvrh import cli
+from pvrh import asymptotics, cli
 from pvrh.asymptotics import (
     FormalSeries,
     build_trunc_family,
@@ -13,23 +14,31 @@ from pvrh.asymptotics import (
     eval_elliptic,
     eval_trig,
     eval_trunc,
+    family_at,
     formal_series_pv,
     phase_shift_breve,
     phase_shift_x0,
     series_tag_for,
 )
 from pvrh.boutroux_elliptic import solve_boutroux
+from pvrh.char_variety import char_coords, fricke_ok
 from pvrh.errors import InsidePoleDisk
-from pvrh.mono_core import ThetaTriple, pair_to_json_obj
-from pvrh.rh_dispatch import solve_rh
+from pvrh.mono_core import ThetaTriple, pair_from_json_obj, pair_to_json_obj
+from pvrh.rh_dispatch import solve_rh, verify
 
 from support import (
     THETA_DESK,
     doubly_truncated_pair,
     formal_series_reference,
+    pair_diff,
     r2_0_pair,
     random_valid_pair,
 )
+
+
+README_PAIR = ('{"theta": [[0.5,0],[0.5,0],[1,0]], '
+               '"m0": [[[0,0],[1,0]],[[-1,0],[0,0]]], '
+               '"m1": [[[0,0],[1,0]],[[-1,0],[0,0]]]}')
 
 
 def run_cli(capsys, argv):
@@ -162,8 +171,9 @@ _PAIR_OF_VARIANT = {
 def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
                                          variant):
     # the descriptor alone picks the family: the envelope names its kind and
-    # holds its value at the point, one series is built per command, and
-    # each row is the family's value at its point
+    # holds its value at the point, which is the library's family_at, one
+    # series is built per command, and each row is the family's value at
+    # its point
     make_pair, phi = _PAIR_OF_VARIANT[variant]
     d = solve_rh(make_pair(rng), phi)
     assert d.variant == variant
@@ -174,7 +184,7 @@ def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
         built.append(args)
         return formal_series_pv(*args)
 
-    monkeypatch.setattr(cli, "formal_series_pv", counted_series)
+    monkeypatch.setattr(asymptotics, "formal_series_pv", counted_series)
     csv = tmp_path / "ray.csv"
     x = 22.0 * cmath.exp(1j * phi)
     status, out = run_cli(capsys, [
@@ -187,6 +197,8 @@ def test_eval_plot_rows_are_point_values(rng, tmp_path, capsys, monkeypatch,
         if kind == "trunc" else None
     body = json.loads(out)
     assert body["kind"] == kind
+    assert [complex(*body[k]) for k in ("y", "yprime", "zfrak")] \
+        == list(family_at(d, x))
     if kind == "elliptic":
         want = eval_elliptic(x, d, solve_boutroux(cmath.phase(x)))
         assert [complex(*body[k]) for k in ("y", "yprime", "zfrak")] \
@@ -226,6 +238,19 @@ def test_verify_closes_the_loop_and_plots(tmp_path, capsys):
     lines = csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x_re,x_im,y_re,y_im,z_re,z_im"
     assert len(lines) == 10
+
+    # the library call behind the command, on the README's descriptor (its
+    # half-integer R2_01 pair solved at phi = 0.3): the same bases, pair and
+    # drift
+    _, solved = run_cli(capsys, ["solve", README_PAIR, "--phi", "0.3"])
+    status, out = run_cli(capsys, ["verify", "--seed", solved.strip(),
+                                   "--at", "12"])
+    assert status == 0
+    body = json.loads(out)
+    report = verify(cli.descriptor_from_json_obj(json.loads(solved)), 12 + 0j)
+    assert list(report.bases) == body["bases"]
+    assert pair_diff(report.pair, pair_from_json_obj(body["pair"])) == 0.0
+    assert report.drift == body["drift"]
 
 
 def test_verify_reports_numeric_failure_with_exit_3(capsys):
@@ -273,6 +298,32 @@ def test_orbit_bookkeeping(capsys):
     orbit = json.loads(out)["orbit"]
     assert [(e["family"], e["index"]) for e in orbit] == \
         [("hat", 0), ("plain", 1)]
+
+
+def test_continue_and_orbit_stay_on_the_manifold(capsys):
+    # x2 = tr(M1 M0) = 2.17 + 0.003i on this pair, so each full turn
+    # multiplies the conjugation's condition number by about 2.3: at 12 full
+    # turns `continue` printed a pair off the cubic surface, at 512 it
+    # exited 2 with ZeroDivisionError, and `orbit --ops m` printed one off
+    # it at step 8
+    blob = json.dumps(pair_to_json_obj(random_valid_pair(random.Random(7))))
+    status, out = run_cli(capsys, ["continue", blob,
+                                   "--to", repr(2 * math.pi * 8)])
+    assert status == 0
+    assert fricke_ok(char_coords(pair_from_json_obj(json.loads(out)["pair"])))
+    for turns in (12, -12, 512):
+        assert _envelope(*run_cli(capsys, ["continue", blob, "--to",
+                                           repr(2 * math.pi * turns)])) \
+            == (3, "ToleranceFailure", "continue")
+
+    status, out = run_cli(capsys, ["orbit", blob, "--ops", "m",
+                                   "--steps", "7"])
+    assert status == 0
+    assert all(fricke_ok(char_coords(pair_from_json_obj(e["pair"])))
+               for e in json.loads(out)["orbit"])
+    assert _envelope(*run_cli(capsys, ["orbit", blob, "--ops", "m",
+                                       "--steps", "8"])) \
+        == (3, "ToleranceFailure", "orbit")
 
 
 def test_conditions_desk_and_integer(capsys):
@@ -360,7 +411,7 @@ def test_malformed_inputs_exit_1(monkeypatch, capsys):
         == (1, "bad-arguments", "argv")
 
 
-def test_validation_failures_exit_2(rng, capsys):
+def test_validation_failures_exit_2(rng, capsys, tmp_path):
     broken = pair_to_json_obj(doubly_truncated_pair(THETA_DESK))
     broken["m0"][0][0] = [0.5, 0.0]
     status, out = run_cli(capsys, ["classify", json.dumps(broken)])
@@ -412,6 +463,23 @@ def test_validation_failures_exit_2(rng, capsys):
         status, out = run_cli(capsys, ["eval", elliptic.strip(), "--at", at])
         assert status == want
     assert _envelope(status, out) == (2, "OutsideValidity", "eval")
+
+    # a plotted segment must be finite and stay on the ray of --at (inf and
+    # nan exited 2 as DomainViolation at eval on the elliptic descriptor; a
+    # span below -|x| walked a trunc plot through x = 0 onto the opposite ray)
+    csv = tmp_path / "ray.csv"
+    at = f"{30 * math.cos(0.7)!r},{30 * math.sin(0.7)!r}"
+    cases = [(elliptic.strip(), at, span) for span in ("inf", "-inf", "nan",
+                                                       "-40")]
+    cases += [(solved.strip(), "20,20", span) for span in ("inf", "nan",
+                                                           "-40")]
+    cases.append((solved.strip(), "25", "-25"))
+    for descriptor, point, span in cases:
+        argv = ["eval", descriptor, "--at", point, f"--plot-span={span}",
+                "--emit-plot", str(csv)]
+        assert _envelope(*run_cli(capsys, argv)) \
+            == (2, "bad-plot-span", "--plot-span")
+    assert not csv.exists()
 
     # a NaN base used to escape as a bare KeyError, zero or negative ones
     # as a collapsed ray step (exit 3)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvrh.asymptotics import eval_elliptic, formal_series_pv
+from pvrh.asymptotics import eval_elliptic, family_at, formal_series_pv
 from pvrh.boutroux_elliptic import solve_boutroux
-from pvrh.cli import _NUMERIC_ERRORS, _envelope_at, _family_y
 from pvrh.errors import (
+    NUMERIC_ERRORS,
     GridTooCoarse,
     HitSingularity,
     LoopHitsSingularity,
@@ -51,7 +51,6 @@ from pvrh.oracle import (
     pv_residual,
     pv_rhs_first_order,
     residue_matrices,
-    yprime_from_y_zfrak,
     zfrak_from_y_yprime,
 )
 
@@ -178,7 +177,7 @@ def test_zfrak_yprime_conversions_invert(yr, yi, pr, pi, xr, xi):
     x = complex(xr, xi)
     yp = complex(pr, pi)
     z = zfrak_from_y_yprime(THETA_DESK, x, y, yp)
-    back = yprime_from_y_zfrak(THETA_DESK, x, y, z)
+    back = pv_rhs_first_order(THETA_DESK, x, y, z)[0] / x
     assert abs(back - yp) <= 1e-9 * max(1.0, abs(yp), abs(z))
 
 
@@ -192,8 +191,12 @@ def test_canonical_frame_defect_ladder():
     cf0 = canonical_frame(st_, 10.0j, 0)
     assert cf0.frame.m12 == 0.0 and cf0.frame.m21 == 0.0
     assert abs(cf0.frame.m11 - cmath.exp(8.0 * 10.0j / 4.0)) < 1e-12
-    res = st_.residue_residuals()
-    assert all(v < 1e-12 for v in res.values())
+    # both residues keep trace 0 and determinant -theta_j^2/4
+    b0, b1 = residue_matrices(st_.theta, st_.y, st_.zfrak)
+    t0, t1 = st_.theta.theta0, st_.theta.theta1
+    res = (abs(b0.trace()), abs(b1.trace()),
+           abs(b0.det() + t0 * t0 / 4.0), abs(b1.det() + t1 * t1 / 4.0))
+    assert all(v < 1e-12 for v in res)
 
 
 def test_direct_monodromy_lands_on_the_manifold():
@@ -328,7 +331,7 @@ def test_singular_connection_matrix_is_a_numeric_failure():
                               -1.5018368206120225 - 0.5110630799437784j,
                               3.09753561193383 + 4.592880140340483j,
                               theta)
-    with pytest.raises(_NUMERIC_ERRORS):
+    with pytest.raises(NUMERIC_ERRORS):
         direct_monodromy(state)
 
 
@@ -766,7 +769,7 @@ def test_double_pair_matches_mp_pair_on_series_seed():
 
 def _family_state(pair: MonodromyPair, t: float) -> LinearSystemState:
     d = solve_rh(pair, 0.0)
-    y, _, z = _envelope_at(d, t, _family_y(d, 8))
+    y, _, z = family_at(d, t)
     return LinearSystemState(t, 0.0, y, z, d.theta)
 
 

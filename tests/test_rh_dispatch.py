@@ -29,6 +29,7 @@ from pvrh.mono_core import (
     MonodromyPair,
     ThetaTriple,
     monodromy_shift,
+    stokes_hat,
     validate_pair,
 )
 from pvrh.rh_dispatch import (
@@ -345,27 +346,32 @@ def test_continuation_elliptic_attachment(rng):
     pair = random_valid_pair(rng)
     quarter = continuation_plan(pair, 0.7, 0.7 + 2.0 * math.pi)
     assert quarter.elliptic is not None
-    assert quarter.elliptic["route"] == "direct"
+    assert quarter.elliptic["route"] == "x0"
     sol = solve_boutroux(0.7)
     shifted = monodromy_shift(pair, 1)
     assert abs(quarter.elliptic["x0"]
                - phase_shift_x0(shifted, 0.7, sol)) < 1e-10
+    # the family of the rotated pair on the target pulled back by pi-steps
+    assert quarter.descriptor == solve_rh(quarter.resulting,
+                                          0.7 + 2.0 * math.pi - 2.0 * math.pi)
 
     none_at_axis = continuation_plan(pair, 0.0, math.pi)
     assert none_at_axis.elliptic is None
 
 
 def test_continuation_flipped_route_matches_breve(rng):
-    # on the upper-left rays the attachment goes through the twisted pair;
-    # the direct conjugated-pair formula must agree modulo the doubled
-    # period lattice
+    # on the upper-left rays the attachment is the breve phase shift; the
+    # flipped formula, the direct shift of the twisted pair on the opposite
+    # ray, must agree with it modulo the doubled period lattice
     pair = random_valid_pair(rng)
     phi = 0.7 + math.pi
     plan = continuation_plan(pair, 0.7, phi)
-    assert plan.elliptic is not None and plan.elliptic["route"] == "flipped"
+    assert plan.elliptic is not None and plan.elliptic["route"] == "breve"
     sol = solve_boutroux(phi)
-    bx = phase_shift_breve(pair, phi, sol)
-    gap = reduce_mod_lattice(plan.elliptic["x0"] - bx,
+    assert plan.elliptic["x0"] == phase_shift_breve(pair, phi, sol)
+    flipped = -phase_shift_x0(stokes_hat(pair), phi - math.pi,
+                              solve_boutroux(phi - math.pi))
+    gap = reduce_mod_lattice(plan.elliptic["x0"] - flipped,
                              2.0 * sol.omegaA, 2.0 * sol.omegaB)
     assert abs(gap) < 1e-9
 
