@@ -228,9 +228,11 @@ def eval_trig(x: complex, d: AsymptoticDescriptor, mode: Optional[str] = None) -
     elif mode not in _TRIG_MODES:
         raise ValueError(f"unknown trig mode {mode!r}")
 
+    if mode == "sine" and abs(beta0) < 1e-12:
+        return -1.0 + 0.0j
+    if vhat == 0 and mode != "exp_minus":  # whose vhat -> 0 limit is y = -1
+        raise DomainViolation(f"trig mode {mode} needs vhat != 0")
     if mode == "sine":
-        if abs(beta0) < 1e-12:
-            return -1.0 + 0.0j
         rtb = cmath.sqrt(beta0)
         phase = 0.5 * x + 1j * beta0 * cmath.log(x) + 1j * cmath.log(vhat / rtb)
         return -1.0 + TWO_SQRT2 * 2.0 * cmath.exp(-0.25j * cmath.pi) * rtb \

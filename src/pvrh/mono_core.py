@@ -50,11 +50,16 @@ class Mat2C:
         return Mat2C(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
 
     def power(self, p: int) -> "Mat2C":
-        """Integer power by repeated multiplication (|p| is small here)."""
+        """Integer power by repeated squaring, in O(log |p|) products."""
         base = self if p >= 0 else self.inv()
         out = Mat2C.identity()
-        for _ in range(abs(p)):
-            out = out @ base
+        p = abs(p)
+        while p:
+            if p & 1:
+                out = out @ base
+            p >>= 1
+            if p:
+                base = base @ base
         return out
 
     def norm_inf(self) -> float:

@@ -3,9 +3,9 @@
 Given a valid monodromy pair and a direction on the universal cover,
 pick the asymptotic family the pair parametrizes there (elliptic strip,
 oscillatory ray, or one of the exponentially truncated families) and
-recover the family constants from the matrix entries. Rotations by
-multiples of pi, and operator orbits, are compositions of the nonlinear
-operators from mono_core. `verify` seeds the ODE oracle from a family.
+recover the family constants from the matrix entries. A rotation by a
+multiple of pi is one conjugation by a power of the composite loop and at
+most one Stokes step. `verify` seeds the ODE oracle from a family.
 """
 
 from __future__ import annotations
@@ -234,49 +234,52 @@ def _on_manifold(pair: MonodromyPair, what: str) -> MonodromyPair:
     return pair
 
 
+def _turned(pair: MonodromyPair, k: int, stokes_step: Optional[str],
+            what: str) -> MonodromyPair:
+    """`monodromy_shift(pair, k)`, then the Stokes step (s0 or s1, with pair
+    as the family base) if one is given, checked by `_on_manifold`; a
+    conjugation that divides by zero raises ToleranceFailure."""
+    try:
+        out = monodromy_shift(pair, k)
+        if stokes_step:
+            out = apply_operator(stokes_step, FamilyElement(out, k), pair).pair
+    except ZeroDivisionError as exc:
+        raise ToleranceFailure(f"{what} overflowed") from exc
+    return _on_manifold(out, what)
+
+
 def continuation_plan(pair: MonodromyPair, from_arg: float, to_arg: float,
                       zero_tol: float = 1e-9) -> ContinuationPlan:
-    """Plan the rotation from_arg -> to_arg as pi-steps of the operators.
-
-    Counterclockwise pi-steps use the upper-factor operator (s0), clockwise
-    the lower one (s1); full turns collapse to the composite-loop shift.
-    A resulting pair off the monodromy manifold (`_on_manifold`), or
-    conjugations that overflow, raise ToleranceFailure. The elliptic data
-    (phase shift and modulus) is attached when the target, pulled back by
-    full turns, has a phase shift; the descriptor is `solve_rh` of the
-    resulting pair at the target pulled back by the pi-steps, when one
-    attaches there.
+    """Plan the rotation from_arg -> to_arg by n half turns: |n| // 2 full
+    turns in one `monodromy_shift`, then for odd n one Stokes step, s0 if
+    n > 0 and s1 if n < 0 (`_turned`). A span too large for the 1e-9
+    pi-multiple test raises DomainViolation. The elliptic data (phase shift
+    and modulus) is attached when the target, pulled back by full turns,
+    has a phase shift; the descriptor is `solve_rh` of the resulting pair
+    at the target pulled back by the n half turns, when one attaches there.
     """
     span = (to_arg - from_arg) / math.pi
-    if not math.isfinite(span):
-        raise DomainViolation(
-            f"rotation from {from_arg} to {to_arg} is not finite")
+    if not math.ulp(span) <= 1e-9:  # also catches inf and nan
+        raise DomainViolation(f"rotation from {from_arg} to {to_arg} is not "
+                              "finite, or too large to tell a pi-multiple")
     n = round(span)
     if abs(span - n) > 1e-9:
         raise NotPiMultiple(f"rotation {to_arg - from_arg} is not a pi-multiple")
-    if n >= 0:
-        steps: List[str] = ["m"] * (n // 2) + ["s0"] * (n % 2)
-    else:
-        steps = ["m_inv"] * ((-n) // 2) + ["s1"] * ((-n) % 2)
-    elem = FamilyElement(pair, 0, "plain")
-    try:
-        for tag in steps:
-            elem = apply_operator(tag, elem, pair)
-    except ZeroDivisionError as exc:
-        raise ToleranceFailure(
-            f"the rotation by {n} half turns overflowed") from exc
-    resulting = _on_manifold(elem.pair, f"the pair rotated by {n} half turns")
+    turns, odd = divmod(abs(n), 2)
+    full, half, k = ("m", "s0", turns) if n >= 0 else ("m_inv", "s1", -turns)
+    resulting = _turned(pair, k, half if odd else None,
+                        f"the pair rotated by {n} half turns")
     try:  # ValueError off the principal sheet
         descriptor = solve_rh(resulting, to_arg - math.pi * n, zero_tol)
     except (PvrhError, ValueError):
         descriptor = None
     return ContinuationPlan(
-        steps=tuple(steps),
+        steps=(full,) * turns + (half,) * odd,
         start_sheet=(from_arg - _HALF_PI, from_arg + _HALF_PI),
         end_sheet=(to_arg - _HALF_PI, to_arg + _HALF_PI),
         resulting=resulting,
-        thetaInf_sign=-1 if n % 2 else 1,
-        reciprocal=bool(n % 2),
+        thetaInf_sign=-1 if odd else 1,
+        reciprocal=bool(odd),
         elliptic=_elliptic_attachment(pair, to_arg),
         descriptor=descriptor,
     )
@@ -286,13 +289,14 @@ def _elliptic_attachment(pair: MonodromyPair,
                          to_arg: float) -> Optional[Dict[str, complex]]:
     """Phase shift of the elliptic regime on the target sheet, if any.
 
-    The target is pulled back by full turns into [-pi/2, 3pi/2), and the
-    pair by as many composite-loop shifts; `phase_shift` picks the route.
+    The target is pulled back by p full turns into [-pi/2, 3pi/2), and the
+    pair by as many (`_turned`); `phase_shift` picks the route.
     """
     p = math.floor((to_arg + _HALF_PI) / (2.0 * math.pi))
     phi = to_arg - 2.0 * math.pi * p
+    shifted = _turned(pair, p, None, f"the pair pulled back by {p} full turns")
     try:
-        route, x0, sol = phase_shift(monodromy_shift(pair, p), phi)
+        route, x0, sol = phase_shift(shifted, phi)
     except (DomainViolation, AmbiguousSign, WrongSector):
         return None
     return {"x0": x0, "A": sol.A, "route": route,

@@ -113,6 +113,52 @@ def doubly_truncated_pair(theta: ThetaTriple) -> MonodromyPair:
     return MonodromyPair(m0, m1, theta)
 
 
+def identity_loop_pair() -> MonodromyPair:
+    """theta = (0.3, 0.3, 0) with M1 = M0^-1, so M1 M0 is exactly I in doubles.
+
+    A valid pair that no number of full turns moves, so no check on the
+    rotated pair ever trips: the worst case for the cost of a rotation.
+    """
+    tr = 2.0 * math.cos(0.3 * math.pi)
+    m0 = Mat2C(complex(tr), 1.0 + 0j, -1.0 + 0j, 0j)
+    return MonodromyPair(m0, m0.inv(), ThetaTriple(0.3, 0.3, 0.0))
+
+
+def shift_reference(pair: MonodromyPair, k: int, dps: int = 100):
+    """(m0_11, m1_11) of the pair conjugated by (M1 M0)^k, in mpmath at dps."""
+    with mpmath.workdps(dps):
+        m0, m1 = (mpmath.matrix([[m.m11, m.m12], [m.m21, m.m22]])
+                  for m in (pair.m0, pair.m1))
+        g = (m1 * m0) ** k
+        gi = mpmath.inverse(g)
+        return complex((g * m0 * gi)[0, 0]), complex((g * m1 * gi)[0, 0])
+
+
+def kummer_solution(theta: ThetaTriple, C1, C2, x, dps: int = 50):
+    """(y, y', zfrak = 0) of the classical PV solution on c = 0, as mpc at dps.
+
+    When c = (theta0 + theta1 + thetaInf)/2 = 0 the line zfrak = 0 is
+    invariant, and y = -x u' / (theta1 u) solves the Riccati equation
+    x y' = x y + (y - 1)(theta1 y + theta0), with
+    u = x^theta0 F, F = C1 M(a, b, x) + C2 U(a, b, x), a = theta0,
+    b = 1 + theta0 + theta1 (Kummer's functions, DLMF 13.2). y' comes from
+    F' (DLMF 13.3.15, 13.3.22) and Kummer's equation x F'' = (x - b) F' + a F,
+    not from the Riccati equation, so zfrak_from_y_yprime checks the form.
+    """
+    with mpmath.workdps(dps):
+        a = mpmath.mpmathify(theta.theta0)
+        t1 = mpmath.mpmathify(theta.theta1)
+        b = 1 + a + t1
+        x = mpmath.mpmathify(x)
+        f = C1 * mpmath.hyp1f1(a, b, x) + C2 * mpmath.hyperu(a, b, x)
+        fp = C1 * a / b * mpmath.hyp1f1(a + 1, b + 1, x) \
+            - C2 * a * mpmath.hyperu(a + 1, b + 1, x)
+        fpp = ((x - b) * fp + a * f) / x
+        w = a / x + fp / f  # u'/u
+        wp = -a / x ** 2 + fpp / f - (fp / f) ** 2
+        return -x * w / t1, -(w + x * wp) / t1, mpmath.mpc(0)
+
+
 def trunc00_y_yprime(theta: ThetaTriple, c0: complex, x: complex, order: int = 8):
     """Series-plus-correction value and derivative of the Trunc00 family."""
     series = formal_series_pv("small0", theta, order)

@@ -30,6 +30,7 @@ from support import (
     THETA_DESK,
     doubly_truncated_pair,
     formal_series_reference,
+    identity_loop_pair,
     pair_diff,
     r2_0_pair,
     random_valid_pair,
@@ -315,6 +316,19 @@ def test_continue_and_orbit_stay_on_the_manifold(capsys):
         assert _envelope(*run_cli(capsys, ["continue", blob, "--to",
                                            repr(2 * math.pi * turns)])) \
             == (3, "ToleranceFailure", "continue")
+    # the attachment's own pull-back by 12 full turns: no step, yet it exited
+    # 0 with elliptic.x0 read off a pair with Fricke residual 1.2e4
+    angle = f"--from={24 * math.pi + 0.7!r}"
+    assert _envelope(*run_cli(capsys, ["continue", blob, angle, "--to",
+                                       repr(24 * math.pi + 0.7)])) \
+        == (3, "ToleranceFailure", "continue")
+    # M1 M0 = I exactly, so no check trips: the half-turn walk to pi * 2^40
+    # never returned; a span of 2^23 half turns or more is too coarse in
+    # doubles to tell a pi-multiple
+    identity = json.dumps(pair_to_json_obj(identity_loop_pair()))
+    assert _envelope(*run_cli(capsys, ["continue", identity, "--to",
+                                       repr(math.pi * 2 ** 40)])) \
+        == (2, "DomainViolation", "continue")
 
     status, out = run_cli(capsys, ["orbit", blob, "--ops", "m",
                                    "--steps", "7"])
@@ -454,6 +468,27 @@ def test_validation_failures_exit_2(rng, capsys, tmp_path):
     for phi in ("nan", "inf"):
         assert _envelope(*run_cli(capsys, ["boutroux", "--phi", phi])) \
             == (2, "DomainViolation", "boutroux")
+
+    # a trig descriptor with vhat = 0 in the modes that divide by vhat or
+    # take its log (these exited 2 as ZeroDivisionError and ValueError); the
+    # exp_minus mode and the degenerate sine case |beta0| < 1e-12 keep y = -1
+    _, trig = run_cli(capsys, ["solve", json.dumps(pair_to_json_obj(
+        random_valid_pair(random.Random(3)))), "--phi", "0"])
+    trig = json.loads(trig)
+    assert trig["variant"] == "Trig"
+    for beta0, want in (([0.6, 0.1], 2), ([-0.3, 0.1], 2), ([0.1, 0.1], 2),
+                        ([0.5, 0.1], 2), ([0.3, 0.1], 0), ([0.0, 0.0], 0)):
+        trig["params"].update(beta0=beta0, vhat=[0.0, 0.0])
+        blob = json.dumps(trig)
+        for cmd in (["eval", blob], ["verify", "--seed", blob]):
+            status, out = run_cli(capsys, cmd + ["--at", "25"])
+            if want:
+                assert _envelope(status, out) \
+                    == (2, "DomainViolation", cmd[0])
+            else:
+                assert status == 0
+                if cmd[0] == "eval":
+                    assert json.loads(out)["y"] == [-1.0, 0.0]
 
     # an elliptic descriptor solved at phi = 0.7, evaluated off its ray
     blob = json.dumps(pair_to_json_obj(random_valid_pair(rng)))

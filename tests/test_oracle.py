@@ -59,6 +59,7 @@ from support import (
     THETA_DESK,
     doubly_truncated_pair,
     fixed_seed_frame,
+    kummer_solution,
     loop_transport_monodromy,
     pair_diff,
     perturbed_drift,
@@ -289,6 +290,47 @@ def test_ray_stepper_matches_independent_references(rng):
     with mpmath.workdps(30):
         check(mpmath.exp(1j * mpmath.mpf(phi)),
               [mpmath.mpc(v) for v in state], 1e-25)
+
+
+# c = (theta0 + theta1 + thetaInf)/2 = 0: zfrak = 0 is invariant and y is a
+# classical solution, a ratio of Kummer functions (support.kummer_solution)
+KUMMER_THETA = ThetaTriple(0.3, 0.25, -(0.3 + 0.25))
+KUMMER_RATIOS = (0.0, 1e-9, 1e-3, 1.0)  # C1 / C2, with C2 = 1
+
+
+def test_kummer_solution_solves_the_reduced_ray_system():
+    # y' from Kummer's functions, not from the Riccati equation, so the
+    # auxiliary variable read back from (y, y') must vanish, up to the
+    # roundoff of x (y' - y), about t eps
+    for c1 in KUMMER_RATIOS:
+        for phi in (0.0, 0.6, -0.6):
+            for t in (15.0, 20.0, 26.0, 40.0):
+                x = t * cmath.exp(1j * phi)
+                y, yp, z = kummer_solution(KUMMER_THETA, c1, 1, x)
+                assert z == 0
+                assert abs(zfrak_from_y_yprime(KUMMER_THETA, x, complex(y),
+                                               complex(yp))) <= 1e-15 * t
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.6, -0.6])
+def test_ray_legs_and_chain_match_kummer_solutions(phi):
+    # an exact solution known apart from the oracle and the families; the
+    # recessive C1 = 0 solution (U alone) loses about eps e^(t_end - t_start)
+    # to the dominant M mode, 4e-5 over 15 -> 40, so it runs 20 -> 26
+    e = cmath.exp(1j * phi)
+    legs = [(c1, 15.0, 40.0) for c1 in KUMMER_RATIOS[1:]] + [(0.0, 20.0, 26.0)]
+    for c1, t_start, t_end in legs:
+        y0 = complex(kummer_solution(KUMMER_THETA, c1, 1, t_start * e)[0])
+        seed = {"x": t_start * e, "y": y0, "zfrak": 0j}
+        got = integrate_pv(KUMMER_THETA, seed, t_end).samples[-1][1]
+        want = complex(kummer_solution(KUMMER_THETA, c1, 1, t_end * e)[0])
+        assert abs(got - want) <= 1e-12 * abs(want), (c1, got, want)
+    # with zfrak = c = 0 the linear system is upper triangular
+    for c1 in KUMMER_RATIOS:
+        y = complex(kummer_solution(KUMMER_THETA, c1, 1, 20.0 * e)[0])
+        pair = direct_monodromy(LinearSystemState(20.0, phi, y, 0j,
+                                                  KUMMER_THETA))
+        assert pair.m0.m21 == 0 and pair.m1.m21 == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,12 @@ from pvrh.asymptotics import (
 from pvrh.boutroux_elliptic import solve_boutroux
 from pvrh.errors import (
     ConditionMismatch,
+    DomainViolation,
     IntegerTheta,
     NonUniqueFiber,
     NotPiMultiple,
     ThetaViolation,
+    ToleranceFailure,
     UnmappedRegion,
 )
 from pvrh.mono_core import (
@@ -43,10 +46,12 @@ from pvrh.rh_dispatch import (
 from support import (
     THETA_DESK,
     doubly_truncated_pair,
+    identity_loop_pair,
     pair_diff,
     r2_0_pair,
     r2_1_pair,
     random_valid_pair,
+    shift_reference,
 )
 
 
@@ -332,6 +337,47 @@ def test_continuation_plan_step_shapes(rng):
 
     with pytest.raises(NotPiMultiple):
         continuation_plan(pair, 0.0, 1.3)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+def test_continuation_matches_an_mp_conjugation(k):
+    # k full turns are one conjugation by (M1 M0)^k; the half-turn walk
+    # rebuilt M1 M0 from the drifting pair at every step and read 3.4e-10 at
+    # six turns (seed 106) and 2.0e-10 at ten (seed 101)
+    for seed in range(100, 120):
+        pair = random_valid_pair(random.Random(seed))
+        try:
+            got = continuation_plan(pair, 0.0, 2.0 * math.pi * k).resulting
+        except ToleranceFailure:
+            continue  # off the cubic surface in doubles (seed 106, k >= 7)
+        for z, ref in zip((got.m0.m11, got.m1.m11), shift_reference(pair, k)):
+            assert abs(z - ref) <= 1e-11 * max(1.0, abs(ref)), (seed, z, ref)
+
+
+def test_continuation_work_is_logarithmic(monkeypatch):
+    # M1 M0 = I exactly on this pair, so no check trips and the half-turn
+    # walk made about 7 products per full turn (3.7 million to pi * 2^20)
+    products = []
+    matmul = Mat2C.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat2C, "__matmul__", counting)
+    pair = identity_loop_pair()
+    plan = continuation_plan(pair, 0.0, math.pi * 2 ** 20)
+    assert len(products) < 100
+    assert len(plan.steps) == 2 ** 19
+    assert pair_diff(plan.resulting, pair) == 0.0
+    # from |span| = 2^23 half turns the float spacing of the span is above
+    # the 1e-9 pi-multiple test, so the rotation is refused before any product
+    del products[:]
+    with pytest.raises(DomainViolation, match="pi-multiple"):
+        continuation_plan(pair, 0.0, math.pi * 2 ** 40)
+    with pytest.raises(DomainViolation):
+        continuation_plan(pair, 0.0, math.pi * 2 ** 23)
+    assert not products
 
 
 def test_continuation_sheet_bookkeeping(rng):
