@@ -989,6 +989,29 @@ def phase_shift(pair: MonodromyPair,
 # ---------------------------------------------------------------------------
 # a family at a point
 
+# The params each variant's evaluator reads (eval_elliptic, eval_trig,
+# eval_trunc and series_tag_for); a table row reads L only for a small*
+# series, and NonGeneric case k reads as row k does. TEXT_PARAMS are
+# strings, every other param a number.
+_PARAMS_READ = {
+    "Elliptic": ("A", "x0"), "Trig": ("beta0", "vhat"),
+    "TruncAK": ("amp", "direction"), "DoublyTruncAK": (),
+    "TruncBoundary": ("series_tag", "c0", "mu", "corr_coeff", "corr_exp"),
+    **{row.variant: (("c0", "mu", "L") if row.tag.startswith("small")
+                     else ("c0", "mu")) for row in _FAMILIES},
+}
+TEXT_PARAMS = ("series_tag", "which")
+
+
+def params_read(d: AsymptoticDescriptor) -> Tuple[str, ...]:
+    """The params d's evaluator reads; () for a variant or a resonant case
+    the evaluators refuse themselves."""
+    if d.variant == "NonGeneric":
+        return _PARAMS_READ[_FAMILIES[d.case - 1].variant] \
+            if d.case in (1, 2, 3, 4) else ()
+    return _PARAMS_READ.get(d.variant, ())
+
+
 def family_y(d: AsymptoticDescriptor,
              order: int = 8) -> Callable[[complex], complex]:
     """y of the descriptor's family at any point; a series family builds its

@@ -20,7 +20,8 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import errors
-from .asymptotics import AsymptoticDescriptor, family_at, family_y, phase_shift
+from .asymptotics import (TEXT_PARAMS, AsymptoticDescriptor, family_at,
+                          family_y, params_read, phase_shift)
 from .boutroux_elliptic import solve_boutroux
 from .char_variety import char_coords, fricke_residual
 from .mono_core import (
@@ -41,7 +42,7 @@ from .rh_dispatch import (
     verify,
 )
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "2.0.0"
 
 _MALFORMED = 1
 _VALIDATION = 2
@@ -206,13 +207,16 @@ def _parse_theta(text: str) -> ThetaTriple:
     for part in parts:
         part = part.strip()
         try:
-            if "/" in part:
-                vals.append(Fraction(part))
-            else:
-                vals.append(float(part))
+            vals.append(Fraction(part) if "/" in part else float(part))
+            finite = math.isfinite(vals[-1])
         except (ValueError, ZeroDivisionError):
             raise CliFailure(_MALFORMED, "bad-theta",
                              f"not a number: {part!r}", "--theta") from None
+        except OverflowError:  # a fraction beyond the doubles
+            finite = False
+        if not finite:
+            raise CliFailure(_MALFORMED, "bad-theta",
+                             f"not a finite double: {part!r}", "--theta")
     return ThetaTriple(vals[0], vals[1], vals[2])
 
 
@@ -257,6 +261,9 @@ def descriptor_to_json_obj(d: AsymptoticDescriptor) -> Dict[str, Any]:
 
 
 def descriptor_from_json_obj(obj: Dict[str, Any]) -> AsymptoticDescriptor:
+    """The descriptor of an `eval` or `verify` input. Each param its
+    variant's evaluator reads (`params_read`) must be there, and each param
+    is a number ([re, im] or real) but the strings of `TEXT_PARAMS`."""
     def cx(v):
         if isinstance(v, str):
             return v
@@ -269,7 +276,7 @@ def descriptor_from_json_obj(obj: Dict[str, Any]) -> AsymptoticDescriptor:
         params = {str(k): cx(v) for k, v in obj["params"].items()}
         sec = obj["sector"]
         closed = obj.get("sector_closed", [False, False])
-        return AsymptoticDescriptor(
+        d = AsymptoticDescriptor(
             variant=str(obj["variant"]),
             params=params,
             sector=(float(sec[0]), float(sec[1])),
@@ -278,11 +285,22 @@ def descriptor_from_json_obj(obj: Dict[str, Any]) -> AsymptoticDescriptor:
             case=int(obj.get("case", 0)),
             nu=int(obj.get("nu", 0)),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise CliFailure(
             _MALFORMED, "bad-descriptor-schema",
             f"descriptor JSON needs variant/theta/params/sector ({exc})",
             "descriptor") from exc
+    bad = [f"a {d.variant} descriptor needs params.{key}"
+           for key in params_read(d) if key not in params]
+    bad += [f"params.{key} must be a "
+            f"{'string' if key in TEXT_PARAMS else 'number'}"
+            for key, val in params.items()
+            if isinstance(val, str) != (key in TEXT_PARAMS)]
+    if bad:
+        raise CliFailure(_MALFORMED, "bad-descriptor-schema", bad[0],
+                         "descriptor")
+    return d
 
 
 def _load_descriptor(source: str) -> AsymptoticDescriptor:
@@ -395,11 +413,7 @@ def _cmd_continue(args) -> int:
     pair = _load_pair(args.pair, args.tol)
     plan = continuation_plan(pair, args.from_arg, args.to, zero_tol=args.tol)
     _emit({
-        "steps": list(plan.steps),
-        "start_sheet": [float(plan.start_sheet[0]), float(plan.start_sheet[1])],
-        "end_sheet": [float(plan.end_sheet[0]), float(plan.end_sheet[1])],
-        "thetaInf_sign": int(plan.thetaInf_sign),
-        "reciprocal": bool(plan.reciprocal),
+        "half_turns": plan.half_turns,
         "pair": pair_to_json_obj(plan.resulting),
         "elliptic": None if plan.elliptic is None else dict(plan.elliptic),
         "descriptor": None if plan.descriptor is None

@@ -174,10 +174,11 @@ def zfrak_from_y_yprime(theta: ThetaTriple, x: complex, y: complex,
 
 def _seed_values(seed: Dict[str, complex],
                  num: Callable) -> Tuple[Any, Any, Any]:
-    """(x, y, zfrak) of a seed, each entry passed through num."""
+    """(x, y, zfrak) of a seed, each entry passed through num as given, so
+    an mpc entry keeps its digits."""
     if "zfrak" not in seed:
         raise ValueError("seed needs zfrak")
-    return tuple(num(complex(seed[k])) for k in ("x", "y", "zfrak"))
+    return tuple(num(seed[k]) for k in ("x", "y", "zfrak"))
 
 
 _RAY_GUARD = 1e-6       # a ray leg stops when y comes this close to 0 or 1
@@ -187,18 +188,20 @@ _RAY_COLLAPSE = 1e-6    # a shorter step, relative to max(1, t), is a failure
 
 def _ray_start(seed: Dict[str, complex],
                num: Callable) -> Tuple[float, Tuple[Any, Any, Any]]:
-    """(phi, (|x|, y, zfrak)) of a seed, the values passed through num.
+    """(phi, (|x|, y, zfrak)) of a seed, y and zfrak passed through num.
 
-    Rejects a seed at x = 0 and one whose y already lies in the guard band.
+    |x| is taken in the scalars the seed gives x in, so a seed in doubles
+    starts from the same double t on either chain. Rejects a seed at x = 0
+    and one whose y already lies in the guard band.
     """
-    x = complex(seed["x"])
+    x = seed["x"]
     if x == 0:
         raise ValueError("seed must sit at nonzero x")
     _, y, z = _seed_values(seed, num)
     if min(abs(y), abs(y - 1)) < _RAY_GUARD:
         raise HitSingularity(
             f"seed y={complex(y)} already inside the guard band")
-    return cmath.phase(x), (abs(x), y, z)
+    return cmath.phase(complex(x)), (abs(x), y, z)
 
 
 def _ray_coeffs(theta: ThetaTriple, phi: float, t0, y0,

@@ -213,12 +213,11 @@ def solve_rh(pair: MonodromyPair, phi: float,
 
 @dataclass(frozen=True)
 class ContinuationPlan:
-    steps: Tuple[str, ...]
-    start_sheet: Tuple[float, float]
-    end_sheet: Tuple[float, float]
+    """The rotation by n = half_turns half turns (`continuation_plan`), the
+    pair it gives, and the elliptic data and family on the target sheet."""
+
+    half_turns: int
     resulting: MonodromyPair
-    thetaInf_sign: int
-    reciprocal: bool
     elliptic: Optional[Dict[str, complex]] = None
     descriptor: Optional[AsymptoticDescriptor] = None
 
@@ -266,23 +265,15 @@ def continuation_plan(pair: MonodromyPair, from_arg: float, to_arg: float,
     if abs(span - n) > 1e-9:
         raise NotPiMultiple(f"rotation {to_arg - from_arg} is not a pi-multiple")
     turns, odd = divmod(abs(n), 2)
-    full, half, k = ("m", "s0", turns) if n >= 0 else ("m_inv", "s1", -turns)
+    half, k = ("s0", turns) if n >= 0 else ("s1", -turns)
     resulting = _turned(pair, k, half if odd else None,
                         f"the pair rotated by {n} half turns")
     try:  # ValueError off the principal sheet
         descriptor = solve_rh(resulting, to_arg - math.pi * n, zero_tol)
     except (PvrhError, ValueError):
         descriptor = None
-    return ContinuationPlan(
-        steps=(full,) * turns + (half,) * odd,
-        start_sheet=(from_arg - _HALF_PI, from_arg + _HALF_PI),
-        end_sheet=(to_arg - _HALF_PI, to_arg + _HALF_PI),
-        resulting=resulting,
-        thetaInf_sign=-1 if odd else 1,
-        reciprocal=bool(odd),
-        elliptic=_elliptic_attachment(pair, to_arg),
-        descriptor=descriptor,
-    )
+    return ContinuationPlan(n, resulting, _elliptic_attachment(pair, to_arg),
+                            descriptor)
 
 
 def _elliptic_attachment(pair: MonodromyPair,
@@ -299,8 +290,7 @@ def _elliptic_attachment(pair: MonodromyPair,
         route, x0, sol = phase_shift(shifted, phi)
     except (DomainViolation, AmbiguousSign, WrongSector):
         return None
-    return {"x0": x0, "A": sol.A, "route": route,
-            "sheet_phi": phi, "sheet_index": complex(p)}
+    return {"x0": x0, "A": sol.A, "route": route}
 
 
 def operator_orbit(pair: MonodromyPair, ops: Sequence[str], steps: int,

@@ -55,7 +55,7 @@ def test_classify_emits_region_and_schema(capsys):
     status, out = run_cli(capsys, ["classify", dtc_json()])
     assert status == 0
     body = json.loads(out)
-    assert body["schema"] == cli.SCHEMA_VERSION == "1.0.0"
+    assert body["schema"] == cli.SCHEMA_VERSION == "2.0.0"
     assert body["region"] == "R2_01"
     assert body["coords"] == {}
 
@@ -268,7 +268,7 @@ def test_verify_reports_numeric_failure_with_exit_3(capsys):
     status, out = run_cli(capsys, ["verify", "--seed", seed, "--at", "10"])
     assert status == 3
     body = json.loads(out)
-    assert body["schema"] == "1.0.0"
+    assert body["schema"] == cli.SCHEMA_VERSION
     assert body["code"] == "HitSingularity"
 
 
@@ -277,10 +277,7 @@ def test_continue_envelope(capsys):
                                    str(math.pi)])
     assert status == 0
     body = json.loads(out)
-    assert body["steps"] == ["s0"]
-    assert body["thetaInf_sign"] == -1
-    assert body["reciprocal"] is True
-    assert body["end_sheet"][0] == pytest.approx(math.pi - 0.5 * math.pi)
+    assert body["half_turns"] == 1
     assert "m0" in body["pair"] and "m1" in body["pair"]
     assert "descriptor" in body
 
@@ -329,6 +326,12 @@ def test_continue_and_orbit_stay_on_the_manifold(capsys):
     assert _envelope(*run_cli(capsys, ["continue", identity, "--to",
                                        repr(math.pi * 2 ** 40)])) \
         == (2, "DomainViolation", "continue")
+    # the rotation is one count: the list of its 2^21 full-turn steps made
+    # this envelope 8.4 MB
+    status, out = run_cli(capsys, ["continue", identity, "--to",
+                                   repr(math.pi * 2 ** 22)])
+    assert status == 0 and len(out) < 2048
+    assert json.loads(out)["half_turns"] == 2 ** 22
 
     status, out = run_cli(capsys, ["orbit", blob, "--ops", "m",
                                    "--steps", "7"])
@@ -364,7 +367,7 @@ def test_malformed_inputs_exit_1(monkeypatch, capsys):
     status, out = run_cli(capsys, ["classify", '{"theta": nope'])
     assert status == 1
     body = json.loads(out)
-    assert body["code"] == "bad-json" and body["schema"] == "1.0.0"
+    assert body["code"] == "bad-json" and body["schema"] == cli.SCHEMA_VERSION
 
     # a pair on standard input, well formed and not
     monkeypatch.setattr("sys.stdin", io.StringIO(dtc_json()))
@@ -386,11 +389,53 @@ def test_malformed_inputs_exit_1(monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))
         assert _envelope(*run_cli(capsys, ["eval", "-", "--at", "25"])) \
             == (1, "bad-descriptor-schema", "descriptor")
+
+    # a param the variant's evaluator reads is missing, or a number is not
+    # one (each escaped cli.main as a KeyError or TypeError traceback)
+    def solved_at(seed, phi):
+        blob = json.dumps(pair_to_json_obj(random_valid_pair(
+            random.Random(seed))))
+        return json.loads(run_cli(capsys, ["solve", blob, "--phi", phi])[1])
+
+    elliptic, trig = solved_at(7, "0.7"), solved_at(3, "0")
+    assert (elliptic["variant"], trig["variant"]) == ("Elliptic", "Trig")
+    trunc00 = {"variant": "Trunc00", "theta": [0.3, -0.2, 0.15],
+               "params": {"c0": [1.0, 0.0]}, "sector": [-1.5, 1.5]}
+    _, boundary = asymptotics.trunc_boundary_families(
+        "small0_upper", {"c": 0.5}, THETA_DESK)
+    boundary = json.loads(cli.dumps_canonical(
+        cli.descriptor_to_json_obj(boundary)))
+    del boundary["params"]["series_tag"]
+    at = f"--at={30 * math.cos(0.7)!r},{30 * math.sin(0.7)!r}"
+    cases = [(["eval"], dict(elliptic, params={}), "params.A", at),
+             (["eval"], trunc00, "params.mu", "--at=25"),
+             (["eval"], boundary, "params.series_tag", "--at=-25"),
+             (["eval"], dict(elliptic, params=dict(elliptic["params"],
+                                                   A="abc")), "params.A", at)]
+    no_vhat = dict(trig, params={k: v for k, v in trig["params"].items()
+                                 if k != "vhat"})
+    for params in (no_vhat["params"], dict(trig["params"], vhat="x")):
+        for cmd in (["eval"], ["verify", "--seed"]):
+            cases.append((cmd, dict(trig, params=params), "params.vhat",
+                          "--at=25"))
+    for cmd, descriptor, key, point in cases:
+        status, out = run_cli(capsys, cmd + [json.dumps(descriptor), point])
+        assert _envelope(status, out) \
+            == (1, "bad-descriptor-schema", "descriptor"), (descriptor, out)
+        assert key in json.loads(out)["message"]
+    # params that are no object, a case that is no integer (AttributeError
+    # and OverflowError tracebacks)
+    for descriptor in (dict(trunc00, params=[]), dict(trunc00, case=math.inf)):
+        assert _envelope(*run_cli(capsys, ["eval", json.dumps(descriptor),
+                                           "--at=25"])) \
+            == (1, "bad-descriptor-schema", "descriptor")
     assert _envelope(*run_cli(capsys, ["verify", "--seed", solved.strip(),
                                        "--at", "12", "--bases", "5,a"])) \
         == (1, "bad-bases", "--bases")
 
-    for theta in ("1,2", "1,x,3"):
+    # a non-finite component (1e400 escaped as an OverflowError traceback,
+    # nan exited 2 as a ValueError)
+    for theta in ("1,2", "1,x,3", "1e400,0,0", "nan,0,0"):
         assert _envelope(*run_cli(capsys, ["conditions", "--theta", theta])) \
             == (1, "bad-theta", "--theta")
 

@@ -41,6 +41,8 @@ from pvrh.oracle import (
     _pair_distance,
     _poly_part,
     _ray_coeffs,
+    _ray_leg,
+    _ray_start,
     _seed_frame,
     _series_coefficients,
     _taylor_step as taylor_step,
@@ -331,6 +333,30 @@ def test_ray_legs_and_chain_match_kummer_solutions(phi):
         pair = direct_monodromy(LinearSystemState(20.0, phi, y, 0j,
                                                   KUMMER_THETA))
         assert pair.m0.m21 == 0 and pair.m1.m21 == 0
+
+
+# c = 0 in binary too, so zfrak = 0 stays invariant at any precision; on
+# KUMMER_THETA c is -2.8e-17 in exact binary, and an mp leg 15 -> 40 leaves
+# the line by 2.5e-10
+KUMMER_DYADIC_THETA = ThetaTriple(0.375, 0.25, -0.625)
+
+
+@pytest.mark.parametrize("phi, c1, t_start, t_end", [
+    (0.0, 1e-3, 20.0, 26.0), (0.6, 1.0, 20.0, 26.0), (-0.6, 1e-9, 15.0, 20.0)])
+def test_mp_ray_legs_keep_the_digits_of_an_mp_seed(phi, c1, t_start, t_end):
+    # the seed used to reach the leg through complex(), so these legs missed
+    # by 2.2e-19, 3.9e-19 and 1.9e-15
+    with mpmath.workdps(60):
+        e = mpmath.exp(1j * mpmath.mpf(phi))
+        y, _, z = kummer_solution(KUMMER_DYADIC_THETA, c1, 1, t_start * e, 60)
+        want = kummer_solution(KUMMER_DYADIC_THETA, c1, 1, t_end * e, 60)[0]
+    with mpmath.workdps(40):
+        ray_phi, start = _ray_start({"x": t_start * e, "y": y, "zfrak": z},
+                                    mpmath.mpc)
+        assert ray_phi == phi
+        _, got, _ = _ray_leg(KUMMER_DYADIC_THETA, ray_phi, start, t_end)
+    with mpmath.workdps(60):
+        assert abs(got - want) <= 1e-28 * abs(want), (got, want)
 
 
 @pytest.fixture(scope="module")
